@@ -210,12 +210,10 @@ pub fn cluster_4job_macro(quick: bool) -> ClusterMacro {
     }
 }
 
-/// Mixed co-tenancy macro for the conservative-parallel driver: `n_ps`
-/// 2-worker PS jobs contending on the shared fabric plus `n_ar`
-/// all-reduce jobs whose collective streams are private. The AR tenants
-/// are permanent free-run candidates, so this is the workload where the
-/// parallel core's speedup lives; the PS tenants keep the shared-fabric
-/// path honest at the same time.
+/// Mixed co-tenancy macro: `n_ps` 2-worker PS jobs contending on the
+/// shared fabric plus `n_ar` all-reduce jobs whose collective streams
+/// are private, so the cluster loop interleaves fabric traffic with many
+/// jobs' private events.
 pub fn cluster_mixed_macro(name: &str, n_ps: usize, n_ar: usize, quick: bool) -> ClusterMacro {
     let iters = if quick { 4 } else { 10 };
     let net = NetConfig::gbps(10.0, Transport::tcp());
@@ -254,9 +252,8 @@ pub fn cluster_mixed_macro(name: &str, n_ps: usize, n_ar: usize, quick: bool) ->
                 credit: 8_000_000,
             },
         );
-        // AR tenants carry extra iterations: their whole lifetime runs on
-        // worker threads in parallel mode, so weighting them up widens
-        // the measurable gap between the sequential and parallel cores.
+        // AR tenants keep twice the PS tenants' iterations, so the
+        // scenario stays the one the committed `BENCH_*.json` files timed.
         c.iters = iters * 2;
         c.warmup = 2;
         c.jitter = 0.0;
@@ -297,17 +294,15 @@ pub fn run_cluster_macro(m: &ClusterMacro, reps: usize) -> Value {
     }
     let r = result.expect("at least one rep");
     eprintln!(
-        "  {:<28} {:>8.1} ms wall, {} events, {:>12.0} events/sec, makespan {:?} ({} threads)",
+        "  {:<28} {:>8.1} ms wall, {} events, {:>12.0} events/sec, makespan {:?}",
         m.name,
         wall_min * 1e3,
         r.fabric_events,
         r.fabric_events as f64 / wall_min,
         r.makespan,
-        m.cluster.threads.max(1),
     );
     obj(vec![
         ("name", Value::Str(m.name.clone())),
-        ("threads", Value::U64(m.cluster.threads.max(1) as u64)),
         ("wall_sec", Value::F64(wall_min)),
         ("events", Value::U64(r.fabric_events)),
         (
@@ -444,13 +439,6 @@ pub fn get_f64(v: &Value, key: &str) -> Option<f64> {
     }
 }
 
-/// Appends a field to a JSON object entry.
-pub fn push_field(entry: &mut Value, key: &str, value: Value) {
-    if let Value::Object(fields) = entry {
-        fields.push((key.to_string(), value));
-    }
-}
-
 /// Per-scenario wall-time ratios old/new, keyed by scenario name.
 pub fn speedups(before: &Value, after: &Value, section: &str, key: &str) -> Value {
     let mut out = Vec::new();
@@ -474,20 +462,6 @@ pub fn speedups(before: &Value, after: &Value, section: &str, key: &str) -> Valu
         }
     }
     Value::Object(out)
-}
-
-/// The effective thread count for parallel cluster scenarios:
-/// `BS_BENCH_THREADS`, or every available core.
-pub fn bench_threads() -> usize {
-    std::env::var("BS_BENCH_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        })
-        .max(1)
 }
 
 /// Extracts `(name, events_per_sec)` for every macro entry of a

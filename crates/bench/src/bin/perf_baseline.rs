@@ -18,8 +18,6 @@
 //!   the minimum is reported, which is the standard way to reject noise).
 //! - `BS_BENCH_QUICK`   — when set, one repetition and shrunken scenario
 //!   sizes; used by the CI smoke job where absolute numbers don't matter.
-//! - `BS_BENCH_THREADS` — thread count for the `*_par` cluster scenarios
-//!   (default: every available core).
 //! - `BS_BENCH_BEFORE`  — path to a previous `BENCH_*.json`; its `results`
 //!   section is embedded under `before` and per-scenario speedups are
 //!   computed, so a refactor PR can carry its own before/after evidence.
@@ -28,15 +26,15 @@
 //! communication completions ("events") and events/sec, peak in-flight
 //! transfers, and the simulated training speed (which must not change
 //! across a pure-performance refactor — determinism is checked by the
-//! golden-trace test, not here). The mixed cluster scenarios come in
-//! `_seq`/`_par` pairs; the `_par` entry records its thread count and
-//! wall-clock speedup over the sequential twin.
+//! golden-trace test, not here). The mixed cluster scenarios keep the
+//! `_seq` suffix of their names so they stay comparable with the
+//! committed `BENCH_*.json` files.
 
 use std::time::Instant;
 
 use bs_bench::baseline::{
-    bench_threads, cluster_4job_macro, cluster_mixed_macro, get_f64, macro_scenarios, obj,
-    push_field, replay_service_macro, run_cluster_macro, run_macro, run_replay_macro, speedups,
+    cluster_4job_macro, cluster_mixed_macro, macro_scenarios, obj, replay_service_macro,
+    run_cluster_macro, run_macro, run_replay_macro, speedups,
 };
 use bs_net::{FluidNetwork, NetConfig, Network, NodeId, Transport};
 use bs_sim::SimTime;
@@ -155,7 +153,6 @@ fn main() {
         .unwrap_or(if quick { 1 } else { 3 })
         .max(1);
     let out_path = std::env::var("BS_BENCH_OUT").unwrap_or_else(|_| "BENCH_1.json".to_string());
-    let threads = bench_threads();
 
     eprintln!("macro scenarios ({reps} reps, min wall):");
     let mut macros: Vec<Value> = macro_scenarios(quick)
@@ -168,20 +165,7 @@ fn main() {
         ("cluster_16job_mixed", 6, 10),
     ] {
         let seq = cluster_mixed_macro(&format!("{name}_seq"), n_ps, n_ar, quick);
-        let seq_entry = run_cluster_macro(&seq, reps);
-        let seq_wall = get_f64(&seq_entry, "wall_sec");
-        macros.push(seq_entry);
-        // At least 2, so the `_par` entry always exercises the parallel
-        // core (and reports its overhead honestly) even on one core.
-        let mut par = cluster_mixed_macro(&format!("{name}_par"), n_ps, n_ar, quick);
-        par.cluster.threads = threads.max(2);
-        let mut par_entry = run_cluster_macro(&par, reps);
-        if let (Some(sw), Some(pw)) = (seq_wall, get_f64(&par_entry, "wall_sec")) {
-            if pw > 0.0 {
-                push_field(&mut par_entry, "speedup_vs_seq", Value::F64(sw / pw));
-            }
-        }
-        macros.push(par_entry);
+        macros.push(run_cluster_macro(&seq, reps));
     }
     macros.push(run_replay_macro(&replay_service_macro(quick), reps));
 

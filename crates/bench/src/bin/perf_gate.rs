@@ -20,26 +20,21 @@
 //! - `BS_GATE_TOLERANCE` — allowed fractional regression (default 0.15,
 //!   i.e. fail when events/sec drops more than 15%).
 //! - `BS_BENCH_REPS`     — repetitions per scenario, min wall (default 3).
-//! - `BS_BENCH_THREADS`  — thread count for the mixed cluster scenarios
-//!   (default 1). The fresh run is compared against the committed `_seq`
-//!   baselines either way: the parallel core is bit-identical to the
-//!   sequential one and must also never fall behind it on throughput by
-//!   more than the tolerance, so one floor serves both CI configurations.
 //! - `BS_BENCH_SCOPE`    — when set (and not `0`), every timed rep runs
 //!   with a subscriber-less scope observation bus attached. The fresh
 //!   numbers still gate against the same committed floors, which is the
 //!   CI proof that recording costs less than the gate tolerance.
 //!
-//! Only `_seq` (and single-job) scenarios gate; committed `_par` entries
-//! are informational, because parallel wall clock depends on the host's
-//! core count and the baseline may come from a different machine.
+//! Only the scenarios re-timed here gate: the single-job ones and the
+//! `_seq` cluster mixes. The `_par` entries of older `BENCH_*.json` files
+//! have no fresh counterpart and are ignored.
 
 use std::path::PathBuf;
 
 use bs_bench::baseline::{
-    bench_threads, cluster_4job_macro, cluster_mixed_macro, gate_failures, get_f64,
-    macro_events_per_sec, macro_scenarios, replay_service_macro, run_cluster_macro, run_macro,
-    run_replay_macro, scope_enabled,
+    cluster_4job_macro, cluster_mixed_macro, gate_failures, get_f64, macro_events_per_sec,
+    macro_scenarios, replay_service_macro, run_cluster_macro, run_macro, run_replay_macro,
+    scope_enabled,
 };
 use serde::Value;
 
@@ -86,11 +81,6 @@ fn main() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(3)
         .max(1);
-    let threads = if std::env::var("BS_BENCH_THREADS").is_ok() {
-        bench_threads()
-    } else {
-        1
-    };
 
     let Some(baseline_path) = find_baseline() else {
         eprintln!("error: no BENCH_<n>.json baseline found and BS_GATE_BASELINE unset");
@@ -116,7 +106,7 @@ fn main() {
     }
 
     eprintln!(
-        "perf gate: {} vs fresh run, {:.0}% tolerance, {reps} rep(s), {threads} thread(s){}:",
+        "perf gate: {} vs fresh run, {:.0}% tolerance, {reps} rep(s){}:",
         baseline_path.display(),
         tolerance * 100.0,
         if scope_enabled() {
@@ -145,10 +135,7 @@ fn main() {
         ("cluster_8job_mixed_seq", 3usize, 5usize),
         ("cluster_16job_mixed_seq", 6, 10),
     ] {
-        // Gated under the `_seq` baseline name even when BS_BENCH_THREADS
-        // runs the parallel core — see the module docs.
-        let mut m = cluster_mixed_macro(name, n_ps, n_ar, false);
-        m.cluster.threads = threads;
+        let m = cluster_mixed_macro(name, n_ps, n_ar, false);
         let entry = run_cluster_macro(&m, reps);
         record(&m.name, &entry);
     }

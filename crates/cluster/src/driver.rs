@@ -9,46 +9,11 @@
 //! events by the job-id bits of each transfer tag. With one job the event
 //! sequence is identical to the single-job driver's — the degenerate-case
 //! equivalence the test-suite pins bit-for-bit.
-//!
-//! # Conservative-parallel mode (`ClusterConfig::threads > 1`)
-//!
-//! Between shared-fabric interaction points, co-tenant jobs are causally
-//! independent: a job with no transfer pending on the fabric cannot
-//! receive a fabric event, and everything else it does (GPU ops, ring
-//! steps, fault timers) is private. The parallel core exploits exactly
-//! that lookahead, and nothing more — which is why it is *conservative*
-//! in the classic Chandy–Misra sense and reproduces the sequential event
-//! order bit-for-bit (pinned by the `parallel_*` tests and the proptest
-//! suite in `tests/cluster_parallel_properties.rs`):
-//!
-//! 1. **Plan.** With the cascade queue empty, scan the fabric's pending
-//!    tags; jobs owning none of them are candidates.
-//! 2. **Free-run.** Fan the candidates across a persistent
-//!    [`WorkerPool`]. Each worker advances its job against a
-//!    [`SubmitLog`] — a fabric stand-in that records submissions instead
-//!    of simulating them — and parks at the end of the first instant in
-//!    which the job submitted anything (its next fabric interaction).
-//!    Every advance up to that point is a per-instant `Step` in the log.
-//! 3. **Replay.** Back on the driver thread, a logged job's clock is its
-//!    next unconsumed step. Each global iteration consumes at most one
-//!    step: advance-phase submissions are replayed in job order, and a
-//!    marker pushed where the job's cascade block would sit replays the
-//!    step's cascade-phase submissions when it pops. The job's *state*
-//!    was already mutated by the free-run; the replay only re-times its
-//!    fabric traffic.
-//!
-//! Correctness leans on one engine-level invariant, asserted in
-//! `DESIGN.md §13`: advancing a job at an instant where it has nothing
-//! due is a strict no-op, so free-running a job only at its own event
-//! instants is state-identical to the sequential loop advancing it at
-//! every global instant.
 
 use bs_faults::{
     ClusterChange, ClusterFaultEntry, ClusterFaultInjector, FaultPlan, LinkChange, LinkDir,
 };
-use bs_net::{
-    DroppedTransfer, Fabric, LoggedSubmit, NetEvent, NetPort, NodeId, ScopeWindow, SubmitLog,
-};
+use bs_net::{DroppedTransfer, Fabric, NetEvent, NetPort, NodeId, ScopeWindow};
 use bs_scope::{ScopeBus, ScopeEvent};
 use bs_tune::RestartCost;
 
@@ -58,7 +23,7 @@ use bs_runtime::traffic::{BurstSource, BG_TAG};
 use bs_runtime::{
     net_window_event, JobEvent, JobNetStats, JobState, NodeMap, RunOutcome, WorldConfig,
 };
-use bs_sim::{SimTime, Trace, WorkerPool};
+use bs_sim::{SimTime, Trace};
 use bs_telemetry::MetricSet;
 
 use crate::metrics::{jain_index, ClusterResult, JobOutcome, LinkUtil, MigrationRecord, NodeMove};
@@ -156,195 +121,10 @@ impl ClusterJob {
         }
     }
 
-    /// Buffered scope events so far (0 for burst tenants and whenever
-    /// observation is off).
-    fn scope_len(&self) -> usize {
-        match self {
-            ClusterJob::Train { state, .. } => state.scope_len(),
-            ClusterJob::Burst { .. } => 0,
-        }
-    }
-
-    /// Publishes this tenant's buffered scope events up to index `to`.
-    fn publish_scope_upto(&mut self, bus: &mut ScopeBus, to: usize) {
-        if let ClusterJob::Train { state, .. } = self {
-            state.publish_scope_upto(bus, to);
-        }
-    }
-
     /// Publishes every buffered scope event.
     fn publish_scope(&mut self, bus: &mut ScopeBus) {
         if let ClusterJob::Train { state, .. } = self {
             state.publish_scope(bus);
-        }
-    }
-}
-
-/// Free-runs are shipped to pool workers, so a tenant's whole state must
-/// be `Send`; this fails to compile if any job component regresses.
-#[allow(dead_code)]
-fn cluster_jobs_are_send(job: ClusterJob) -> impl Send {
-    job
-}
-
-/// One queue entry: a routed job event, or (parallel mode only) a replay
-/// marker standing where a free-run job's cascade block would sit.
-enum QueueItem {
-    Ev(JobEvent),
-    /// Replay marker for step `.0` of the owning job's log: popping it
-    /// replays that step's cascade-phase submissions.
-    Marker(usize),
-}
-
-/// One free-run instant: everything the job did at time `t`, split at the
-/// advance/cascade boundary so the replay can interleave with the global
-/// loop's two phases. Submission indices are prefix ends into
-/// [`JobLog::submits`]; a step's advance range starts at the previous
-/// step's `cascade_end`.
-struct Step {
-    t: SimTime,
-    adv_end: u32,
-    cascade_end: u32,
-    /// Scope-event prefix ends mirroring `adv_end`/`cascade_end`, into
-    /// the job's buffered scope stream (both 0 with observation off).
-    /// The replay publishes each range at the same phase boundary the
-    /// sequential driver would have emitted it, so the bus sees the
-    /// exact sequential event order.
-    scope_adv_end: u32,
-    scope_cascade_end: u32,
-}
-
-/// The complete record of one job's free-run: its per-instant steps and
-/// every fabric submission, in call order.
-struct JobLog {
-    submits: Vec<LoggedSubmit>,
-    steps: Vec<Step>,
-}
-
-/// Replay cursor over a [`JobLog`]. While one of these exists for a job,
-/// the job's *state* is already at the park point; only its fabric
-/// traffic is still being re-timed into the shared simulation.
-struct Replay {
-    log: JobLog,
-    /// Next step to consume in the advance phase. Markers pop in the
-    /// drain immediately after the advance that pushed them, so at every
-    /// plan/clock/done decision point this also counts replayed cascades.
-    next_step: usize,
-}
-
-/// Parallel-mode state: the persistent worker pool plus one optional
-/// replay cursor per job.
-struct ParCtx {
-    pool: WorkerPool,
-    replays: Vec<Option<Replay>>,
-    iters_since_plan: u64,
-}
-
-/// Iterations between free-run plans. Planning costs a pending-tag scan
-/// plus a pool fan-out, so it cannot run every instant; once per
-/// `PLAN_INTERVAL` keeps the overhead off the hot loop while still
-/// catching jobs inside their compute phases.
-const PLAN_INTERVAL: u64 = 32;
-
-/// Upper bound on steps per free-run, purely defensive: breaking early
-/// is always safe (the replay simply covers a shorter prefix), so a
-/// pathological never-submitting job degrades to sequential execution
-/// instead of unbounded log growth.
-const FREE_RUN_STEP_CAP: usize = 1 << 20;
-
-/// Runs `job` forward against a [`SubmitLog`] until the end of the first
-/// instant in which it submitted to the fabric (its next shared
-/// interaction), it finishes, or it runs out of private events.
-///
-/// The loop is the sequential driver's per-job projection: pick the job's
-/// own next instant, advance, then drain its cascades LIFO. Because a
-/// candidate job has nothing pending on the fabric, the sequential loop
-/// would feed it no events and advance it as a no-op at every foreign
-/// instant — so this produces the identical state trajectory.
-///
-/// `barrier` is the next cluster-scope fault instant: a free-run must
-/// never advance into (or past) it, because a machine failure inspects
-/// and mutates job state on the driver thread — every replay must be
-/// fully consumed strictly before the change fires.
-fn free_run(job: &mut ClusterJob, barrier: SimTime) -> JobLog {
-    // A finished training job only carries background bursts; its
-    // `done()` is permanently true and must not end the run early.
-    let check_done = matches!(job, ClusterJob::Train { finished: None, .. });
-    let mut log = SubmitLog::new();
-    let mut steps: Vec<Step> = Vec::new();
-    let mut queue: Vec<JobEvent> = Vec::new();
-    loop {
-        let t = job.next_event_time();
-        if t.is_never() || t >= barrier {
-            break;
-        }
-        let adv_start = log.len();
-        job.advance(t, &mut log, &mut queue);
-        let adv_end = log.len();
-        let scope_adv_end = job.scope_len();
-        while let Some(ev) = queue.pop() {
-            job.handle(ev, t, &mut log, &mut queue);
-        }
-        let cascade_end = log.len();
-        steps.push(Step {
-            t,
-            adv_end: adv_end as u32,
-            cascade_end: cascade_end as u32,
-            scope_adv_end: scope_adv_end as u32,
-            scope_cascade_end: job.scope_len() as u32,
-        });
-        let done = check_done && matches!(job, ClusterJob::Train { state, .. } if state.done());
-        if done || cascade_end > adv_start || steps.len() >= FREE_RUN_STEP_CAP {
-            break;
-        }
-    }
-    JobLog {
-        submits: log.submits,
-        steps,
-    }
-}
-
-/// Finds jobs with no stake in the shared fabric and free-runs them on
-/// the pool. Must be called with the cascade queue empty and every prior
-/// replay fully consumed.
-fn plan_free_runs<P: NetPort>(
-    jobs: &mut [ClusterJob],
-    fabric: &P,
-    ctx: &mut ParCtx,
-    barrier: SimTime,
-) {
-    debug_assert!(ctx.replays.iter().all(|r| r.is_none()));
-    // A job owning any pending transfer (queued, on-wire, or awaiting
-    // delivery) may receive a fabric event at an instant it cannot
-    // predict alone — it must stay on the sequential path.
-    let mut pending: u32 = 0;
-    fabric.for_each_pending_tag(&mut |tag| pending |= 1 << job_of_tag(tag));
-    let mut candidates: Vec<(usize, &mut ClusterJob)> = jobs
-        .iter_mut()
-        .enumerate()
-        .filter(|(j, job)| pending & (1u32 << *j) == 0 && !job.next_event_time().is_never())
-        .collect();
-    if candidates.len() < 2 {
-        // One lone candidate gains nothing from a detour through a log.
-        return;
-    }
-    let mut logs: Vec<(usize, Option<JobLog>)> =
-        candidates.iter().map(|(j, _)| (*j, None)).collect();
-    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = candidates
-        .iter_mut()
-        .zip(logs.iter_mut())
-        .map(|((_, job), (_, slot))| {
-            let job: &mut ClusterJob = job;
-            let t: Box<dyn FnOnce() + Send + '_> =
-                Box::new(move || *slot = Some(free_run(job, barrier)));
-            t
-        })
-        .collect();
-    ctx.pool.run_scoped(tasks);
-    for (j, log) in logs {
-        let log = log.expect("free-run task ran to completion");
-        if !log.steps.is_empty() {
-            ctx.replays[j] = Some(Replay { log, next_step: 0 });
         }
     }
 }
@@ -675,19 +455,16 @@ fn apply_cluster_entry<P: NetPort>(
 }
 
 /// The cluster event loop, monomorphised over the concrete fabric.
-/// Returns the makespan. With `par == None` this is exactly the
-/// sequential driver; with a [`ParCtx`] it interleaves free-run planning
-/// and replay without perturbing the event order (see the module docs).
+/// Returns the makespan.
 fn drive<P: NetPort>(
     jobs: &mut [ClusterJob],
     fabric: &mut P,
     acct: &mut Accounting,
-    mut par: Option<&mut ParCtx>,
     mut scope: Option<&mut ScopeBus>,
     mut fault: Option<&mut FaultCtx>,
 ) -> SimTime {
     let mut now = SimTime::ZERO;
-    let mut queue: Vec<(usize, QueueItem)> = Vec::new();
+    let mut queue: Vec<(usize, JobEvent)> = Vec::new();
     let mut scratch: Vec<JobEvent> = Vec::new();
     let mut net_events: Vec<NetEvent> = Vec::new();
     let mut scope_windows: Vec<ScopeWindow> = Vec::new();
@@ -706,57 +483,23 @@ fn drive<P: NetPort>(
         }
         // Drain all cascades at the current instant; follow-on events are
         // appended in emission order, preserving the single-job driver's
-        // LIFO cascade order per job. Fabric events pushed after a replay
-        // marker pop before it, exactly as they pop before the live job's
-        // cascade block they stand for.
-        while let Some((j, item)) = queue.pop() {
-            match item {
-                QueueItem::Ev(ev) => {
-                    debug_assert!(scratch.is_empty());
-                    jobs[j].handle(ev, now, fabric, &mut scratch);
-                    for e in scratch.drain(..) {
-                        queue.push((j, QueueItem::Ev(e)));
-                    }
-                    if let Some(bus) = scope.as_deref_mut() {
-                        jobs[j].publish_scope(bus);
-                    }
-                }
-                QueueItem::Marker(step) => {
-                    let ctx = par.as_deref_mut().expect("markers imply parallel mode");
-                    let r = ctx.replays[j].as_mut().expect("marker implies a replay");
-                    let s = &r.log.steps[step];
-                    debug_assert_eq!(s.t, now, "marker must pop at its own instant");
-                    for ls in &r.log.submits[s.adv_end as usize..s.cascade_end as usize] {
-                        fabric.submit(now, ls.src, ls.dst, ls.bytes, ls.tag);
-                    }
-                    // The job's cascade block at this instant was
-                    // contiguous in the sequential order (candidates see
-                    // no fabric events), so publishing its scope range
-                    // where the marker pops reproduces that order.
-                    let scope_end = s.scope_cascade_end as usize;
-                    if let Some(bus) = scope.as_deref_mut() {
-                        jobs[j].publish_scope_upto(bus, scope_end);
-                    }
-                    if step + 1 == r.log.steps.len() {
-                        // Log exhausted: the job is live again, its state
-                        // already at the park point.
-                        ctx.replays[j] = None;
-                    }
-                }
+        // LIFO cascade order per job.
+        while let Some((j, ev)) = queue.pop() {
+            debug_assert!(scratch.is_empty());
+            jobs[j].handle(ev, now, fabric, &mut scratch);
+            queue.extend(scratch.drain(..).map(|e| (j, e)));
+            if let Some(bus) = scope.as_deref_mut() {
+                jobs[j].publish_scope(bus);
             }
         }
         let mut all_done = true;
-        for (j, job) in jobs.iter_mut().enumerate() {
+        for job in jobs.iter_mut() {
             if let ClusterJob::Train {
                 state, finished, ..
             } = job
             {
                 if finished.is_none() {
-                    // A mid-replay job's state is ahead of the shared
-                    // clock; it counts as done only once its final step
-                    // has replayed (which clears the replay above).
-                    let replaying = par.as_deref().is_some_and(|c| c.replays[j].is_some());
-                    if !replaying && state.done() {
+                    if state.done() {
                         *finished = Some(now);
                     } else {
                         all_done = false;
@@ -767,31 +510,12 @@ fn drive<P: NetPort>(
         if all_done {
             break;
         }
-        if let Some(ctx) = par.as_deref_mut() {
-            ctx.iters_since_plan += 1;
-            if ctx.iters_since_plan >= PLAN_INTERVAL && ctx.replays.iter().all(|r| r.is_none()) {
-                ctx.iters_since_plan = 0;
-                // Free-runs park before the next cluster fault: the
-                // recovery loop inspects and replaces job state on the
-                // driver thread, so every replay must be consumed
-                // strictly before a change fires.
-                let barrier = fault
-                    .as_deref()
-                    .map_or(SimTime::MAX, |fc| fc.injector.next_change_time());
-                plan_free_runs(jobs, fabric, ctx, barrier);
-            }
-        }
         let mut t = fabric.next_event_time();
         if let Some(fc) = fault.as_deref() {
             t = t.min(fc.injector.next_change_time());
         }
-        for (j, job) in jobs.iter().enumerate() {
-            // A replaying job's clock is its next unconsumed step.
-            let jt = match par.as_deref().and_then(|c| c.replays[j].as_ref()) {
-                Some(r) => r.log.steps[r.next_step].t,
-                None => job.next_event_time(),
-            };
-            t = t.min(jt);
+        for job in jobs.iter() {
+            t = t.min(job.next_event_time());
         }
         if t.is_never() {
             let progress: Vec<String> = jobs
@@ -815,52 +539,17 @@ fn drive<P: NetPort>(
         // single-job cluster replays its plan in the solo event order.
         if let Some(fc) = fault.as_deref_mut() {
             while let Some(entry) = fc.injector.pop_due(now) {
-                debug_assert!(
-                    par.as_deref()
-                        .is_none_or(|c| c.replays.iter().all(|r| r.is_none())),
-                    "cluster fault fired with an unconsumed replay"
-                );
                 apply_cluster_entry(entry, now, jobs, fabric, fc);
             }
         }
         // Job-owned sources in job order, then the shared fabric — the
-        // single-job driver's within-instant order, per job. A replaying
-        // job consumes at most one step: its advance-phase submissions go
-        // to the fabric here (in job order, like a live advance would),
-        // and a marker queued in place of its cascade block defers the
-        // rest to the next drain.
+        // single-job driver's within-instant order, per job.
         for (j, job) in jobs.iter_mut().enumerate() {
-            if let Some(r) = par.as_deref_mut().and_then(|c| c.replays[j].as_mut()) {
-                let s = &r.log.steps[r.next_step];
-                if s.t <= t {
-                    debug_assert_eq!(s.t, t, "steps replay at their own instants");
-                    let start = match r.next_step {
-                        0 => 0,
-                        k => r.log.steps[k - 1].cascade_end,
-                    };
-                    for ls in &r.log.submits[start as usize..s.adv_end as usize] {
-                        fabric.submit(t, ls.src, ls.dst, ls.bytes, ls.tag);
-                    }
-                    let scope_end = s.scope_adv_end as usize;
-                    queue.push((j, QueueItem::Marker(r.next_step)));
-                    r.next_step += 1;
-                    // Scope events the free-run's advance phase buffered
-                    // publish here, where a live advance would emit them.
-                    if let Some(bus) = scope.as_deref_mut() {
-                        job.publish_scope_upto(bus, scope_end);
-                    }
-                }
-                // `s.t > t`: nothing of this job's is due; the sequential
-                // loop's advance would be a strict no-op here.
-            } else {
-                debug_assert!(scratch.is_empty());
-                job.advance(t, fabric, &mut scratch);
-                for e in scratch.drain(..) {
-                    queue.push((j, QueueItem::Ev(e)));
-                }
-                if let Some(bus) = scope.as_deref_mut() {
-                    job.publish_scope(bus);
-                }
+            debug_assert!(scratch.is_empty());
+            job.advance(t, fabric, &mut scratch);
+            queue.extend(scratch.drain(..).map(|e| (j, e)));
+            if let Some(bus) = scope.as_deref_mut() {
+                job.publish_scope(bus);
             }
         }
         if fabric.wants_advance(t) {
@@ -889,7 +578,7 @@ fn drive<P: NetPort>(
                         (j, NetEvent::Delivered(c))
                     }
                 };
-                queue.push((j, QueueItem::Ev(JobEvent::Net(stripped))));
+                queue.push((j, JobEvent::Net(stripped)));
             }
         }
         if let Some(bus) = scope.as_deref_mut() {
@@ -914,13 +603,10 @@ pub fn run_cluster(cluster: &ClusterConfig, specs: &[JobSpec]) -> ClusterResult 
 /// [`run_cluster`] with an optional scope observation bus attached.
 ///
 /// With a bus, every training tenant and the shared fabric publish
-/// lifecycle events as they happen — in the exact sequential event order
-/// even under the conservative-parallel driver, whose replay re-publishes
-/// each free-run epoch's buffered events at the phase boundaries where
-/// the sequential loop would have emitted them. Observation is
-/// recording-only; the `parallel_scope_stream_matches_sequential` test
-/// pins both properties. The caller owns the stream's close: call
-/// `bus.finish(makespan)` when no further runs will publish onto it.
+/// lifecycle events as they happen. Observation is recording-only; the
+/// `scope_observation_is_recording_only` test pins that. The caller owns
+/// the stream's close: call `bus.finish(makespan)` when no further runs
+/// will publish onto it.
 pub fn run_cluster_observed(
     cluster: &ClusterConfig,
     specs: &[JobSpec],
@@ -1093,16 +779,6 @@ pub fn run_cluster_observed(
             .then(|| vec![vec![(0u64, 0u64); cluster.machines]; jobs.len()]),
     };
 
-    // The parallel core needs a second tenant to overlap with; its pool
-    // contributes `threads - 1` workers because the driver thread also
-    // executes free-runs while it waits at the fan-out barrier.
-    let mut par = (cluster.threads > 1 && jobs.len() >= 2).then(|| ParCtx {
-        pool: WorkerPool::new(cluster.threads - 1),
-        replays: (0..jobs.len()).map(|_| None).collect(),
-        // Plan at the first opportunity: at time zero nothing is on the
-        // fabric yet, so every tenant is a candidate.
-        iters_since_plan: PLAN_INTERVAL,
-    });
     injector.seal();
     // No fault context at all when nothing can ever fire — the fault-free
     // path stays instruction-identical to the pre-fault driver.
@@ -1120,7 +796,6 @@ pub fn run_cluster_observed(
             &mut jobs,
             n,
             &mut acct,
-            par.as_mut(),
             scope.as_deref_mut(),
             fault_ctx.as_mut(),
         ),
@@ -1128,12 +803,10 @@ pub fn run_cluster_observed(
             &mut jobs,
             n,
             &mut acct,
-            par.as_mut(),
             scope.as_deref_mut(),
             fault_ctx.as_mut(),
         ),
     };
-    drop(par);
     let migrations: Vec<MigrationRecord> = fault_ctx.map(|fc| fc.migrations).unwrap_or_default();
     if let Some(bus) = scope {
         // Close the fabric's partial utilisation window and flush any
@@ -1634,8 +1307,7 @@ mod tests {
     }
 
     /// An all-reduce tenant: its collective stream is private (zero
-    /// shared-fabric nodes), which makes it a permanent free-run
-    /// candidate in parallel mode.
+    /// shared-fabric nodes).
     fn ar_cfg(seed: u64) -> WorldConfig {
         let mut c = WorldConfig::new(
             comm_heavy(),
@@ -1660,71 +1332,11 @@ mod tests {
         serde_json::to_string(r).expect("serialize cluster result")
     }
 
-    /// The tentpole contract: the conservative-parallel driver replays
-    /// the *identical* event sequence, so every observable — traces,
-    /// metrics, xray attribution, fault outcomes — matches the
-    /// sequential driver bit-for-bit, on both fabrics, at any thread
-    /// count, with every recorder on.
+    /// The observability contract: attaching a scope bus changes nothing
+    /// observable (recording-only) on either fabric, and the bus really
+    /// records the run.
     #[test]
-    fn parallel_replay_is_bit_identical_with_all_recorders() {
-        use bs_faults::{FaultPlan, RecoveryPolicy, StragglerSpec};
-        for fabric in [FabricModel::SerialFifo, FabricModel::FairShare] {
-            let mut cluster = ClusterConfig::new(6, NetConfig::gbps(10.0, Transport::tcp()));
-            cluster.fabric = fabric;
-            cluster.placement = PlacementPolicy::Packed;
-            cluster.record_trace = true;
-            cluster.record_metrics = true;
-            cluster.record_xray = true;
-            cluster.record_contention = true;
-            let mut faulty = job_cfg(bs(), 21);
-            faulty.faults = Some(FaultPlan {
-                loss_rate: 0.02,
-                recovery: RecoveryPolicy {
-                    timeout_us: 1_000,
-                    max_retries: 20,
-                },
-                stragglers: vec![StragglerSpec {
-                    worker: 0,
-                    from_iter: 2,
-                    to_iter: 4,
-                    factor: 2.0,
-                }],
-                ..FaultPlan::empty()
-            });
-            let specs = vec![
-                JobSpec::train("faulty", faulty),
-                JobSpec::train("plain", job_cfg(SchedulerKind::Baseline, 22)),
-                JobSpec::train("ring", ar_cfg(23)),
-                JobSpec::burst(
-                    "bg",
-                    BackgroundLoad {
-                        burst_bytes: 1 << 20,
-                        gap_us: 500,
-                    },
-                    1,
-                    99,
-                ),
-            ];
-            let seq = full_fingerprint(&run_cluster(&cluster, &specs));
-            for threads in [2usize, 4] {
-                let mut par = cluster.clone();
-                par.threads = threads;
-                let got = full_fingerprint(&run_cluster(&par, &specs));
-                assert_eq!(
-                    got, seq,
-                    "{fabric:?} threads={threads}: parallel run diverged from sequential"
-                );
-            }
-        }
-    }
-
-    /// The observability contract, both halves at once: attaching a
-    /// scope bus changes nothing observable (recording-only), and the
-    /// conservative-parallel driver publishes the byte-identical event
-    /// stream the sequential driver does, at any thread count, on both
-    /// fabrics — free-run epochs re-publish in exact sequential order.
-    #[test]
-    fn parallel_scope_stream_matches_sequential() {
+    fn scope_observation_is_recording_only() {
         use bs_scope::{FlightRecorder, ScopeBus};
         for fabric in [FabricModel::SerialFifo, FabricModel::FairShare] {
             let mut cluster = ClusterConfig::new(6, NetConfig::gbps(10.0, Transport::tcp()));
@@ -1744,48 +1356,22 @@ mod tests {
                     99,
                 ),
             ];
-            let run_with = |threads: usize| {
-                let mut c = cluster.clone();
-                c.threads = threads;
-                let mut bus = ScopeBus::new();
-                let (rec, handle) = FlightRecorder::new();
-                bus.subscribe(Box::new(rec));
-                let r = run_cluster_observed(&c, &specs, Some(&mut bus));
-                bus.finish(r.makespan);
-                (full_fingerprint(&r), handle.to_jsonl())
-            };
             let plain = full_fingerprint(&run_cluster(&cluster, &specs));
-            let (seq_fp, seq_events) = run_with(1);
+            let mut bus = ScopeBus::new();
+            let (rec, handle) = FlightRecorder::new();
+            bus.subscribe(Box::new(rec));
+            let r = run_cluster_observed(&cluster, &specs, Some(&mut bus));
+            bus.finish(r.makespan);
             assert_eq!(
-                seq_fp, plain,
+                full_fingerprint(&r),
+                plain,
                 "{fabric:?}: observation must be recording-only"
             );
             assert!(
-                seq_events.lines().count() > 10,
+                handle.to_jsonl().lines().count() > 10,
                 "{fabric:?}: the bus must actually record the run"
             );
-            for threads in [2usize, 4] {
-                let (fp, events) = run_with(threads);
-                assert_eq!(fp, seq_fp, "{fabric:?} threads={threads}: results diverged");
-                assert_eq!(
-                    events, seq_events,
-                    "{fabric:?} threads={threads}: scope stream diverged from sequential"
-                );
-            }
         }
-    }
-
-    /// A single-tenant cluster has nothing to overlap; `threads > 1`
-    /// must silently fall back to the sequential core and still match.
-    #[test]
-    fn parallel_single_job_cluster_falls_back_to_sequential() {
-        let mut cluster = ClusterConfig::new(4, NetConfig::gbps(10.0, Transport::tcp()));
-        cluster.record_trace = true;
-        let specs = vec![JobSpec::train("solo", job_cfg(bs(), 11))];
-        let seq = full_fingerprint(&run_cluster(&cluster, &specs));
-        cluster.threads = 8;
-        let got = full_fingerprint(&run_cluster(&cluster, &specs));
-        assert_eq!(got, seq);
     }
 
     /// A cluster plan failing machine 1 mid-run, restored much later.
@@ -1967,43 +1553,6 @@ mod tests {
         assert_eq!(j.result.p2p_bytes, solo.p2p_bytes);
         assert_eq!(j.result.comm_events, solo.comm_events);
         assert_eq!(j.result.iter_times, solo.iter_times);
-    }
-
-    /// Migration epochs replay deterministically at any thread count: the
-    /// free-run barrier parks every replay strictly before a cluster
-    /// change fires, so the parallel driver reproduces the sequential
-    /// result bit-for-bit even across a checkpoint/migrate/resume cycle.
-    #[test]
-    fn parallel_replay_survives_a_migration_bit_for_bit() {
-        for fabric in [FabricModel::SerialFifo, FabricModel::FairShare] {
-            let mut cluster = ClusterConfig::new(6, NetConfig::gbps(10.0, Transport::tcp()));
-            cluster.fabric = fabric;
-            cluster.placement = PlacementPolicy::Packed;
-            cluster.record_trace = true;
-            cluster.record_metrics = true;
-            cluster.record_contention = true;
-            cluster.faults = Some(failure_plan(150_000, Some(2_000_000)));
-            let specs = vec![
-                JobSpec::train("victim", job_cfg(bs(), 21)),
-                JobSpec::train("bystander", job_cfg(SchedulerKind::Baseline, 22)),
-                JobSpec::train("ring", ar_cfg(23)),
-            ];
-            let seq = run_cluster(&cluster, &specs);
-            assert!(
-                !seq.migrations.is_empty(),
-                "{fabric:?}: the scenario must actually migrate"
-            );
-            let seq_fp = full_fingerprint(&seq);
-            for threads in [2usize, 4] {
-                let mut par = cluster.clone();
-                par.threads = threads;
-                let got = full_fingerprint(&run_cluster(&par, &specs));
-                assert_eq!(
-                    got, seq_fp,
-                    "{fabric:?} threads={threads}: migration epochs diverged"
-                );
-            }
-        }
     }
 
     #[test]

@@ -56,12 +56,10 @@ pub struct ClusterConfig {
     /// recording-only contract as the other recorders: enabling it never
     /// changes any simulation event.
     pub record_contention: bool,
-    /// Simulation threads for the conservative-parallel driver core.
-    /// `1` (the default) runs the plain sequential event loop; `N > 1`
-    /// free-runs fabric-independent jobs on `N - 1` pool workers plus the
-    /// driver thread between shared-fabric interaction points. Results
-    /// are bit-identical at every thread count — this knob trades wall
-    /// clock only, never behaviour.
+    /// Accepted and ignored: every cluster run is one sequential event
+    /// loop, whatever the value. Parallelism lives across runs instead:
+    /// what-if query batches and experiment sweeps fan out on
+    /// `bs_sim::WorkerPool`.
     pub threads: usize,
     /// Cluster-scope fault plan. Link events and flaps name *machines*
     /// (fabric nodes shared by every tenant) and are applied to the

@@ -36,11 +36,6 @@
 //! checkpoint+migrate beats no-reaction on makespan on both fabrics, and
 //! writes the machine-readable study to results/cluster_faults.json.
 //!
-//! `--threads N` sets the thread count for the conservative-parallel
-//! core check (default: every available core). The binary runs a
-//! 4-tenant mix sequentially and at N threads, asserts the traces are
-//! bit-identical, and reports the wall-clock speedup.
-//!
 //! `--seed N` sets the base jitter seed of the synthetic job mixes
 //! (default 21, the committed-artefact value), so any mix reported here
 //! is reproducible from the CLI alone. The seed is printed in the result
@@ -65,16 +60,6 @@ fn main() {
     let (contention_on, contention_file) = flag_file("--contention");
     let (watch_on, watch_file) = flag_file("--watch");
     let (faults_on, faults_file) = flag_file("--faults");
-    let threads: usize = flag_file("--threads")
-        .1
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        })
-        .max(2);
-
     let seed: u64 = flag_file("--seed")
         .1
         .and_then(|v| v.parse().ok())
@@ -228,23 +213,6 @@ fn main() {
             "faults: checkpoint+migrate beat no-reaction on both fabrics -> results/cluster_faults.json"
         );
     }
-
-    // Parallel core: the same 4-tenant mix through the sequential and the
-    // conservative-parallel driver must produce bit-identical traces; the
-    // thread count only buys wall clock.
-    let (seq_wall, seq) = cluster::parallel_reference(fid, 1);
-    let (par_wall, par) = cluster::parallel_reference(fid, threads);
-    assert_eq!(
-        seq.trace.as_ref().expect("trace recorded").to_chrome_json(),
-        par.trace.as_ref().expect("trace recorded").to_chrome_json(),
-        "parallel core must be bit-identical to the sequential core"
-    );
-    println!(
-        "parallel core: {threads} threads ran the 4-tenant mix in {:.1} ms vs {:.1} ms sequential ({:.2}x), bit-identical trace",
-        par_wall * 1e3,
-        seq_wall * 1e3,
-        seq_wall / par_wall
-    );
 
     // Degenerate case: a 1-job cluster is the standalone simulator.
     let cfg = Setup::MxnetPsRdma.config(

@@ -42,7 +42,7 @@
 //! {"bandwidth_gbps": 10,
 //!  "placement": "packed" | "round-robin" | "network-aware",
 //!  "scheduler": "baseline" | {"partition_mb": 4, "credit_mb": 16},
-//!  "threads": 4, "truncate": 8}
+//!  "truncate": 8}
 //! ```
 //!
 //! Malformed lines answer `{"error": ...}` and keep the service alive.
@@ -139,13 +139,6 @@ fn parse_query(v: &Value) -> Result<WhatIfQuery, String> {
                         )
                     }
                 });
-            }
-            "threads" => {
-                q.threads = Some(
-                    num(val)
-                        .filter(|x| *x >= 1.0)
-                        .ok_or("threads: expected a count")? as usize,
-                );
             }
             "truncate" => {
                 q.truncate = Some(

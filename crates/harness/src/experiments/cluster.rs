@@ -246,37 +246,6 @@ pub fn contention_reference(fid: Fidelity) -> ClusterResult {
     run_cluster(&c, &specs)
 }
 
-/// Runs the 4-tenant mix (2 PS + 2 all-reduce) behind the `cluster`
-/// binary's `--threads` check at the given thread count, returning the
-/// wall-clock seconds and the result (trace recorded). The all-reduce
-/// tenants' collective streams are private, so the conservative-parallel
-/// core can free-run them between shared-fabric interaction points;
-/// `threads == 1` is the plain sequential core.
-pub fn parallel_reference(fid: Fidelity, threads: usize) -> (f64, ClusterResult) {
-    let mut specs = vec![
-        JobSpec::train("ps-bytescheduler", job_cfg(fid, bytescheduler(), 21)),
-        JobSpec::train("ps-fifo", job_cfg(fid, SchedulerKind::Baseline, 22)),
-    ];
-    for (i, seed) in [31u64, 32].into_iter().enumerate() {
-        let mut cfg = Setup::MxnetNcclRdma.config(
-            bs_models::zoo::vgg16(),
-            GPUS_PER_JOB,
-            GBPS,
-            bytescheduler(),
-        );
-        fid.apply(&mut cfg);
-        cfg.seed = seed;
-        specs.push(JobSpec::train(format!("allreduce{i}"), cfg));
-    }
-    let template = job_cfg(fid, bytescheduler(), 1);
-    let mut c = cluster(template.num_workers * 2, PlacementPolicy::Packed, &template);
-    c.record_trace = true;
-    c.threads = threads;
-    let t0 = std::time::Instant::now();
-    let r = run_cluster(&c, &specs);
-    (t0.elapsed().as_secs_f64(), r)
-}
-
 /// Loads the committed cluster-scope fault fixture
 /// (`tests/fixtures/cluster_fault_plan.json`): one machine failure with
 /// a scheduled restore, a transient link degradation, low transfer loss

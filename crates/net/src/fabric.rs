@@ -307,17 +307,6 @@ impl Fabric {
             Fabric::Fluid(_) => 0,
         }
     }
-
-    /// Calls `f` with the tag of every pending transfer (queued, on the
-    /// wire, or awaiting delivery). Tags may repeat; callers fold the
-    /// stream into a set or bitmask. The parallel cluster driver uses
-    /// this to find jobs with nothing at stake on the shared fabric.
-    pub fn for_each_pending_tag(&self, f: &mut dyn FnMut(u64)) {
-        match self {
-            Fabric::Fifo(n) => n.for_each_pending_tag(f),
-            Fabric::Fluid(n) => n.for_each_pending_tag(f),
-        }
-    }
 }
 
 impl crate::port::NetPort for Fabric {
@@ -366,10 +355,6 @@ impl crate::port::NetPort for Fabric {
         pred: &mut dyn FnMut(u64) -> bool,
     ) -> Vec<DroppedTransfer> {
         Fabric::cancel_where(self, now, pred)
-    }
-
-    fn for_each_pending_tag(&self, f: &mut dyn FnMut(u64)) {
-        Fabric::for_each_pending_tag(self, f)
     }
 
     fn in_flight(&self) -> usize {

@@ -796,19 +796,6 @@ impl FluidNetwork {
             sc.record(self.last_update, 0, 2.0 * total / cap);
         }
     }
-
-    /// Calls `f` with the tag of every pending transfer — actively
-    /// draining or awaiting delivery. Unlike the FIFO fabric's scan, tags
-    /// never repeat here (a flow leaves the active set when its delivery
-    /// is queued), but callers should not rely on that.
-    pub fn for_each_pending_tag(&self, f: &mut dyn FnMut(u64)) {
-        for id in &self.active {
-            f(self.flows[id.0 as usize].as_ref().expect("active").tag);
-        }
-        for (_, c) in &self.deliveries {
-            f(c.tag);
-        }
-    }
 }
 
 impl crate::port::NetPort for FluidNetwork {
@@ -857,10 +844,6 @@ impl crate::port::NetPort for FluidNetwork {
         pred: &mut dyn FnMut(u64) -> bool,
     ) -> Vec<DroppedTransfer> {
         FluidNetwork::cancel_where(self, now, pred)
-    }
-
-    fn for_each_pending_tag(&self, f: &mut dyn FnMut(u64)) {
-        FluidNetwork::for_each_pending_tag(self, f)
     }
 
     fn in_flight(&self) -> usize {

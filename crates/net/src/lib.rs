@@ -34,6 +34,6 @@ pub use network::{
     CompletedTransfer, DroppedTransfer, NetEvent, Network, NodeId, TransferId, WireSpan,
     WireXrayRecord,
 };
-pub use port::{LoggedSubmit, NetPort, SubmitLog};
+pub use port::NetPort;
 pub use scope::ScopeWindow;
 pub use transport::{NetConfig, Transport};

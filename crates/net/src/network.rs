@@ -1026,23 +1026,6 @@ impl Network {
     pub fn is_idle(&self) -> bool {
         self.in_flight() == 0 && self.queued() == 0 && self.deliveries.is_empty()
     }
-
-    /// Calls `f` with the tag of every pending transfer — queued, on the
-    /// wire, or awaiting delivery. Tags may repeat (an on-wire transfer
-    /// sits in both its connection queue and the delivery set); callers
-    /// fold the stream into a set or bitmask.
-    pub fn for_each_pending_tag(&self, f: &mut dyn FnMut(u64)) {
-        for nic in &self.nics {
-            for q in &nic.up_queues {
-                for id in q {
-                    f(self.transfers[id.0 as usize].tag);
-                }
-            }
-        }
-        for (_, id) in &self.deliveries {
-            f(self.transfers[id.0 as usize].tag);
-        }
-    }
 }
 
 impl crate::port::NetPort for Network {
@@ -1091,10 +1074,6 @@ impl crate::port::NetPort for Network {
         pred: &mut dyn FnMut(u64) -> bool,
     ) -> Vec<DroppedTransfer> {
         Network::cancel_where(self, now, pred)
-    }
-
-    fn for_each_pending_tag(&self, f: &mut dyn FnMut(u64)) {
-        Network::for_each_pending_tag(self, f)
     }
 
     fn in_flight(&self) -> usize {

@@ -19,7 +19,7 @@
 //!   seed reproduces the whole replay.
 //! * **What-if service** ([`service`]) — a long-running batched
 //!   request/response engine: concurrent [`WhatIfQuery`]s (bandwidth,
-//!   placement, scheduler/credit config, thread count) are fingerprinted
+//!   placement, scheduler/credit config, truncation) are fingerprinted
 //!   by canonical config JSON, deduplicated within a batch, answered
 //!   from an LRU result cache on repeat, and executed on the persistent
 //!   process-wide [`bs_sim::WorkerPool`] on miss.

@@ -62,9 +62,6 @@ pub struct ReplayOptions {
     pub scheduler: SchedulerKind,
     /// How job-local nodes map onto machines.
     pub placement: PlacementPolicy,
-    /// Simulation threads for the conservative-parallel cluster core
-    /// (1 = sequential; results are bit-identical at any count).
-    pub threads: usize,
     /// Replay only the first `n` jobs of the trace (arrival order), for
     /// smoke tests and truncated benchmarks. `None` replays everything.
     pub truncate: Option<usize>,
@@ -92,7 +89,6 @@ impl Default for ReplayOptions {
                 credit: 16_000_000,
             },
             placement: PlacementPolicy::RoundRobinSpread,
-            threads: 1,
             truncate: None,
             faults: None,
         }
@@ -249,7 +245,6 @@ pub fn replay_trace_observed(
         );
         c.fabric = FabricModel::FairShare;
         c.placement = opts.placement;
-        c.threads = opts.threads;
         c.record_metrics = record_metrics;
         c.record_contention = record_contention;
         c.faults = opts.faults.clone();

@@ -3,7 +3,7 @@
 //!
 //! One [`ReplayService`] owns a normalized trace plus base
 //! [`ReplayOptions`]; clients ask "what if the cluster had bandwidth X /
-//! placement Y / scheduler Z / N simulation threads?" as
+//! placement Y / scheduler Z?" as
 //! [`WhatIfQuery`]s. Queries arrive in batches, and the service answers
 //! a batch in three steps:
 //!
@@ -46,8 +46,6 @@ pub struct WhatIfQuery {
     /// Scheduler (and with it the ByteScheduler partition/credit knobs —
     /// the credit-config axis of a what-if sweep).
     pub scheduler: Option<SchedulerKind>,
-    /// Simulation threads for the conservative-parallel cluster core.
-    pub threads: Option<usize>,
     /// Replay only the first `n` arrivals.
     pub truncate: Option<usize>,
 }
@@ -64,9 +62,6 @@ impl WhatIfQuery {
         }
         if let Some(s) = self.scheduler {
             o.scheduler = s;
-        }
-        if let Some(t) = self.threads {
-            o.threads = t;
         }
         if let Some(n) = self.truncate {
             o.truncate = Some(n);

@@ -258,9 +258,7 @@ impl JobFaults {
 
 /// Per-job scope observation state: lifecycle events buffered in the
 /// order the job emitted them, waiting for the owning driver to publish
-/// them onto the run's [`ScopeBus`]. The split between buffering here
-/// and publishing there is what lets the parallel cluster driver replay
-/// a free-run epoch's events in exact sequential order.
+/// them onto the run's [`ScopeBus`].
 struct JobScope {
     /// Bus-visible job id.
     job: usize,
@@ -268,8 +266,6 @@ struct JobScope {
     start: SimTime,
     /// Buffered events, oldest first.
     pending: Vec<ScopeEvent>,
-    /// How many of `pending` the driver has already published.
-    published: usize,
     /// Worker 0's cumulative GPU-busy seconds at the last mark.
     busy_so_far: f64,
     /// Fault-recovery retries counted through the last mark.
@@ -623,38 +619,18 @@ impl JobState {
             job,
             start: arrival,
             pending: Vec::new(),
-            published: 0,
             busy_so_far: 0.0,
             retries_seen: 0,
         }));
     }
 
-    /// Number of scope events buffered so far (0 when observation is
-    /// off). The parallel cluster driver snapshots this between steps to
-    /// replay free-run events in order.
-    pub fn scope_len(&self) -> usize {
-        self.scope.as_ref().map_or(0, |s| s.pending.len())
-    }
-
-    /// Publishes buffered scope events up to index `to` onto `bus`,
-    /// recycling the buffer once fully drained.
-    pub fn publish_scope_upto(&mut self, bus: &mut ScopeBus, to: usize) {
-        let Some(sc) = self.scope.as_mut() else {
-            return;
-        };
-        while sc.published < to {
-            bus.publish(sc.pending[sc.published]);
-            sc.published += 1;
-        }
-        if sc.published == sc.pending.len() {
-            sc.pending.clear();
-            sc.published = 0;
-        }
-    }
-
-    /// Publishes every buffered scope event onto `bus`.
+    /// Publishes every buffered scope event onto `bus`, oldest first.
     pub fn publish_scope(&mut self, bus: &mut ScopeBus) {
-        self.publish_scope_upto(bus, self.scope_len());
+        if let Some(sc) = self.scope.as_mut() {
+            for ev in sc.pending.drain(..) {
+                bus.publish(ev);
+            }
+        }
     }
 
     /// Submits the co-tenant's initial bursts: one per worker NIC in each

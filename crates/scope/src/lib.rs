@@ -21,10 +21,9 @@
 //! iteration events into mid-run `Drift` events.
 //!
 //! Ordering contract: publishers deliver events in exact simulation
-//! order per job (the conservative-parallel cluster driver re-publishes
-//! its replayed epochs in the sequential interleaving), and a derived
-//! event is dispatched immediately after the event that caused it, so
-//! the recorded stream is byte-deterministic for a given seed.
+//! order per job, and a derived event is dispatched immediately after
+//! the event that caused it, so the recorded stream is byte-deterministic
+//! for a given seed.
 //!
 //! Like every recording layer in this repo the bus is off by default and
 //! recording-only: it borrows copies of values the run loops already

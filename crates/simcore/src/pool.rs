@@ -1,13 +1,12 @@
 //! A persistent worker pool for scoped, borrowing task fan-out.
 //!
-//! Both the harness (independent simulation runs) and the cluster
-//! driver's conservative-parallel core (per-epoch job free-runs) need the
-//! same shape of parallelism: hand N closures that borrow the caller's
-//! stack to a fixed set of threads, and block until every one has
-//! finished. `std::thread::scope` provides exactly that shape but spawns
-//! fresh OS threads per scope — far too expensive for a driver that opens
-//! a scope per simulation epoch (thousands per run). [`WorkerPool`] keeps
-//! the threads alive across scopes.
+//! The harness's sweeps and the replay what-if service run independent
+//! simulations side by side, and both need the same shape of
+//! parallelism: hand N closures that borrow the caller's stack to a fixed
+//! set of threads, and block until every one has finished.
+//! `std::thread::scope` provides exactly that shape but spawns fresh OS
+//! threads per scope. [`WorkerPool`] keeps the threads alive across
+//! scopes.
 //!
 //! # Safety model
 //!
@@ -95,9 +94,7 @@ impl WorkerPool {
     /// threads instead of spawning their own per call; the caller-assist
     /// loop in `run_scoped` keeps concurrent scopes from one another's
     /// pools deadlock-free (a waiting scope executes whatever is queued,
-    /// including another scope's tasks). The cluster driver's
-    /// conservative-parallel core keeps its own pool: its thread count is
-    /// a per-run configuration knob, not a process property.
+    /// including another scope's tasks).
     pub fn shared() -> &'static WorkerPool {
         static SHARED: OnceLock<WorkerPool> = OnceLock::new();
         SHARED.get_or_init(|| {

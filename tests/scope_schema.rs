@@ -15,12 +15,16 @@
 //!    telemetry: summed `net_window` utilisation seconds equal the
 //!    time-weighted integral of bs-telemetry's per-direction
 //!    utilisation series (property-tested over seeds and jitter).
+//! 5. A cluster run observed on the bus completes, and its event stream
+//!    and result do not depend on `ClusterConfig::threads`.
 
 mod common;
 
+use bs_cluster::{run_cluster_observed, ClusterConfig, JobSpec, PlacementPolicy};
+use bs_engine::EngineConfig;
 use bs_faults::FaultPlan;
-use bs_net::FabricModel;
-use bs_runtime::{run_observed, WorldConfig};
+use bs_net::{FabricModel, NetConfig, Transport};
+use bs_runtime::{run_observed, Arch, SchedulerKind, WorldConfig};
 use bs_scope::{Collector, FlightHandle, FlightRecorder, ScopeBus, ScopeEvent, EVENTS_SCHEMA};
 use bs_sim::SimTime;
 use bs_telemetry::Metric;
@@ -244,6 +248,60 @@ fn event_stream_is_byte_deterministic_per_seed() {
             record(&other).to_jsonl(),
             "{fabric:?}: a different seed must perturb the stream"
         );
+    }
+}
+
+/// Two 4-rank ResNet-50 ring tenants with jittered compute, packed on a
+/// shared fair-share fabric and flight-recorded. Returns the serialised
+/// result and the `events.jsonl` bytes.
+fn observed_ring_pair(threads: usize, seeds: (u64, u64)) -> (String, String) {
+    let tenant = |name: &str, seed: u64| {
+        let mut cfg = WorldConfig::new(
+            bs_models::zoo::resnet50(),
+            4,
+            Arch::allreduce(),
+            NetConfig::gbps(25.0, Transport::rdma()),
+            EngineConfig::mxnet_allreduce(),
+            SchedulerKind::ByteScheduler {
+                partition: 1_000_000,
+                credit: 4_000_000,
+            },
+        );
+        cfg.iters = 8;
+        cfg.warmup = 1;
+        cfg.jitter = 0.05;
+        cfg.seed = seed;
+        JobSpec::train(name, cfg)
+    };
+    let specs = [tenant("ring0", seeds.0), tenant("ring1", seeds.1)];
+    let mut cluster = ClusterConfig::new(16, NetConfig::gbps(25.0, Transport::rdma()));
+    cluster.fabric = FabricModel::FairShare;
+    cluster.placement = PlacementPolicy::Packed;
+    cluster.threads = threads;
+    let mut bus = ScopeBus::new();
+    let (rec, handle) = FlightRecorder::new();
+    bus.subscribe(Box::new(rec));
+    let r = run_cluster_observed(&cluster, &specs, Some(&mut bus));
+    bus.finish(r.makespan);
+    let result = serde_json::to_string(&r).expect("serialize cluster result");
+    (result, handle.to_jsonl())
+}
+
+/// Regression: an observed cluster run of jittered ring tenants at
+/// `threads = 2` used to panic with an out-of-bounds index while
+/// publishing buffered job events. It must complete and record exactly
+/// what the `threads = 1` run records.
+#[test]
+fn observed_cluster_run_ignores_thread_count() {
+    for seeds in [(5, 6), (7, 8)] {
+        let (seq_result, seq_events) = observed_ring_pair(1, seeds);
+        assert!(
+            seq_events.contains(r#""type":"iter_done""#),
+            "seeds {seeds:?}: the bus must record the run"
+        );
+        let (result, events) = observed_ring_pair(2, seeds);
+        assert_eq!(result, seq_result, "seeds {seeds:?}: result differs");
+        assert_eq!(events, seq_events, "seeds {seeds:?}: events.jsonl differs");
     }
 }
 
