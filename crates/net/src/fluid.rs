@@ -6,9 +6,13 @@
 //! preemption. Real transports, however, multiplex flows: a worker
 //! pushing to four shards runs four connections that share its uplink
 //! fairly. This module provides that alternative: every submitted
-//! transfer becomes a *flow*, flow rates are the max-min fair allocation
-//! under per-port capacities (computed by progressive filling), and rates
-//! are recomputed whenever a flow starts or finishes.
+//! transfer becomes a *flow*, and flow rates are the max-min fair
+//! allocation under per-port capacities (computed by progressive
+//! filling). Rates are recomputed once per simulated instant at which
+//! the flow set or a port capacity changed: changes only mark the
+//! allocation dirty, and the first reader after them (an integration to
+//! a later instant, a clock query, a recorder) runs one waterfill over
+//! the final flow set of that instant.
 //!
 //! Per-message costs carry over: the wire-overhead component of θ is
 //! charged as extra flow volume (`θ · B` bytes), and the latency
@@ -17,7 +21,7 @@
 //! semantics, only the sharing discipline differs. The fabric-sensitivity
 //! ablation (`tests/fabrics.rs`) compares the two.
 
-use std::cell::Cell;
+use std::cell::RefCell;
 use std::collections::VecDeque;
 
 use bs_sim::SimTime;
@@ -43,6 +47,8 @@ struct FaultState {
     down: Vec<bool>,
 }
 
+/// A flow's cold fields. Its hot ones — remaining volume and rate — live
+/// in dense per-slot vectors (`FluidNetwork::remaining`, `Alloc::rate`).
 #[derive(Clone, Debug)]
 struct Flow {
     src: NodeId,
@@ -50,13 +56,45 @@ struct Flow {
     /// Payload bytes (reported on completion).
     bytes: u64,
     tag: u64,
-    /// Remaining flow volume (payload + overhead equivalent), fractional
-    /// to avoid drift across many rate changes.
-    remaining: f64,
-    /// Current max-min fair rate, bytes/sec.
-    rate: f64,
     /// Submission instant, recorded for flow-span tracing.
     started_at: SimTime,
+}
+
+/// The flows between one (src, dst) pair. They cross the same two ports,
+/// so the waterfill always freezes them together at one rate: it works
+/// on pairs with a multiplicity instead of on single flows.
+#[derive(Clone, Debug)]
+struct Pair {
+    /// Up port (the source node).
+    up: usize,
+    /// Down port (`n` + the destination node).
+    down: usize,
+    /// Active flows on the pair; a pair with none is freed.
+    flows: u32,
+}
+
+/// The max-min allocation and everything the waterfill writes, behind
+/// one `RefCell` so that `next_event_time(&self)` can flush a pending
+/// waterfill. The `&mut self` paths reach it through `get_mut()`.
+#[derive(Clone, Debug)]
+struct Alloc {
+    /// Set by every change to the flow set or to a port capacity; the
+    /// next flush runs the waterfill and clears it.
+    dirty: bool,
+    /// Current max-min fair rate per flow slot, bytes/sec.
+    rate: Vec<f64>,
+    /// Earliest flow-drain instant under `rate`, from `last_update`.
+    drain: SimTime,
+    /// Waterfill scratch, reused so the hot path performs no allocation.
+    port_cap: Vec<f64>,
+    port_live: Vec<u32>,
+    port_share: Vec<f64>,
+    /// Rate per pair slot, `None` until the pair freezes.
+    pair_rate: Vec<Option<f64>>,
+    /// `Some` only while metrics recording is enabled.
+    telem: Option<Box<FluidTelemetry>>,
+    /// `Some` only while the scope bus records NIC-utilisation windows.
+    scope: Option<Box<ScopeUtil>>,
 }
 
 /// A max-min fair fluid fabric with the same event interface as
@@ -69,21 +107,28 @@ pub struct FluidNetwork {
     /// `free_slots`, so the table length is bounded by the *peak* number
     /// of concurrent flows, not by the total ever submitted.
     flows: Vec<Option<Flow>>,
+    /// Remaining flow volume per slot (payload + overhead equivalent),
+    /// fractional to avoid drift across many rate changes.
+    remaining: Vec<f64>,
     /// Recycled slot indices (LIFO).
     free_slots: Vec<u64>,
     active: Vec<TransferId>,
     /// Flows per port in submission order, maintained incrementally
-    /// (up ports 0..n, down ports n..2n). Mirrors what `reallocate` used
-    /// to rebuild from `active` on every call.
+    /// (up ports 0..n, down ports n..2n): the waterfill's live counts and
+    /// the telemetry's per-port rate sums.
     port_flows: Vec<Vec<TransferId>>,
+    /// Pair slot table, recycled through `free_pairs` like flow slots.
+    pairs: Vec<Pair>,
+    free_pairs: Vec<usize>,
+    /// Pair of each flow slot.
+    pair_of: Vec<usize>,
+    /// Pairs per port.
+    port_pairs: Vec<Vec<usize>>,
     /// Deliveries pending after their flow drained: (time, completed).
     deliveries: VecDeque<(SimTime, CompletedTransfer)>,
     /// Last instant `remaining` values were integrated to.
     last_update: SimTime,
-    /// Memoised earliest flow-drain instant; `None` means stale. Interior
-    /// mutability so `next_event_time(&self)` can fill it lazily; cleared
-    /// whenever rates, remaining volumes, or the active set change.
-    next_drain: Cell<Option<SimTime>>,
+    alloc: RefCell<Alloc>,
     bytes_delivered: u64,
     transfers_delivered: u64,
     /// High-water mark of concurrently active flows.
@@ -95,17 +140,8 @@ pub struct FluidNetwork {
     /// When enabled, full flow lifecycles for causal tracing. A fluid
     /// flow starts at submission, so submitted == wire-start.
     xray: Option<Vec<WireXrayRecord>>,
-    /// Scratch buffers reused across `reallocate`/`advance` calls so the
-    /// hot path performs no allocation.
-    scratch_frozen: Vec<bool>,
-    scratch_port_cap: Vec<f64>,
-    scratch_port_live: Vec<u32>,
-    scratch_ids: Vec<TransferId>,
-    scratch_finished: Vec<TransferId>,
-    /// `Some` only while metrics recording is enabled.
-    telem: Option<FluidTelemetry>,
-    /// `Some` only while the scope bus records NIC-utilisation windows.
-    scope: Option<Box<ScopeUtil>>,
+    /// Flows removed by the last `remove_flows`, reused across calls.
+    scratch_removed: Vec<(TransferId, Flow)>,
     /// `Some` only while link-contention recording is enabled.
     contention: Option<Box<ContentionRecorder>>,
     /// `Some` only once a fault hook has been exercised.
@@ -114,7 +150,7 @@ pub struct FluidNetwork {
 
 /// Metric series for the fluid fabric. Per-port utilisation is the
 /// allocated-rate sum over capacity (a fraction in `[0, 1]`), resampled
-/// after every reallocation — the exact step function the max-min
+/// after every waterfill — the exact step function the max-min
 /// allocator produces, not a polled approximation.
 #[derive(Clone, Debug)]
 struct FluidTelemetry {
@@ -122,6 +158,31 @@ struct FluidTelemetry {
     port_util: Vec<TimeSeries>,
     /// Concurrently active flows.
     active_flows: TimeSeries,
+}
+
+/// The earliest drain instant from `from`, given the smallest
+/// `remaining / rate` over the flows with a positive rate (`INFINITY`
+/// when there is none).
+///
+/// Per flow, the drain ETA is `from + max(from_secs_f64(q), 1 ns)`:
+/// `from_secs_f64` rounds to the nearest nanosecond, and the 1 ns floor
+/// keeps a sub-nanosecond residue from producing a zero-length step (the
+/// event loop would spin at the same instant forever). That map is
+/// monotone non-decreasing in `q` (`from_secs_f64` is, and so are `max`
+/// and the saturating add), so the minimum of the per-flow ETAs is the
+/// ETA of the minimum `q`: one conversion instead of one per flow.
+fn drain_at(from: SimTime, q_min: f64) -> SimTime {
+    from + SimTime::from_secs_f64(q_min).max(SimTime::from_nanos(1))
+}
+
+/// `cap` split equally over `live` unfrozen flows; `INFINITY` (never the
+/// bottleneck) when none is left.
+fn fair_share(cap: f64, live: u32) -> f64 {
+    if live == 0 {
+        f64::INFINITY
+    } else {
+        cap / live as f64
+    }
 }
 
 impl FluidNetwork {
@@ -132,24 +193,33 @@ impl FluidNetwork {
             cfg,
             num_nodes,
             flows: Vec::new(),
+            remaining: Vec::new(),
             free_slots: Vec::new(),
             active: Vec::new(),
             port_flows: vec![Vec::new(); 2 * num_nodes],
+            pairs: Vec::new(),
+            free_pairs: Vec::new(),
+            pair_of: Vec::new(),
+            port_pairs: vec![Vec::new(); 2 * num_nodes],
             deliveries: VecDeque::new(),
             last_update: SimTime::ZERO,
-            next_drain: Cell::new(None),
+            alloc: RefCell::new(Alloc {
+                dirty: false,
+                rate: Vec::new(),
+                drain: SimTime::MAX,
+                port_cap: Vec::new(),
+                port_live: Vec::new(),
+                port_share: Vec::new(),
+                pair_rate: Vec::new(),
+                telem: None,
+                scope: None,
+            }),
             bytes_delivered: 0,
             transfers_delivered: 0,
             peak_in_flight: 0,
             trace: None,
             xray: None,
-            scratch_frozen: Vec::new(),
-            scratch_port_cap: Vec::new(),
-            scratch_port_live: Vec::new(),
-            scratch_ids: Vec::new(),
-            scratch_finished: Vec::new(),
-            telem: None,
-            scope: None,
+            scratch_removed: Vec::new(),
             contention: None,
             faults: None,
         }
@@ -158,43 +228,50 @@ impl FluidNetwork {
     /// Starts recording per-port utilisation and active-flow series.
     /// Recording never changes fabric behaviour.
     pub fn enable_telemetry(&mut self, now: SimTime) {
-        if self.telem.is_none() {
+        self.flush();
+        let ports = 2 * self.num_nodes;
+        let a = self.alloc.get_mut();
+        if a.telem.is_none() {
             let mut zero = TimeSeries::new();
             zero.record(now, 0.0);
-            self.telem = Some(FluidTelemetry {
-                port_util: vec![zero.clone(); 2 * self.num_nodes],
+            a.telem = Some(Box::new(FluidTelemetry {
+                port_util: vec![zero.clone(); ports],
                 active_flows: zero,
-            });
+            }));
         }
     }
 
     /// Starts aggregating NIC utilisation (allocated-rate fractions) into
     /// grid-aligned tumbling windows of `window` for the scope bus, fed
-    /// from the same reallocation instants as the telemetry series.
+    /// from the same waterfill instants as the telemetry series.
     /// Recording never changes fabric behaviour.
     ///
     /// One aggregate slot, not one per direction: a window's `util_secs`
     /// sums over every port direction anyway, and each flow contributes
     /// its rate to exactly two slots (source up, destination down), so
     /// integrating `2 * total_rate / cap` directly is the same signal at
-    /// a fraction of the per-reallocation cost.
+    /// a fraction of the per-waterfill cost.
     pub fn enable_scope(&mut self, now: SimTime, window: SimTime) {
-        if self.scope.is_none() {
-            self.scope = Some(Box::new(ScopeUtil::new(now, 1, window)));
+        self.flush();
+        let a = self.alloc.get_mut();
+        if a.scope.is_none() {
+            a.scope = Some(Box::new(ScopeUtil::new(now, 1, window)));
         }
     }
 
     /// Integrates the scope windows up to `now` and closes the final
     /// partial window (publish by draining afterwards).
     pub fn finish_scope(&mut self, now: SimTime) {
-        if let Some(sc) = self.scope.as_mut() {
+        self.flush();
+        if let Some(sc) = self.alloc.get_mut().scope.as_mut() {
             sc.finish(now);
         }
     }
 
     /// Moves closed scope windows into `out`, oldest first.
     pub fn drain_scope_windows(&mut self, out: &mut Vec<ScopeWindow>) {
-        if let Some(sc) = self.scope.as_mut() {
+        self.flush();
+        if let Some(sc) = self.alloc.get_mut().scope.as_mut() {
             sc.drain_into(out);
         }
     }
@@ -202,7 +279,8 @@ impl FluidNetwork {
     /// Takes the recorded metrics with summaries closed at `now`, or
     /// `None` if telemetry was never enabled.
     pub fn take_metrics(&mut self, now: SimTime) -> Option<MetricSet> {
-        let t = self.telem.take()?;
+        self.flush();
+        let t = self.alloc.get_mut().telem.take()?;
         let n = self.num_nodes;
         let mut set = MetricSet::new();
         set.horizon = now;
@@ -247,6 +325,7 @@ impl FluidNetwork {
     /// Drains the contention recording, or `None` if it was never
     /// enabled.
     pub fn take_contention(&mut self) -> Option<ContentionLog> {
+        self.flush();
         self.contention.as_mut().map(|c| c.take())
     }
 
@@ -332,22 +411,29 @@ impl FluidNetwork {
             dst,
             bytes,
             tag,
-            remaining: bytes as f64 + overhead_bytes,
-            rate: 0.0,
             started_at: now,
         };
+        let volume = bytes as f64 + overhead_bytes;
+        let pair = self.join_pair(src.0, self.num_nodes + dst.0);
+        let a = self.alloc.get_mut();
         let id = match self.free_slots.pop() {
             Some(slot) => {
                 debug_assert!(self.flows[slot as usize].is_none(), "slot in use");
                 self.flows[slot as usize] = Some(flow);
+                self.remaining[slot as usize] = volume;
+                self.pair_of[slot as usize] = pair;
                 TransferId(slot)
             }
             None => {
                 let id = TransferId(self.flows.len() as u64);
                 self.flows.push(Some(flow));
+                self.remaining.push(volume);
+                self.pair_of.push(pair);
+                a.rate.push(0.0);
                 id
             }
         };
+        a.dirty = true;
         self.active.push(id);
         self.port_flows[src.0].push(id);
         self.port_flows[self.num_nodes + dst.0].push(id);
@@ -355,45 +441,28 @@ impl FluidNetwork {
         if let Some(c) = self.contention.as_mut() {
             c.on_submit(now, src.0, dst.0, tag);
         }
-        self.reallocate();
         id
     }
 
     /// Earliest instant anything changes: the next flow drain or pending
     /// delivery.
     ///
-    /// The drain scan is memoised: flow rates and volumes only change in
-    /// `submit`/`advance`, so between state changes the event loop can
-    /// poll this in O(1) instead of rescanning every active flow.
+    /// The drain instant is kept up to date by the integration and the
+    /// waterfill, so between state changes the event loop polls this in
+    /// O(1); only the first poll after a change flushes the waterfill.
     pub fn next_event_time(&self) -> SimTime {
-        let delivery = self
-            .deliveries
-            .front()
-            .map(|(d, _)| *d)
-            .unwrap_or(SimTime::MAX);
-        delivery.min(self.drain_time())
+        self.next_delivery().min(self.drain_time())
     }
 
-    /// Earliest flow-drain instant, recomputed only when stale.
+    /// Earliest pending delivery instant.
+    fn next_delivery(&self) -> SimTime {
+        self.deliveries.front().map_or(SimTime::MAX, |(d, _)| *d)
+    }
+
+    /// Earliest flow-drain instant, flushing a pending waterfill first.
     fn drain_time(&self) -> SimTime {
-        if let Some(t) = self.next_drain.get() {
-            return t;
-        }
-        let mut t = SimTime::MAX;
-        for id in &self.active {
-            let f = self.flows[id.0 as usize].as_ref().expect("active flow");
-            if f.rate > 0.0 {
-                // Round the drain ETA *up* to at least 1 ns past the last
-                // integration point: a sub-nanosecond residue must not
-                // produce a zero-length step (the event loop would spin
-                // at the same instant forever).
-                let dur = SimTime::from_secs_f64((f.remaining / f.rate).max(0.0))
-                    .max(SimTime::from_nanos(1));
-                t = t.min(self.last_update + dur);
-            }
-        }
-        self.next_drain.set(Some(t));
-        t
+        self.flush();
+        self.alloc.borrow().drain
     }
 
     /// True when `advance(now)` could change state or emit events: the
@@ -416,65 +485,41 @@ impl FluidNetwork {
     /// Like [`Self::advance`] but appends events into a caller-provided
     /// buffer, so the event loop can reuse one allocation across ticks.
     pub fn advance_into(&mut self, now: SimTime, out: &mut Vec<NetEvent>) {
+        let latency = self.cfg.transport.latency;
+        // Once flows drained at `now`, every later drain ETA is at least
+        // 1 ns past it (see `drain_at`): only deliveries can still be
+        // due, so the waterfill stays pending for the next reader.
+        let mut drained_at_now = false;
         loop {
-            let next = self.next_event_time();
+            let delivery = self.next_delivery();
+            let drain = if drained_at_now {
+                SimTime::MAX
+            } else {
+                self.drain_time()
+            };
+            let next = delivery.min(drain);
             if next > now || next.is_never() {
                 break;
             }
-            // Deliveries strictly before the next drain fire first.
-            if let Some(&(dt, _)) = self.deliveries.front() {
-                if dt <= next {
-                    let (dt, c) = self.deliveries.pop_front().expect("front exists");
-                    debug_assert_eq!(dt, c.finished_at);
-                    self.bytes_delivered += c.bytes;
-                    self.transfers_delivered += 1;
-                    if let Some(rec) = self.contention.as_mut() {
-                        rec.on_delivered(dt, c.src.0, c.dst.0, c.tag);
-                    }
-                    out.push(NetEvent::Delivered(c));
-                    continue;
+            // Deliveries at or before the next drain fire first.
+            if delivery <= next {
+                let (dt, c) = self.deliveries.pop_front().expect("front exists");
+                debug_assert_eq!(dt, c.finished_at);
+                self.bytes_delivered += c.bytes;
+                self.transfers_delivered += 1;
+                if let Some(rec) = self.contention.as_mut() {
+                    rec.on_delivered(dt, c.src.0, c.dst.0, c.tag);
                 }
+                out.push(NetEvent::Delivered(c));
+                continue;
             }
             // Drain flows to `next` and complete the ones that hit zero.
+            // Sub-byte residue counts as drained (float slop from many
+            // rate changes; half a byte is far below any payload).
             self.integrate_to(next);
-            let latency = self.cfg.transport.latency;
-            let mut finished = std::mem::take(&mut self.scratch_finished);
-            self.active.retain(|id| {
-                let f = self.flows[id.0 as usize].as_ref().expect("active");
-                // Sub-byte residue counts as drained (float slop from many
-                // rate changes; half a byte is far below any payload).
-                if f.remaining <= 0.5 {
-                    finished.push(*id);
-                    false
-                } else {
-                    true
-                }
-            });
-            for id in finished.drain(..) {
-                let f = self.flows[id.0 as usize].take().expect("finishing flow");
-                // Retire the slot and drop the flow from its two port
-                // lists (order-preserving, so later reallocations iterate
-                // exactly as a rebuild from `active` would).
-                self.free_slots.push(id.0);
-                self.port_flows[f.src.0].retain(|x| *x != id);
-                self.port_flows[self.num_nodes + f.dst.0].retain(|x| *x != id);
-                if let Some(trace) = &mut self.trace {
-                    trace.push((f.tag, f.src.0, f.dst.0, f.started_at, next));
-                }
-                if let Some(xray) = &mut self.xray {
-                    xray.push((
-                        f.tag,
-                        f.src.0,
-                        f.dst.0,
-                        f.started_at,
-                        f.started_at,
-                        next,
-                        next + latency,
-                    ));
-                }
-                if let Some(rec) = self.contention.as_mut() {
-                    rec.on_wire(f.src.0, f.dst.0, f.tag, f.bytes, f.started_at, next);
-                }
+            let mut finished = self.remove_flows(|_, remaining| remaining <= 0.5);
+            for (id, f) in finished.drain(..) {
+                self.record_flow_end(&f, next, next + latency);
                 let done = CompletedTransfer {
                     id,
                     src: f.src,
@@ -490,8 +535,8 @@ impl FluidNetwork {
                 // completion order == delivery order).
                 self.deliveries.push_back((next + latency, delivered));
             }
-            self.scratch_finished = finished;
-            self.reallocate();
+            self.scratch_removed = finished;
+            drained_at_now = next == now;
         }
         self.integrate_to(now);
     }
@@ -509,9 +554,9 @@ impl FluidNetwork {
     }
 
     /// Rescales one NIC direction's capacity to `scale` × nominal at
-    /// `now`; all flow rates are refitted immediately (in-flight flows
-    /// keep their accumulated progress). Use [`Self::kill_port`] for
-    /// outages — a zero scale is rejected.
+    /// `now`; all flow rates are refitted (in-flight flows keep their
+    /// accumulated progress). Use [`Self::kill_port`] for outages — a
+    /// zero scale is rejected.
     pub fn set_port_scale(&mut self, now: SimTime, node: NodeId, up: bool, scale: f64) {
         assert!(
             scale > 0.0 && scale.is_finite(),
@@ -522,7 +567,7 @@ impl FluidNetwork {
         let n = self.num_nodes;
         let port = if up { node.0 } else { n + node.0 };
         self.fault_state().port_scale[port] = scale;
-        self.reallocate();
+        self.alloc.get_mut().dirty = true;
     }
 
     /// Flaps `node` down at `now`: every active flow through either of
@@ -534,49 +579,7 @@ impl FluidNetwork {
         assert!(node.0 < self.num_nodes, "node {node:?} out of range");
         self.integrate_to(now);
         self.fault_state().down[node.0] = true;
-        let mut victims = std::mem::take(&mut self.scratch_finished);
-        victims.clear();
-        victims.extend(self.active.iter().copied().filter(|id| {
-            let f = self.flows[id.0 as usize].as_ref().expect("active flow");
-            f.src == node || f.dst == node
-        }));
-        let mut dropped = Vec::with_capacity(victims.len());
-        for id in victims.drain(..) {
-            let f = self.flows[id.0 as usize].take().expect("victim flow");
-            self.active.retain(|x| *x != id);
-            self.free_slots.push(id.0);
-            self.port_flows[f.src.0].retain(|x| *x != id);
-            self.port_flows[self.num_nodes + f.dst.0].retain(|x| *x != id);
-            if let Some(trace) = &mut self.trace {
-                trace.push((f.tag, f.src.0, f.dst.0, f.started_at, now));
-            }
-            if let Some(xray) = &mut self.xray {
-                // Killed at now; the retransmit shows up as a separate
-                // record.
-                xray.push((
-                    f.tag,
-                    f.src.0,
-                    f.dst.0,
-                    f.started_at,
-                    f.started_at,
-                    now,
-                    now,
-                ));
-            }
-            if let Some(rec) = self.contention.as_mut() {
-                rec.on_wire(f.src.0, f.dst.0, f.tag, f.bytes, f.started_at, now);
-                rec.on_dropped(now, f.src.0, f.dst.0, f.tag);
-            }
-            dropped.push(DroppedTransfer {
-                tag: f.tag,
-                src: f.src,
-                dst: f.dst,
-                bytes: f.bytes,
-            });
-        }
-        self.scratch_finished = victims;
-        self.reallocate();
-        dropped
+        self.drop_flows(now, |f| f.src == node || f.dst == node)
     }
 
     /// Cancels every pending transfer whose tag matches `pred` at `now`
@@ -590,47 +593,7 @@ impl FluidNetwork {
         pred: &mut dyn FnMut(u64) -> bool,
     ) -> Vec<DroppedTransfer> {
         self.integrate_to(now);
-        let mut victims = std::mem::take(&mut self.scratch_finished);
-        victims.clear();
-        victims.extend(
-            self.active
-                .iter()
-                .copied()
-                .filter(|id| pred(self.flows[id.0 as usize].as_ref().expect("active flow").tag)),
-        );
-        let mut dropped = Vec::with_capacity(victims.len());
-        for id in victims.drain(..) {
-            let f = self.flows[id.0 as usize].take().expect("victim flow");
-            self.active.retain(|x| *x != id);
-            self.free_slots.push(id.0);
-            self.port_flows[f.src.0].retain(|x| *x != id);
-            self.port_flows[self.num_nodes + f.dst.0].retain(|x| *x != id);
-            if let Some(trace) = &mut self.trace {
-                trace.push((f.tag, f.src.0, f.dst.0, f.started_at, now));
-            }
-            if let Some(xray) = &mut self.xray {
-                xray.push((
-                    f.tag,
-                    f.src.0,
-                    f.dst.0,
-                    f.started_at,
-                    f.started_at,
-                    now,
-                    now,
-                ));
-            }
-            if let Some(rec) = self.contention.as_mut() {
-                rec.on_wire(f.src.0, f.dst.0, f.tag, f.bytes, f.started_at, now);
-                rec.on_dropped(now, f.src.0, f.dst.0, f.tag);
-            }
-            dropped.push(DroppedTransfer {
-                tag: f.tag,
-                src: f.src,
-                dst: f.dst,
-                bytes: f.bytes,
-            });
-        }
-        self.scratch_finished = victims;
+        let mut dropped = self.drop_flows(now, |f| pred(f.tag));
         // Drained flows awaiting delivery: their deliveries never fire.
         let mut purged = Vec::new();
         self.deliveries.retain(|(_, c)| {
@@ -652,7 +615,6 @@ impl FluidNetwork {
                 bytes: c.bytes,
             });
         }
-        self.reallocate();
         dropped
     }
 
@@ -663,39 +625,173 @@ impl FluidNetwork {
         assert!(node.0 < self.num_nodes, "node {node:?} out of range");
         self.integrate_to(now);
         self.fault_state().down[node.0] = false;
-        self.reallocate();
+        self.alloc.get_mut().dirty = true;
     }
 
-    /// Integrates `remaining -= rate · dt` for all active flows.
+    /// Kills every active flow `victim` selects at `now`, in `active`
+    /// order, and reports them as dropped.
+    fn drop_flows(
+        &mut self,
+        now: SimTime,
+        mut victim: impl FnMut(&Flow) -> bool,
+    ) -> Vec<DroppedTransfer> {
+        let mut removed = self.remove_flows(|f, _| victim(f));
+        let mut dropped = Vec::with_capacity(removed.len());
+        for (_, f) in removed.drain(..) {
+            // Killed at now; a retransmit shows up as a separate record.
+            self.record_flow_end(&f, now, now);
+            if let Some(rec) = self.contention.as_mut() {
+                rec.on_dropped(now, f.src.0, f.dst.0, f.tag);
+            }
+            dropped.push(DroppedTransfer {
+                tag: f.tag,
+                src: f.src,
+                dst: f.dst,
+                bytes: f.bytes,
+            });
+        }
+        self.scratch_removed = removed;
+        dropped
+    }
+
+    /// Removes every active flow that `pick(flow, remaining)` selects, in
+    /// one pass over `active`: frees its slot, unlinks it from its two
+    /// port lists (order-preserving, so later waterfills and telemetry
+    /// sums iterate in submission order) and marks the allocation dirty.
+    /// Returns the removed flows in `active` order, in the reusable
+    /// scratch buffer the caller hands back to `scratch_removed`.
+    fn remove_flows(
+        &mut self,
+        mut pick: impl FnMut(&Flow, f64) -> bool,
+    ) -> Vec<(TransferId, Flow)> {
+        let mut removed = std::mem::take(&mut self.scratch_removed);
+        let mut active = std::mem::take(&mut self.active);
+        active.retain(|&id| {
+            let slot = id.0 as usize;
+            let f = self.flows[slot].as_ref().expect("active flow");
+            if !pick(f, self.remaining[slot]) {
+                return true;
+            }
+            let f = self.flows[slot].take().expect("active flow");
+            let (up, down) = (f.src.0, self.num_nodes + f.dst.0);
+            self.free_slots.push(id.0);
+            self.port_flows[up].retain(|x| *x != id);
+            self.port_flows[down].retain(|x| *x != id);
+            let g = self.pair_of[slot];
+            self.pairs[g].flows -= 1;
+            if self.pairs[g].flows == 0 {
+                self.port_pairs[up].retain(|x| *x != g);
+                self.port_pairs[down].retain(|x| *x != g);
+                self.free_pairs.push(g);
+            }
+            removed.push((id, f));
+            false
+        });
+        self.active = active;
+        self.alloc.get_mut().dirty = true;
+        removed
+    }
+
+    /// Adds a flow to the (`up`, `down`) port pair, creating the pair if
+    /// it has no flow yet, and returns its index.
+    fn join_pair(&mut self, up: usize, down: usize) -> usize {
+        let pairs = &mut self.pairs;
+        if let Some(&g) = self.port_pairs[up].iter().find(|&&g| pairs[g].down == down) {
+            pairs[g].flows += 1;
+            return g;
+        }
+        let pair = Pair { up, down, flows: 1 };
+        let g = match self.free_pairs.pop() {
+            Some(g) => {
+                pairs[g] = pair;
+                g
+            }
+            None => {
+                pairs.push(pair);
+                pairs.len() - 1
+            }
+        };
+        self.port_pairs[up].push(g);
+        self.port_pairs[down].push(g);
+        g
+    }
+
+    /// Feeds a flow that left the wire at `drained` (delivering at
+    /// `delivered`) to the span, xray and contention recorders.
+    fn record_flow_end(&mut self, f: &Flow, drained: SimTime, delivered: SimTime) {
+        if let Some(trace) = &mut self.trace {
+            trace.push((f.tag, f.src.0, f.dst.0, f.started_at, drained));
+        }
+        if let Some(xray) = &mut self.xray {
+            xray.push((
+                f.tag,
+                f.src.0,
+                f.dst.0,
+                f.started_at,
+                f.started_at,
+                drained,
+                delivered,
+            ));
+        }
+        if let Some(rec) = self.contention.as_mut() {
+            rec.on_wire(f.src.0, f.dst.0, f.tag, f.bytes, f.started_at, drained);
+        }
+    }
+
+    /// Runs a pending waterfill.
+    fn flush(&self) {
+        let mut a = self.alloc.borrow_mut();
+        if a.dirty {
+            self.waterfill(&mut a);
+        }
+    }
+
+    /// Integrates `remaining -= rate · dt` for all active flows under the
+    /// allocation in force since `last_update`, and in the same pass
+    /// finds the next drain instant under those rates.
     fn integrate_to(&mut self, now: SimTime) {
         if now <= self.last_update {
             return;
         }
-        self.next_drain.set(None);
+        self.flush();
+        let a = self.alloc.get_mut();
         let dt = (now - self.last_update).as_secs_f64();
+        let mut q_min = f64::INFINITY;
         for id in &self.active {
-            let f = self.flows[id.0 as usize].as_mut().expect("active");
-            f.remaining = (f.remaining - f.rate * dt).max(0.0);
+            let slot = id.0 as usize;
+            let rate = a.rate[slot];
+            let r = (self.remaining[slot] - rate * dt).max(0.0);
+            self.remaining[slot] = r;
+            if rate > 0.0 {
+                q_min = q_min.min(r / rate);
+            }
         }
         self.last_update = now;
+        a.drain = drain_at(now, q_min);
     }
 
     /// Progressive filling: repeatedly find the most-contended port,
     /// freeze its flows at the equal share, remove the port, repeat.
+    /// Also refreshes the drain instant and feeds the recorders at
+    /// `last_update`, the instant the allocation takes effect (nothing
+    /// integrates while it is pending).
     ///
-    /// Runs entirely on persistent state (`port_flows`) and reusable
-    /// scratch buffers: cost scales with the *current* number of active
-    /// flows and ports, never with the total number of transfers the
-    /// fabric has ever carried.
-    fn reallocate(&mut self) {
-        self.next_drain.set(None);
+    /// Runs entirely on persistent state (`port_pairs`, `port_flows`)
+    /// and reusable scratch buffers: cost scales with the *current*
+    /// number of active flows and ports, never with the total number of
+    /// transfers the fabric has ever carried. It reads no `remaining` except for the
+    /// drain instant and overwrites every active flow's rate, so one
+    /// waterfill over an instant's final flow set gives the same rates
+    /// as one after each change at that instant.
+    fn waterfill(&self, a: &mut Alloc) {
+        a.dirty = false;
         let cap = self.cfg.bytes_per_sec();
         // Port index: up ports are 0..n, down ports n..2n.
         let ports = 2 * self.num_nodes;
-        self.scratch_port_cap.clear();
-        self.scratch_port_cap.resize(ports, cap);
+        a.port_cap.clear();
+        a.port_cap.resize(ports, cap);
         if let Some(fs) = &self.faults {
-            for (p, c) in self.scratch_port_cap.iter_mut().enumerate() {
+            for (p, c) in a.port_cap.iter_mut().enumerate() {
                 let node = p % self.num_nodes;
                 *c = if fs.down[node] {
                     0.0
@@ -704,96 +800,86 @@ impl FluidNetwork {
                 };
             }
         }
-        self.scratch_port_live.clear();
-        self.scratch_port_live.resize(ports, 0);
-        if self.scratch_frozen.len() < self.flows.len() {
-            self.scratch_frozen.resize(self.flows.len(), false);
-        }
-        // Only active slots are ever read below, so only they need
-        // clearing — this keeps the reset O(active), not O(slots).
-        for id in &self.active {
-            self.scratch_frozen[id.0 as usize] = false;
-        }
-        // Unfrozen-flow count per port; freezing a flow decrements both
+        a.pair_rate.clear();
+        a.pair_rate.resize(self.pairs.len(), None);
+        // Unfrozen-flow count per port; freezing a pair decrements both
         // ports it traverses, so each round sees the live count without
-        // rescanning the port's flow list.
-        for (p, flows) in self.port_flows.iter().enumerate() {
-            self.scratch_port_live[p] = flows.len() as u32;
-        }
+        // rescanning the port's pair list.
+        a.port_live.clear();
+        a.port_live
+            .extend(self.port_flows.iter().map(|flows| flows.len() as u32));
+        // Fair share per port, `INFINITY` once no unfrozen flow crosses
+        // it. A round only changes the shares of the ports it charges, so
+        // only those are recomputed.
+        a.port_share.clear();
+        a.port_share.extend(
+            a.port_cap
+                .iter()
+                .zip(&a.port_live)
+                .map(|(&cap, &live)| fair_share(cap, live)),
+        );
         let mut remaining_unfrozen = self.active.len();
         // Total allocated rate, accumulated as flows freeze so the scope
         // hook below never has to rescan the active set.
         let mut total_rate = 0.0;
-        let mut assigned = 0usize;
         while remaining_unfrozen > 0 {
-            // Bottleneck port: smallest fair share among ports that still
-            // carry unfrozen flows.
-            let mut best: Option<(f64, usize)> = None;
-            for p in 0..ports {
-                let live = self.scratch_port_live[p];
-                if live == 0 {
+            // Bottleneck port: smallest fair share, first port on ties.
+            // Every unfrozen flow keeps its two ports live (and their
+            // shares finite), so there always is one.
+            let mut share = f64::INFINITY;
+            let mut port = usize::MAX;
+            for (p, &s) in a.port_share.iter().enumerate() {
+                if s < share {
+                    (share, port) = (s, p);
+                }
+            }
+            // Freeze that port's unfrozen pairs at the share, charging
+            // the other port they traverse once per flow: `m` subtractions
+            // of `share`, not one of `m · share`, give the same float
+            // result as freezing the flows one by one.
+            let mut frozen_now = 0u32;
+            for &g in &self.port_pairs[port] {
+                if a.pair_rate[g].is_some() {
                     continue;
                 }
-                let share = self.scratch_port_cap[p] / live as f64;
-                if best.map(|(s, _)| share < s).unwrap_or(true) {
-                    best = Some((share, p));
+                a.pair_rate[g] = Some(share);
+                let Pair { up, down, flows } = self.pairs[g];
+                let other = if up == port { down } else { up };
+                for _ in 0..flows {
+                    a.port_cap[other] = (a.port_cap[other] - share).max(0.0);
                 }
+                a.port_live[up] -= flows;
+                a.port_live[down] -= flows;
+                a.port_share[other] = fair_share(a.port_cap[other], a.port_live[other]);
+                frozen_now += flows;
             }
-            let Some((share, port)) = best else { break };
-            // Freeze that port's unfrozen flows at the share, charging
-            // the other port they traverse.
-            let mut ids = std::mem::take(&mut self.scratch_ids);
-            ids.clear();
-            let frozen = &self.scratch_frozen;
-            ids.extend(
-                self.port_flows[port]
-                    .iter()
-                    .filter(|id| !frozen[id.0 as usize])
-                    .copied(),
-            );
-            remaining_unfrozen -= ids.len();
-            total_rate += share * ids.len() as f64;
-            assigned += ids.len();
-            for id in ids.drain(..) {
-                self.scratch_frozen[id.0 as usize] = true;
-                let f = self.flows[id.0 as usize].as_mut().expect("active");
-                f.rate = share;
-                let (a, b) = (f.src.0, self.num_nodes + f.dst.0);
-                let other = if a == port { b } else { a };
-                self.scratch_port_cap[other] = (self.scratch_port_cap[other] - share).max(0.0);
-                self.scratch_port_live[a] -= 1;
-                self.scratch_port_live[b] -= 1;
-            }
-            self.scratch_port_cap[port] = 0.0;
-            self.scratch_ids = ids;
+            remaining_unfrozen -= frozen_now as usize;
+            total_rate += share * frozen_now as f64;
+            a.port_share[port] = f64::INFINITY;
         }
-        if let Some(te) = self.telem.as_mut() {
-            // `last_update` is the allocation instant: every caller
-            // integrates to "now" before reallocating.
-            let at = self.last_update;
+        let mut q_min = f64::INFINITY;
+        for id in &self.active {
+            let slot = id.0 as usize;
+            let rate = a.pair_rate[self.pair_of[slot]].expect("every pair froze");
+            a.rate[slot] = rate;
+            if rate > 0.0 {
+                q_min = q_min.min(self.remaining[slot] / rate);
+            }
+        }
+        a.drain = drain_at(self.last_update, q_min);
+        let at = self.last_update;
+        if let Some(te) = a.telem.as_mut() {
             for (p, flows) in self.port_flows.iter().enumerate() {
-                let rate: f64 = flows
-                    .iter()
-                    .map(|id| self.flows[id.0 as usize].as_ref().expect("active").rate)
-                    .sum();
+                let rate: f64 = flows.iter().map(|id| a.rate[id.0 as usize]).sum();
                 te.port_util[p].record(at, rate / cap);
             }
             te.active_flows.record(at, self.active.len() as f64);
         }
-        if let Some(sc) = self.scope.as_mut() {
+        if let Some(sc) = a.scope.as_mut() {
             // Every flow's rate lands on exactly two port directions (see
             // `enable_scope`), so the waterfill's running total is the
-            // whole signal. The rescan fallback only covers the defensive
-            // break above, where flows may keep an older rate.
-            let total = if assigned == self.active.len() {
-                total_rate
-            } else {
-                self.active
-                    .iter()
-                    .map(|id| self.flows[id.0 as usize].as_ref().expect("active").rate)
-                    .sum()
-            };
-            sc.record(self.last_update, 0, 2.0 * total / cap);
+            // whole signal.
+            sc.record(at, 0, 2.0 * total_rate / cap);
         }
     }
 }
@@ -1044,6 +1130,38 @@ mod tests {
         let done = drain(&mut n);
         assert_eq!(done, vec![(2, SimTime::from_micros(2_500))]);
         assert!(n.is_idle());
+    }
+
+    #[test]
+    fn same_instant_submits_leave_one_sample_of_the_final_allocation() {
+        let mut n = net(4);
+        n.enable_telemetry(SimTime::ZERO);
+        let t = SimTime::from_millis(1);
+        n.advance(t);
+        // Three flows out of node 0 arrive at one instant: one waterfill
+        // runs, over all three, when the metrics are read.
+        for d in 1..4usize {
+            n.submit(t, NodeId(0), NodeId(d), mb(1), d as u64);
+        }
+        let m = n.take_metrics(t).expect("telemetry on");
+        let samples = |name: &str| m.get_series(name).expect(name).samples().to_vec();
+        // Each flow gets a third of node 0's uplink.
+        let cap = n.cfg.bytes_per_sec();
+        let share = cap / 3.0;
+        assert_eq!(
+            samples("nic0/up_util"),
+            vec![(SimTime::ZERO, 0.0), (t, (share + share + share) / cap)]
+        );
+        for d in 1..4 {
+            assert_eq!(
+                samples(&format!("nic{d}/down_util")),
+                vec![(SimTime::ZERO, 0.0), (t, share / cap)]
+            );
+        }
+        assert_eq!(
+            samples("active_transfers"),
+            vec![(SimTime::ZERO, 0.0), (t, 3.0)]
+        );
     }
 
     #[test]
