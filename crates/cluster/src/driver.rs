@@ -1,28 +1,23 @@
-//! The cluster driver: N jobs, one fabric, one clock.
+//! The cluster driver: N jobs placed on one shared fabric.
 //!
-//! Structurally this is [`bs_runtime::world`]'s event loop generalised to
-//! many [`JobState`]s. Per instant it (1) drains the LIFO cascade queue,
-//! routing each event to its owning job, (2) finds the earliest next
-//! event across every job and the shared fabric, (3) advances each job's
-//! own sources (co-tenant bursts, GPU ops, private ring streams) in job
-//! order, and (4) advances the shared fabric last, demultiplexing its
-//! events by the job-id bits of each transfer tag. With one job the event
-//! sequence is identical to the single-job driver's — the degenerate-case
-//! equivalence the test-suite pins bit-for-bit.
+//! The event loop itself is `bs_runtime::driver`'s — the same loop a
+//! solo `bs_runtime::run` drives with one tenant, so a one-job cluster
+//! reproduces the solo run by construction. This module adds only what
+//! is cluster-specific: placement, projecting the cluster plan's loss
+//! and stragglers onto tenants, the machine-failure reaction
+//! (checkpoint, migrate, resume) behind [`DriverHooks`], and the
+//! [`ClusterResult`] assembly.
 
-use bs_faults::{
-    ClusterChange, ClusterFaultEntry, ClusterFaultInjector, FaultPlan, LinkChange, LinkDir,
-};
-use bs_net::{DroppedTransfer, Fabric, NetEvent, NetPort, NodeId, ScopeWindow};
+use bs_faults::{ClusterChange, ClusterFaultEntry, ClusterFaultInjector, FaultPlan};
+use bs_net::{CompletedTransfer, Fabric, NetPort, NodeId};
 use bs_scope::{ScopeBus, ScopeEvent};
 use bs_tune::RestartCost;
 
 use crate::contention::ContentionMatrix;
+use bs_runtime::driver::{self, hoist_job_links, push_fault_event, route_drop};
 use bs_runtime::job::{inner_tag, job_of_tag, wire_span_into_trace, MAX_JOBS};
-use bs_runtime::traffic::{BurstSource, BG_TAG};
-use bs_runtime::{
-    net_window_event, JobEvent, JobNetStats, JobState, NodeMap, RunOutcome, WorldConfig,
-};
+use bs_runtime::traffic::BurstSource;
+use bs_runtime::{DriverHooks, JobNetStats, JobState, NodeMap, RunOutcome, Tenant};
 use bs_sim::{SimTime, Trace};
 use bs_telemetry::MetricSet;
 
@@ -30,120 +25,16 @@ use crate::metrics::{jain_index, ClusterResult, JobOutcome, LinkUtil, MigrationR
 use crate::placement::PlacementPolicy;
 use crate::spec::{ClusterConfig, FaultReaction, JobSpec};
 
-/// One tenant's live state.
-#[allow(clippy::large_enum_variant)]
-enum ClusterJob {
-    Train {
-        state: JobState,
-        cfg: WorldConfig,
-        arrival: SimTime,
-        finished: Option<SimTime>,
-    },
-    Burst {
-        src: BurstSource,
-        nodes: NodeMap,
-        pairs: usize,
-        seed_at: SimTime,
-        seeded: bool,
-    },
-}
-
-impl ClusterJob {
-    fn next_event_time(&self) -> SimTime {
-        match self {
-            ClusterJob::Train { state, .. } => state.next_event_time(),
-            ClusterJob::Burst {
-                src,
-                seed_at,
-                seeded,
-                ..
-            } => {
-                if *seeded {
-                    src.next_time()
-                } else {
-                    *seed_at
-                }
-            }
-        }
-    }
-
-    fn advance<P: NetPort>(&mut self, t: SimTime, fabric: &mut P, out: &mut Vec<JobEvent>) {
-        match self {
-            ClusterJob::Train { state, .. } => state.advance(t, fabric, out),
-            ClusterJob::Burst {
-                src,
-                nodes,
-                pairs,
-                seed_at,
-                seeded,
-            } => {
-                if !*seeded && *seed_at <= t {
-                    // First activation: one burst per pair in each
-                    // direction, mirroring the single-job co-tenant model
-                    // (workers are local nodes 0..pairs, "servers"
-                    // pairs..2*pairs).
-                    for w in 0..*pairs {
-                        let worker = nodes.node(w);
-                        let server = nodes.node(*pairs + w);
-                        src.seed(t, fabric, nodes, server, worker, BG_TAG | (2 * w as u64));
-                        src.seed(
-                            t,
-                            fabric,
-                            nodes,
-                            worker,
-                            server,
-                            BG_TAG | (2 * w as u64 + 1),
-                        );
-                    }
-                    *seeded = true;
-                }
-                src.fire_due(t, fabric, nodes);
-            }
-        }
-    }
-
-    fn handle<P: NetPort>(
-        &mut self,
-        ev: JobEvent,
-        now: SimTime,
-        fabric: &mut P,
-        out: &mut Vec<JobEvent>,
-    ) {
-        match self {
-            ClusterJob::Train { state, .. } => state.handle(ev, now, fabric, out),
-            ClusterJob::Burst { src, .. } => {
-                // A burst tenant only ever sees its own wire milestones:
-                // re-arm on delivery, ignore releases.
-                if let JobEvent::Net(NetEvent::Delivered(c)) = ev {
-                    src.on_delivered(now, &c);
-                }
-            }
-        }
-    }
-
-    /// Publishes every buffered scope event.
-    fn publish_scope(&mut self, bus: &mut ScopeBus) {
-        if let ClusterJob::Train { state, .. } = self {
-            state.publish_scope(bus);
-        }
-    }
-}
-
-/// Per-job and per-machine traffic attribution recorded by the drive
-/// loop's fabric-demux phase.
-struct Accounting {
+/// The cluster's additions to the driver loop: per-job and per-machine
+/// traffic attribution, and the reactive recovery loop for machine
+/// failures.
+struct ClusterHooks {
     job_bytes: Vec<u64>,
     job_events: Vec<u64>,
     up_bytes: Vec<u64>,
     down_bytes: Vec<u64>,
     /// `[j][m] = (up, down)` delivered bytes, metrics mode only.
     job_nic_bytes: Option<Vec<Vec<(u64, u64)>>>,
-}
-
-/// Cluster-scope fault state threaded through the drive loop: the sealed
-/// fault timeline, machine health, and the recovery loop's bookkeeping.
-struct FaultCtx {
-    injector: ClusterFaultInjector,
     /// Machine health as of the driver clock, flipped by machine edges.
     healthy: Vec<bool>,
     reaction: FaultReaction,
@@ -154,441 +45,236 @@ struct FaultCtx {
     migrations: Vec<MigrationRecord>,
 }
 
-impl FaultCtx {
-    /// Machine health at instant `t`: every machine edge in the static
-    /// timeline with `at <= t`, applied in timeline order over an
-    /// all-healthy start. The timeline never changes mid-run, so health
-    /// at any future instant is known at decision time — that is what
-    /// makes deferred placement deterministic.
-    fn healthy_at(&self, t: SimTime) -> Vec<bool> {
-        let mut h = vec![true; self.healthy.len()];
-        for e in self.injector.timeline() {
-            if e.at > t {
-                break;
-            }
-            match e.change {
-                ClusterChange::MachineDown { machine } => h[machine] = false,
-                ClusterChange::MachineUp { machine } => h[machine] = true,
-                ClusterChange::Link(_) => {}
-            }
+impl DriverHooks for ClusterHooks {
+    fn on_delivered(&mut self, j: usize, c: &CompletedTransfer) {
+        self.job_bytes[j] += c.bytes;
+        self.job_events[j] += 1;
+        self.up_bytes[c.src.0] += c.bytes;
+        self.down_bytes[c.dst.0] += c.bytes;
+        if let Some(share) = self.job_nic_bytes.as_mut() {
+            share[j][c.src.0].0 += c.bytes;
+            share[j][c.dst.0].1 += c.bytes;
         }
-        h
     }
 
-    /// The earliest resume instant `>= earliest` at which a health-aware
-    /// remap of `current` exists: `earliest` itself, else the pending
-    /// queue — each future machine restore in time order. `None` means no
-    /// placement will ever exist and the job must fail.
-    fn find_placement(
-        &self,
-        current: &[NodeId],
-        earliest: SimTime,
-    ) -> Option<(SimTime, Vec<NodeId>)> {
-        let restores = self
-            .injector
-            .timeline()
-            .iter()
-            .filter(|e| e.at > earliest && matches!(e.change, ClusterChange::MachineUp { .. }))
-            .map(|e| e.at);
-        for at in std::iter::once(earliest).chain(restores) {
-            if let Some(nodes) = PlacementPolicy::remap_healthy(current, &self.healthy_at(at)) {
-                return Some((at, nodes));
+    fn on_machine_edge<P: NetPort>(
+        &mut self,
+        change: ClusterChange,
+        now: SimTime,
+        timeline: &[ClusterFaultEntry],
+        tenants: &mut [Tenant],
+        fabric: &mut P,
+    ) {
+        match change {
+            ClusterChange::MachineDown { machine } => {
+                self.on_machine_down(machine, now, timeline, tenants, fabric)
             }
+            ClusterChange::MachineUp { machine } => {
+                self.healthy[machine] = true;
+                push_fault_event(tenants, None, machine, machine, "machine_up", 1.0, now);
+                fabric.revive_port(now, NodeId(machine));
+            }
+            ClusterChange::Link(_) => unreachable!("the driver applies link changes"),
         }
-        None
     }
 }
 
-/// Routes a transfer the driver killed on a shared port into its owning
-/// tenant: a training job's recovery machinery, or a burst tenant's
-/// re-arm queue.
-fn route_drop<P: NetPort>(
-    jobs: &mut [ClusterJob],
-    d: DroppedTransfer,
-    now: SimTime,
-    fabric: &mut P,
-) {
-    match &mut jobs[job_of_tag(d.tag)] {
-        ClusterJob::Train { state, .. } => state.route_fabric_drop(d, now, fabric),
-        ClusterJob::Burst { src, .. } => src.requeue(now, d.src, d.dst, inner_tag(d.tag)),
+/// Machine health at instant `t`: every machine edge in the static
+/// timeline with `at <= t`, applied in timeline order over an
+/// all-healthy start. The timeline never changes mid-run, so health at
+/// any future instant is known at decision time — that is what makes
+/// deferred placement deterministic.
+fn healthy_at(timeline: &[ClusterFaultEntry], machines: usize, t: SimTime) -> Vec<bool> {
+    let mut h = vec![true; machines];
+    for e in timeline {
+        if e.at > t {
+            break;
+        }
+        match e.change {
+            ClusterChange::MachineDown { machine } => h[machine] = false,
+            ClusterChange::MachineUp { machine } => h[machine] = true,
+            ClusterChange::Link(_) => {}
+        }
     }
+    h
 }
 
-/// Buffers a `FaultFired` event on the affected tenants' scope streams:
-/// on the owning job alone for a hoisted job-private change (with the
-/// job-local node index its solo run would report), or on every
-/// unfinished training job placed on the machine for a cluster-scope
-/// change.
-fn push_fault_event(
-    jobs: &mut [ClusterJob],
-    owner: Option<usize>,
-    machine: usize,
-    local_node: usize,
-    kind: &'static str,
-    scale: f64,
-    now: SimTime,
-) {
-    match owner {
-        Some(j) => {
-            if let ClusterJob::Train { state, .. } = &mut jobs[j] {
-                state.scope_push(ScopeEvent::FaultFired {
-                    job: j,
-                    at: now,
-                    kind,
-                    node: local_node,
-                    scale,
-                });
-            }
+/// The earliest resume instant `>= earliest` at which a health-aware
+/// remap of `current` exists: `earliest` itself, else the pending queue
+/// — each future machine restore in time order. `None` means no
+/// placement will ever exist and the job must fail.
+fn find_placement(
+    timeline: &[ClusterFaultEntry],
+    machines: usize,
+    current: &[NodeId],
+    earliest: SimTime,
+) -> Option<(SimTime, Vec<NodeId>)> {
+    let restores = timeline
+        .iter()
+        .filter(|e| e.at > earliest && matches!(e.change, ClusterChange::MachineUp { .. }))
+        .map(|e| e.at);
+    for at in std::iter::once(earliest).chain(restores) {
+        let health = healthy_at(timeline, machines, at);
+        if let Some(nodes) = PlacementPolicy::remap_healthy(current, &health) {
+            return Some((at, nodes));
         }
-        None => {
-            for (j, job) in jobs.iter_mut().enumerate() {
-                if let ClusterJob::Train {
+    }
+    None
+}
+
+impl ClusterHooks {
+    /// The reactive recovery loop for one failed machine.
+    ///
+    /// Health bookkeeping first, then the port kill: in-flight transfers
+    /// of tenants that will migrate die silently with their checkpointed
+    /// state, everyone else's route into loss recovery (retransmits queue
+    /// against the dead NIC until it restores). Finally each affected
+    /// training job — unfinished, not failed, with a node on the machine
+    /// — is checkpointed and migrated in job order.
+    fn on_machine_down<P: NetPort>(
+        &mut self,
+        machine: usize,
+        now: SimTime,
+        timeline: &[ClusterFaultEntry],
+        tenants: &mut [Tenant],
+        fabric: &mut P,
+    ) {
+        self.healthy[machine] = false;
+        push_fault_event(tenants, None, machine, machine, "machine_down", 0.0, now);
+        let mut affected: Vec<usize> = Vec::new();
+        if self.reaction == FaultReaction::CheckpointMigrate {
+            for (j, tenant) in tenants.iter().enumerate() {
+                if let Tenant::Train {
                     state,
                     finished: None,
                     ..
-                } = job
+                } = tenant
                 {
-                    if state.nodes().fabric_nodes().iter().any(|n| n.0 == machine) {
-                        state.scope_push(ScopeEvent::FaultFired {
-                            job: j,
-                            at: now,
-                            kind,
-                            node: machine,
-                            scale,
-                        });
+                    if state.failed().is_none()
+                        && state.nodes().fabric_nodes().iter().any(|n| n.0 == machine)
+                    {
+                        affected.push(j);
                     }
                 }
             }
         }
-    }
-}
-
-/// The reactive recovery loop for one failed machine.
-///
-/// Health bookkeeping first, then the port kill: in-flight transfers of
-/// tenants that will migrate die silently with their checkpointed state,
-/// everyone else's route into loss recovery (retransmits queue against
-/// the dead NIC until it restores). Finally each affected training job —
-/// unfinished, not failed, with a node on the machine — is checkpointed
-/// and migrated in job order.
-fn on_machine_down<P: NetPort>(
-    machine: usize,
-    now: SimTime,
-    jobs: &mut [ClusterJob],
-    fabric: &mut P,
-    fc: &mut FaultCtx,
-) {
-    fc.healthy[machine] = false;
-    push_fault_event(jobs, None, machine, machine, "machine_down", 0.0, now);
-    let mut affected: Vec<usize> = Vec::new();
-    if fc.reaction == FaultReaction::CheckpointMigrate {
-        for (j, job) in jobs.iter().enumerate() {
-            if let ClusterJob::Train {
-                state,
-                finished: None,
-                ..
-            } = job
-            {
-                if state.failed().is_none()
-                    && state.nodes().fabric_nodes().iter().any(|n| n.0 == machine)
-                {
-                    affected.push(j);
-                }
+        for d in fabric.kill_port(now, NodeId(machine)) {
+            if affected.contains(&job_of_tag(d.tag)) {
+                continue;
             }
+            route_drop(tenants, d, now, fabric);
+        }
+        for j in affected {
+            self.checkpoint_migrate(j, machine, now, timeline, tenants, fabric);
         }
     }
-    for d in fabric.kill_port(now, NodeId(machine)) {
-        if affected.contains(&job_of_tag(d.tag)) {
-            continue;
-        }
-        route_drop(jobs, d, now, fabric);
-    }
-    for j in affected {
-        checkpoint_migrate(j, machine, now, jobs, fabric, fc);
-    }
-}
 
-/// Checkpoints job `j` at its last completed iteration barrier, prices
-/// the restart with the §7 cost model, remaps its nodes onto healthy
-/// machines (deferring to a future restore when the healthy pool is too
-/// small) and rebuilds its state to resume there — or fails the job
-/// closed when no placement will ever exist.
-fn checkpoint_migrate<P: NetPort>(
-    j: usize,
-    failed_machine: usize,
-    now: SimTime,
-    jobs: &mut [ClusterJob],
-    fabric: &mut P,
-    fc: &mut FaultCtx,
-) {
-    // The job's entire fabric footprint is torn down — queued and
-    // in-flight transfers on *every* port, not just the dead one. Ports
-    // stay up for co-tenants.
-    fabric.cancel_where(now, &mut |tag| job_of_tag(tag) == j);
-    let ClusterJob::Train { state, cfg, .. } = &mut jobs[j] else {
-        unreachable!("only training jobs migrate")
-    };
-    // The checkpoint barrier backs off so the resumed run keeps at least
-    // the two iterations the measurement contract needs.
-    let ckpt = state
-        .completed_iterations()
-        .min(cfg.iters.saturating_sub(2));
-    let lost = state
-        .debug_iterations()
-        .into_iter()
-        .max()
-        .unwrap_or(0)
-        .saturating_sub(ckpt);
-    let model_bytes: u64 = cfg.model.layers.iter().map(|l| l.param_bytes).sum();
-    let cost_secs = fc.restart.total_secs(model_bytes);
-    let earliest = now + SimTime::from_secs_f64(cost_secs);
-    let Some((resume_at, new_nodes)) = fc.find_placement(state.nodes().fabric_nodes(), earliest)
-    else {
-        state.abort(
-            format!(
-                "machine {failed_machine} failed and no healthy placement \
-                 exists for {} nodes, now or at any scheduled restore",
-                state.nodes().fabric_nodes().len()
-            ),
-            now,
-        );
-        return;
-    };
-    let old_nodes: Vec<NodeId> = state.nodes().fabric_nodes().to_vec();
-    let mut cfg2 = cfg.clone();
-    cfg2.iters = cfg.iters - ckpt;
-    cfg2.warmup = cfg.warmup.min(cfg2.iters - 2);
-    let mut next = JobState::build_at(&cfg2, NodeMap::new(j, new_nodes.clone()), resume_at);
-    if fc.scope_on {
-        next.enable_scope(j, resume_at);
-    }
-    next.scope_push(ScopeEvent::FaultFired {
-        job: j,
-        at: now,
-        kind: "machine_down",
-        node: failed_machine,
-        scale: 0.0,
-    });
-    next.scope_push(ScopeEvent::Checkpoint {
-        job: j,
-        at: now,
-        machine: failed_machine,
-        iter: ckpt,
-        cost_secs,
-    });
-    let mut moved: Vec<NodeMove> = Vec::new();
-    for (local, (old, new)) in old_nodes.iter().zip(&new_nodes).enumerate() {
-        if old != new {
-            next.scope_push(ScopeEvent::Migrate {
-                job: j,
-                at: now,
-                node: local,
-                from_machine: old.0,
-                to_machine: new.0,
-            });
-            moved.push(NodeMove {
-                node: local,
-                from: old.0,
-                to: new.0,
-            });
-        }
-    }
-    next.scope_push(ScopeEvent::Resume {
-        job: j,
-        at: resume_at,
-        iter: ckpt,
-        lost_iters: lost,
-    });
-    fc.migrations.push(MigrationRecord {
-        job: j,
-        at: now,
-        resumed_at: resume_at,
-        machine: failed_machine,
-        checkpoint_iter: ckpt,
-        lost_iters: lost,
-        moved,
-    });
-    *state = next;
-    *cfg = cfg2;
-}
-
-/// Applies one due cluster fault entry: scope events first (exactly as
-/// the solo injector orders them), then the fabric mutation, routing any
-/// killed transfers to their owners.
-fn apply_cluster_entry<P: NetPort>(
-    entry: ClusterFaultEntry,
-    now: SimTime,
-    jobs: &mut [ClusterJob],
-    fabric: &mut P,
-    fc: &mut FaultCtx,
-) {
-    match entry.change {
-        ClusterChange::Link(change) => {
-            push_fault_event(
-                jobs,
-                entry.owner,
-                change.node(),
-                entry.local_node,
-                change.kind(),
-                change.capacity_fraction(),
+    /// Checkpoints job `j` at its last completed iteration barrier,
+    /// prices the restart with the §7 cost model, remaps its nodes onto
+    /// healthy machines (deferring to a future restore when the healthy
+    /// pool is too small) and rebuilds its state to resume there — or
+    /// fails the job closed when no placement will ever exist.
+    fn checkpoint_migrate<P: NetPort>(
+        &mut self,
+        j: usize,
+        failed_machine: usize,
+        now: SimTime,
+        timeline: &[ClusterFaultEntry],
+        tenants: &mut [Tenant],
+        fabric: &mut P,
+    ) {
+        // The job's entire fabric footprint is torn down — queued and
+        // in-flight transfers on *every* port, not just the dead one.
+        // Ports stay up for co-tenants.
+        fabric.cancel_where(now, &mut |tag| job_of_tag(tag) == j);
+        let Tenant::Train { state, cfg, .. } = &mut tenants[j] else {
+            unreachable!("only training jobs migrate")
+        };
+        // The checkpoint barrier backs off so the resumed run keeps at
+        // least the two iterations the measurement contract needs.
+        let ckpt = state
+            .completed_iterations()
+            .min(cfg.iters.saturating_sub(2));
+        let lost = state
+            .debug_iterations()
+            .into_iter()
+            .max()
+            .unwrap_or(0)
+            .saturating_sub(ckpt);
+        let model_bytes: u64 = cfg.model.layers.iter().map(|l| l.param_bytes).sum();
+        let cost_secs = self.restart.total_secs(model_bytes);
+        let earliest = now + SimTime::from_secs_f64(cost_secs);
+        let machines = self.healthy.len();
+        let Some((resume_at, new_nodes)) =
+            find_placement(timeline, machines, state.nodes().fabric_nodes(), earliest)
+        else {
+            state.abort(
+                format!(
+                    "machine {failed_machine} failed and no healthy placement \
+                     exists for {} nodes, now or at any scheduled restore",
+                    state.nodes().fabric_nodes().len()
+                ),
                 now,
             );
-            match change {
-                LinkChange::Scale { node, dir, scale } => {
-                    fabric.set_port_scale(now, NodeId(node), matches!(dir, LinkDir::Up), scale);
-                }
-                LinkChange::FlapDown { node } => {
-                    for d in fabric.kill_port(now, NodeId(node)) {
-                        route_drop(jobs, d, now, fabric);
-                    }
-                }
-                LinkChange::FlapUp { node } => fabric.revive_port(now, NodeId(node)),
+            return;
+        };
+        let old_nodes: Vec<NodeId> = state.nodes().fabric_nodes().to_vec();
+        let mut cfg2 = cfg.clone();
+        cfg2.iters = cfg.iters - ckpt;
+        cfg2.warmup = cfg.warmup.min(cfg2.iters - 2);
+        let mut next = JobState::build_at(&cfg2, NodeMap::new(j, new_nodes.clone()), resume_at);
+        if self.scope_on {
+            next.enable_scope(j, resume_at);
+        }
+        next.scope_push(ScopeEvent::FaultFired {
+            job: j,
+            at: now,
+            kind: "machine_down",
+            node: failed_machine,
+            scale: 0.0,
+        });
+        next.scope_push(ScopeEvent::Checkpoint {
+            job: j,
+            at: now,
+            machine: failed_machine,
+            iter: ckpt,
+            cost_secs,
+        });
+        let mut moved: Vec<NodeMove> = Vec::new();
+        for (local, (old, new)) in old_nodes.iter().zip(&new_nodes).enumerate() {
+            if old != new {
+                next.scope_push(ScopeEvent::Migrate {
+                    job: j,
+                    at: now,
+                    node: local,
+                    from_machine: old.0,
+                    to_machine: new.0,
+                });
+                moved.push(NodeMove {
+                    node: local,
+                    from: old.0,
+                    to: new.0,
+                });
             }
         }
-        ClusterChange::MachineDown { machine } => on_machine_down(machine, now, jobs, fabric, fc),
-        ClusterChange::MachineUp { machine } => {
-            fc.healthy[machine] = true;
-            push_fault_event(jobs, None, machine, machine, "machine_up", 1.0, now);
-            fabric.revive_port(now, NodeId(machine));
-        }
+        next.scope_push(ScopeEvent::Resume {
+            job: j,
+            at: resume_at,
+            iter: ckpt,
+            lost_iters: lost,
+        });
+        self.migrations.push(MigrationRecord {
+            job: j,
+            at: now,
+            resumed_at: resume_at,
+            machine: failed_machine,
+            checkpoint_iter: ckpt,
+            lost_iters: lost,
+            moved,
+        });
+        *state = next;
+        *cfg = cfg2;
     }
-}
-
-/// The cluster event loop, monomorphised over the concrete fabric.
-/// Returns the makespan.
-fn drive<P: NetPort>(
-    jobs: &mut [ClusterJob],
-    fabric: &mut P,
-    acct: &mut Accounting,
-    mut scope: Option<&mut ScopeBus>,
-    mut fault: Option<&mut FaultCtx>,
-) -> SimTime {
-    let mut now = SimTime::ZERO;
-    let mut queue: Vec<(usize, JobEvent)> = Vec::new();
-    let mut scratch: Vec<JobEvent> = Vec::new();
-    let mut net_events: Vec<NetEvent> = Vec::new();
-    let mut scope_windows: Vec<ScopeWindow> = Vec::new();
-    let mut spins_at_same_instant: u64 = 0;
-    let mut last_now = SimTime::ZERO;
-    loop {
-        if now == last_now {
-            spins_at_same_instant += 1;
-            assert!(
-                spins_at_same_instant < 1_000_000,
-                "cluster event loop spinning at {now} without progress"
-            );
-        } else {
-            last_now = now;
-            spins_at_same_instant = 0;
-        }
-        // Drain all cascades at the current instant; follow-on events are
-        // appended in emission order, preserving the single-job driver's
-        // LIFO cascade order per job.
-        while let Some((j, ev)) = queue.pop() {
-            debug_assert!(scratch.is_empty());
-            jobs[j].handle(ev, now, fabric, &mut scratch);
-            queue.extend(scratch.drain(..).map(|e| (j, e)));
-            if let Some(bus) = scope.as_deref_mut() {
-                jobs[j].publish_scope(bus);
-            }
-        }
-        let mut all_done = true;
-        for job in jobs.iter_mut() {
-            if let ClusterJob::Train {
-                state, finished, ..
-            } = job
-            {
-                if finished.is_none() {
-                    if state.done() {
-                        *finished = Some(now);
-                    } else {
-                        all_done = false;
-                    }
-                }
-            }
-        }
-        if all_done {
-            break;
-        }
-        let mut t = fabric.next_event_time();
-        if let Some(fc) = fault.as_deref() {
-            t = t.min(fc.injector.next_change_time());
-        }
-        for job in jobs.iter() {
-            t = t.min(job.next_event_time());
-        }
-        if t.is_never() {
-            let progress: Vec<String> = jobs
-                .iter()
-                .enumerate()
-                .map(|(j, job)| match job {
-                    ClusterJob::Train { state, .. } => {
-                        format!("job{j}: iters {:?}", state.debug_iterations())
-                    }
-                    ClusterJob::Burst { src, .. } => {
-                        format!("job{j}: burst timers {}", src.pending())
-                    }
-                })
-                .collect();
-            panic!("cluster stalled at {now}: {}", progress.join("; "));
-        }
-        now = t;
-        // Cluster-scope faults fire before any tenant advances at this
-        // instant — exactly where the single-job driver applies its
-        // private injector (inside `advance`, before engines), so a
-        // single-job cluster replays its plan in the solo event order.
-        if let Some(fc) = fault.as_deref_mut() {
-            while let Some(entry) = fc.injector.pop_due(now) {
-                apply_cluster_entry(entry, now, jobs, fabric, fc);
-            }
-        }
-        // Job-owned sources in job order, then the shared fabric — the
-        // single-job driver's within-instant order, per job.
-        for (j, job) in jobs.iter_mut().enumerate() {
-            debug_assert!(scratch.is_empty());
-            job.advance(t, fabric, &mut scratch);
-            queue.extend(scratch.drain(..).map(|e| (j, e)));
-            if let Some(bus) = scope.as_deref_mut() {
-                job.publish_scope(bus);
-            }
-        }
-        if fabric.wants_advance(t) {
-            fabric.advance_into(t, &mut net_events);
-            for ev in net_events.drain(..) {
-                // Demultiplex by the tag's job-id bits; jobs see their
-                // own tag namespace (stripped tags), so their handlers
-                // are oblivious to co-tenancy.
-                let (j, stripped) = match ev {
-                    NetEvent::Released(mut c) => {
-                        let j = job_of_tag(c.tag);
-                        c.tag = inner_tag(c.tag);
-                        (j, NetEvent::Released(c))
-                    }
-                    NetEvent::Delivered(mut c) => {
-                        let j = job_of_tag(c.tag);
-                        c.tag = inner_tag(c.tag);
-                        acct.job_bytes[j] += c.bytes;
-                        acct.job_events[j] += 1;
-                        acct.up_bytes[c.src.0] += c.bytes;
-                        acct.down_bytes[c.dst.0] += c.bytes;
-                        if let Some(share) = acct.job_nic_bytes.as_mut() {
-                            share[j][c.src.0].0 += c.bytes;
-                            share[j][c.dst.0].1 += c.bytes;
-                        }
-                        (j, NetEvent::Delivered(c))
-                    }
-                };
-                queue.push((j, JobEvent::Net(stripped)));
-            }
-        }
-        if let Some(bus) = scope.as_deref_mut() {
-            fabric.drain_scope_windows(&mut scope_windows);
-            for w in scope_windows.drain(..) {
-                bus.publish(net_window_event(&w));
-            }
-        }
-    }
-    now
 }
 
 /// Runs every job to completion on one shared fabric and reports
@@ -666,48 +352,21 @@ pub fn run_cluster_observed(
         fabric.enable_contention(SimTime::ZERO, job_of_tag);
     }
 
-    let mut jobs: Vec<ClusterJob> = specs
+    let mut tenants: Vec<Tenant> = specs
         .iter()
         .zip(&placements)
         .enumerate()
         .map(|(j, (spec, nodes))| match spec {
-            JobSpec::Train { arrival, cfg, name } => {
+            JobSpec::Train { arrival, cfg, .. } => {
                 let mut cfg = cfg.clone();
                 cfg.record_trace = cluster.record_trace;
                 cfg.record_metrics = cluster.record_metrics;
                 cfg.record_xray = cluster.record_xray;
+                let node_map = NodeMap::new(j, nodes.clone());
                 if let Some(p) = cfg.faults.as_mut() {
-                    // A tenant's link events touch shared ports, so they
-                    // are hoisted into the cluster timeline (translated to
-                    // machine indices) and applied by the driver exactly
-                    // once; the job's private injector keeps only its
-                    // loss/straggler streams and recovery policy.
-                    if !(p.link_events.is_empty() && p.flaps.is_empty()) {
-                        assert!(
-                            !nodes.is_empty(),
-                            "job '{name}' plans link faults but occupies no \
-                             fabric nodes (all-reduce collectives are private)"
-                        );
-                        for e in &p.link_events {
-                            assert!(
-                                e.node < nodes.len(),
-                                "job '{name}' rescales local node {} but has {}",
-                                e.node,
-                                nodes.len()
-                            );
-                        }
-                        for f in &p.flaps {
-                            assert!(
-                                f.node < nodes.len(),
-                                "job '{name}' flaps local node {} but has {}",
-                                f.node,
-                                nodes.len()
-                            );
-                        }
-                        injector.add_job_links(j, p, &|local| nodes[local].0);
-                        p.link_events.clear();
-                        p.flaps.clear();
-                    }
+                    // A tenant's link events touch shared ports: they join
+                    // the cluster timeline, translated to machines.
+                    hoist_job_links(&mut injector, p, &node_map);
                 } else if let Some(cp) = &cluster.faults {
                     // The cluster plan's loss/straggler streams project
                     // onto every tenant without a private plan, each
@@ -725,13 +384,8 @@ pub fn run_cluster_observed(
                         ..FaultPlan::empty()
                     });
                 }
-                let state = JobState::build_at(&cfg, NodeMap::new(j, nodes.clone()), *arrival);
-                ClusterJob::Train {
-                    state,
-                    cfg,
-                    arrival: *arrival,
-                    finished: None,
-                }
+                let state = JobState::build_at(&cfg, node_map, *arrival);
+                Tenant::train(state, cfg, *arrival)
             }
             JobSpec::Burst {
                 arrival,
@@ -739,7 +393,7 @@ pub fn run_cluster_observed(
                 pairs,
                 seed,
                 ..
-            } => ClusterJob::Burst {
+            } => Tenant::Burst {
                 src: BurstSource::new(*load, *seed),
                 nodes: NodeMap::new(j, nodes.clone()),
                 pairs: *pairs,
@@ -751,89 +405,58 @@ pub fn run_cluster_observed(
 
     if let Some(bus) = scope.as_deref_mut() {
         fabric.enable_scope(SimTime::ZERO, bus.window());
-        for (j, job) in jobs.iter_mut().enumerate() {
-            if let ClusterJob::Train { state, arrival, .. } = job {
+        for (j, tenant) in tenants.iter_mut().enumerate() {
+            if let Tenant::Train { state, arrival, .. } = tenant {
                 state.enable_scope(j, *arrival);
             }
-        }
-    }
-
-    // Training jobs' co-tenant bursts (if any) start with the simulation,
-    // exactly as the single-job driver seeds them before its loop.
-    for job in &mut jobs {
-        if let ClusterJob::Train { state, .. } = job {
-            state.seed_background(SimTime::ZERO, &mut fabric);
         }
     }
 
     // Per-job traffic attribution and per-machine byte counters. The
     // per-(job, machine) share matrix is recording-only, like every other
     // telemetry path.
-    let mut acct = Accounting {
-        job_bytes: vec![0u64; jobs.len()],
-        job_events: vec![0u64; jobs.len()],
+    let mut hooks = ClusterHooks {
+        job_bytes: vec![0u64; tenants.len()],
+        job_events: vec![0u64; tenants.len()],
         up_bytes: vec![0u64; cluster.machines],
         down_bytes: vec![0u64; cluster.machines],
         job_nic_bytes: cluster
             .record_metrics
-            .then(|| vec![vec![(0u64, 0u64); cluster.machines]; jobs.len()]),
-    };
-
-    injector.seal();
-    // No fault context at all when nothing can ever fire — the fault-free
-    // path stays instruction-identical to the pre-fault driver.
-    let scope_on = scope.is_some();
-    let mut fault_ctx = (!injector.is_empty()).then(|| FaultCtx {
-        injector,
+            .then(|| vec![vec![(0u64, 0u64); cluster.machines]; tenants.len()]),
         healthy: vec![true; cluster.machines],
         reaction: cluster.reaction,
         restart: RestartCost::paper_default(),
-        scope_on,
+        scope_on: scope.is_some(),
         migrations: Vec::new(),
-    });
-    let makespan = match &mut fabric {
-        Fabric::Fifo(n) => drive(
-            &mut jobs,
-            n,
-            &mut acct,
-            scope.as_deref_mut(),
-            fault_ctx.as_mut(),
-        ),
-        Fabric::Fluid(n) => drive(
-            &mut jobs,
-            n,
-            &mut acct,
-            scope.as_deref_mut(),
-            fault_ctx.as_mut(),
-        ),
     };
-    let migrations: Vec<MigrationRecord> = fault_ctx.map(|fc| fc.migrations).unwrap_or_default();
+    injector.seal();
+    let faults = (!injector.is_empty()).then_some(&mut injector);
+    let makespan = driver::drive(
+        &mut tenants,
+        &mut fabric,
+        faults,
+        &mut hooks,
+        scope.as_deref_mut(),
+    );
     if let Some(bus) = scope {
-        // Close the fabric's partial utilisation window and flush any
-        // straggling job events; the bus itself stays open (the caller
-        // may chain further runs, e.g. replay waves, onto it).
-        fabric.finish_scope(makespan);
-        let mut wins = Vec::new();
-        fabric.drain_scope_windows(&mut wins);
-        for w in &wins {
-            bus.publish(net_window_event(w));
-        }
-        for job in jobs.iter_mut() {
-            job.publish_scope(bus);
-        }
+        // The bus itself stays open: the caller may chain further runs,
+        // e.g. replay waves, onto it.
+        driver::finish_scope(&mut fabric, &mut tenants, makespan, bus);
     }
-    let Accounting {
+    let ClusterHooks {
         job_bytes,
         job_events,
         up_bytes,
         down_bytes,
         job_nic_bytes,
-    } = acct;
+        migrations,
+        ..
+    } = hooks;
     // Demultiplex the fabric's transfer lifecycles by job id (stripping
     // the namespace bits) and hand each training job its own — before the
     // trace is assembled, since flow arrows point at wire-start instants.
     if cluster.record_xray {
-        let mut per_job: Vec<Vec<bs_net::WireXrayRecord>> = vec![Vec::new(); jobs.len()];
+        let mut per_job: Vec<Vec<bs_net::WireXrayRecord>> = vec![Vec::new(); tenants.len()];
         for (tag, src, dst, submitted, started, released, delivered) in fabric.take_xray() {
             per_job[job_of_tag(tag)].push((
                 inner_tag(tag),
@@ -845,16 +468,16 @@ pub fn run_cluster_observed(
                 delivered,
             ));
         }
-        for (j, job) in jobs.iter_mut().enumerate() {
-            if let ClusterJob::Train { state, .. } = job {
+        for (j, tenant) in tenants.iter_mut().enumerate() {
+            if let Tenant::Train { state, .. } = tenant {
                 state.absorb_wire_xray(&per_job[j]);
             }
         }
     }
     let trace = cluster.record_trace.then(|| {
         let mut trace = Trace::new();
-        for (j, job) in jobs.iter_mut().enumerate() {
-            if let ClusterJob::Train { state, .. } = job {
+        for (j, tenant) in tenants.iter_mut().enumerate() {
+            if let Tenant::Train { state, .. } = tenant {
                 let prefix = format!("job{j}/");
                 state.append_compute_trace(&mut trace, &prefix);
                 state.append_ring_trace(&mut trace, &prefix);
@@ -919,13 +542,13 @@ pub fn run_cluster_observed(
     }
 
     let mut outcomes: Vec<JobOutcome> = Vec::new();
-    for (j, (spec, job)) in specs.iter().zip(jobs).enumerate() {
-        let ClusterJob::Train {
+    for (j, (spec, tenant)) in specs.iter().zip(tenants).enumerate() {
+        let Tenant::Train {
             state,
             cfg,
             arrival,
             finished,
-        } = job
+        } = tenant
         else {
             continue;
         };
@@ -1017,7 +640,7 @@ mod tests {
     use crate::PlacementPolicy;
     use bs_engine::EngineConfig;
     use bs_net::{FabricModel, NetConfig, Transport};
-    use bs_runtime::{Arch, BackgroundLoad, SchedulerKind};
+    use bs_runtime::{Arch, BackgroundLoad, SchedulerKind, WorldConfig};
     use bs_sim::SimTime;
 
     /// The runtime test-suite's comm-heavy toy: a big first tensor.
@@ -1553,6 +1176,71 @@ mod tests {
         assert_eq!(j.result.p2p_bytes, solo.p2p_bytes);
         assert_eq!(j.result.comm_events, solo.comm_events);
         assert_eq!(j.result.iter_times, solo.iter_times);
+    }
+
+    /// A flap owner that fails mid-flap does not take its flap with it:
+    /// while a co-located tenant still runs, the owner's remaining link
+    /// changes fire, so the shared port comes back and the neighbour
+    /// finishes.
+    #[test]
+    fn failed_flap_owner_still_restores_the_shared_port() {
+        use bs_faults::{FaultPlan, LinkFlap, RecoveryPolicy};
+        use bs_scope::{Collector, ScopeBus};
+        let (down, up) = (SimTime::from_micros(40_000), SimTime::from_micros(70_000));
+        let mut owner = job_cfg(bs(), 5);
+        owner.faults = Some(FaultPlan {
+            flaps: vec![LinkFlap {
+                node: 0,
+                from_us: 40_000,
+                to_us: 70_000,
+            }],
+            recovery: RecoveryPolicy {
+                timeout_us: 1_000,
+                max_retries: 0,
+            },
+            ..FaultPlan::empty()
+        });
+        // Packed on a fair-share fabric: both jobs' transfers cross
+        // machine 0 concurrently, so the flap kills some of each.
+        let mut cluster = ClusterConfig::new(4, NetConfig::gbps(10.0, Transport::tcp()));
+        cluster.fabric = FabricModel::FairShare;
+        cluster.placement = PlacementPolicy::Packed;
+        let specs = vec![
+            JobSpec::train("owner", owner),
+            JobSpec::train("neighbour", job_cfg(bs(), 6)),
+        ];
+        let mut bus = ScopeBus::new();
+        let (collector, log) = Collector::new();
+        bus.subscribe(Box::new(collector));
+        let r = run_cluster_observed(&cluster, &specs, Some(&mut bus));
+        let (owner, neighbour) = (&r.jobs[0], &r.jobs[1]);
+        assert!(
+            matches!(owner.result.outcome, RunOutcome::Failed { .. }),
+            "the owner must fail at flap-down, got {:?}",
+            owner.result.outcome
+        );
+        assert_eq!(owner.finished_at, down);
+        assert!(
+            !matches!(neighbour.result.outcome, RunOutcome::Failed { .. }),
+            "the neighbour must complete, got {:?}",
+            neighbour.result.outcome
+        );
+        assert!(
+            neighbour.finished_at > up,
+            "the neighbour ran across the flap"
+        );
+        let fired: Vec<(&str, SimTime)> = log
+            .events()
+            .into_iter()
+            .filter_map(|e| match e {
+                ScopeEvent::FaultFired { job, kind, at, .. } => {
+                    assert_eq!(job, 0, "only the owner's flap fires");
+                    Some((kind, at))
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(fired, vec![("flap_down", down), ("flap_up", up)]);
     }
 
     #[test]

@@ -18,14 +18,12 @@
 //! * [`PlacementPolicy`] — how job-local nodes map onto cluster machines:
 //!   round-robin spread, packed, or network-aware (CASSINI-style: place
 //!   to minimise expected link overlap between jobs).
-//! * [`run_cluster`] — the driver. It is the same pull-based event loop
-//!   as the single-job [`bs_runtime::world`] driver, generalised to many
-//!   [`bs_runtime::JobState`]s: per instant it drains the cascade queue,
-//!   advances each job's own sources (GPU ops, bursts, private rings) and
-//!   then the shared fabric, demultiplexing fabric events back to their
-//!   owning job via the tag namespace in [`bs_runtime::job`]. A
-//!   single-job cluster is *event-identical* to `World::run` — the
-//!   degenerate-case property the test-suite pins bit-for-bit.
+//! * [`run_cluster`] — places the jobs, projects a cluster fault plan
+//!   onto them, and runs [`bs_runtime::driver`]'s event loop over the
+//!   tenants: the same loop `World::run` drives with one tenant, so a
+//!   single-job cluster is *event-identical* to `World::run` by
+//!   construction. The crate's hooks add per-job traffic attribution and
+//!   the machine-failure reaction (checkpoint, migrate, resume).
 //! * [`ClusterResult`] — per-job completion times (JCT), makespan,
 //!   Jain's fairness index over per-job throughput, and per-machine link
 //!   utilisation; optionally a merged Chrome trace with one track group
@@ -34,8 +32,7 @@
 //! Contention semantics: jobs sharing a machine share that machine's NIC
 //! in both directions, under whichever [`bs_net::FabricModel`] the
 //! cluster uses (strict FIFO or max-min fair). All-reduce jobs keep their
-//! ring on a private collective stream (exactly as the single-job driver
-//! always has) and therefore only contend for machines, not wires; see
+//! ring on a private collective stream (exactly as a solo run does) and therefore only contend for machines, not wires; see
 //! DESIGN.md for the rationale and limits of that approximation.
 
 pub mod contention;

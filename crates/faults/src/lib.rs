@@ -11,17 +11,19 @@
 //!   Bernoulli loss, and per-iteration worker compute stragglers, plus
 //!   the [`RecoveryPolicy`] (retransmit timeout, exponential backoff,
 //!   retry cap) the runtime applies when transfers are lost.
-//! * [`FaultInjector`] — the runtime-facing cursor over a plan: a merged,
-//!   time-sorted timeline of [`LinkChange`]s, a seeded loss stream on its
-//!   own RNG (forked from the world seed with a constant distinct from
-//!   the co-tenant burst stream's, so recorded runs stay bit-identical),
-//!   and straggler lookups.
+//! * [`FaultInjector`] — a job's view of its plan: a seeded loss stream
+//!   on its own RNG (forked from the world seed with a constant distinct
+//!   from the co-tenant burst stream's, so recorded runs stay
+//!   bit-identical), straggler lookups and the recovery policy.
+//! * [`ClusterFaultInjector`] — the driver's merged, time-sorted
+//!   timeline of [`ClusterChange`]s: link changes (a cluster plan's and
+//!   every job's hoisted private ones) and machine failures.
 //!
-//! The empty plan is the identity: an injector built from
-//! [`FaultPlan::empty`] schedules nothing, never draws from its RNG, and
-//! scales nothing — runs with `faults: Some(empty)` are bit-identical to
-//! runs with `faults: None`, the "empty-plan-only" extension of the
-//! recording-only guarantee, pinned by `tests/faults.rs`.
+//! The empty plan is the identity: it schedules nothing, its injector
+//! never draws from its RNG, and it scales nothing — runs with
+//! `faults: Some(empty)` are bit-identical to runs with `faults: None`,
+//! the "empty-plan-only" extension of the recording-only guarantee,
+//! pinned by `tests/faults.rs`.
 
 use bs_sim::{SimRng, SimTime};
 use serde::Serialize;
@@ -188,11 +190,15 @@ impl FaultPlan {
 
     /// True when the plan schedules no fault of any kind.
     pub fn is_empty(&self) -> bool {
-        self.link_events.is_empty()
-            && self.flaps.is_empty()
+        !self.has_links()
             && self.loss_rate == 0.0
             && self.stragglers.is_empty()
             && self.machine_failures.is_empty()
+    }
+
+    /// True when the plan changes links: scale events or flaps.
+    pub fn has_links(&self) -> bool {
+        !(self.link_events.is_empty() && self.flaps.is_empty())
     }
 
     /// Validates invariants, returning the first violation.
@@ -384,7 +390,8 @@ fn require_f64(v: &Value, key: &str, at: &str) -> Result<f64, String> {
     get_f64(v, key)?.ok_or_else(|| format!("fault plan: {at}: missing {key}"))
 }
 
-/// One due change on the fabric, produced by [`FaultInjector::pop_due`].
+/// One link change on the fabric, an entry of the
+/// [`ClusterFaultInjector`] timeline.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum LinkChange {
     /// Scale one NIC direction's capacity to `scale` × nominal.
@@ -440,13 +447,12 @@ impl LinkChange {
     }
 }
 
-/// Runtime-facing cursor over a [`FaultPlan`]: a merged, time-sorted
-/// timeline of link changes plus the seeded loss stream and straggler
-/// table. Built once per run; never rewinds.
+/// A job's own view of its [`FaultPlan`]: the seeded loss stream, the
+/// straggler table and the recovery policy. Link events and flaps are
+/// not read here — the driver applies them from a
+/// [`ClusterFaultInjector`].
 #[derive(Clone, Debug)]
 pub struct FaultInjector {
-    timeline: Vec<(SimTime, LinkChange)>,
-    cursor: usize,
     loss_rate: f64,
     rng: SimRng,
     stragglers: Vec<StragglerSpec>,
@@ -461,34 +467,7 @@ impl FaultInjector {
         if let Err(e) = plan.validate() {
             panic!("invalid fault plan: {e}");
         }
-        let mut timeline: Vec<(SimTime, LinkChange)> = Vec::new();
-        for e in &plan.link_events {
-            timeline.push((
-                SimTime::from_micros(e.at_us),
-                LinkChange::Scale {
-                    node: e.node,
-                    dir: e.dir,
-                    scale: e.scale,
-                },
-            ));
-        }
-        for f in &plan.flaps {
-            timeline.push((
-                SimTime::from_micros(f.from_us),
-                LinkChange::FlapDown { node: f.node },
-            ));
-            timeline.push((
-                SimTime::from_micros(f.to_us),
-                LinkChange::FlapUp { node: f.node },
-            ));
-        }
-        // Stable sort: same-instant changes apply in plan order, with
-        // flap edges after explicit scale events at the same instant
-        // (insertion order above), keeping replay deterministic.
-        timeline.sort_by_key(|&(t, _)| t);
         FaultInjector {
-            timeline,
-            cursor: 0,
             loss_rate: plan.loss_rate,
             rng: SimRng::new(seed ^ LOSS_SEED_XOR),
             stragglers: plan.stragglers.clone(),
@@ -499,25 +478,6 @@ impl FaultInjector {
     /// The recovery policy in force.
     pub fn policy(&self) -> RecoveryPolicy {
         self.policy
-    }
-
-    /// Earliest pending link change, or `MAX` when the timeline is spent.
-    pub fn next_change_time(&self) -> SimTime {
-        self.timeline
-            .get(self.cursor)
-            .map(|&(t, _)| t)
-            .unwrap_or(SimTime::MAX)
-    }
-
-    /// Pops the next link change due at or before `now`, if any.
-    pub fn pop_due(&mut self, now: SimTime) -> Option<LinkChange> {
-        match self.timeline.get(self.cursor) {
-            Some(&(t, change)) if t <= now => {
-                self.cursor += 1;
-                Some(change)
-            }
-            _ => None,
-        }
     }
 
     /// True when the plan can lose transfers at all. When false,
@@ -620,19 +580,18 @@ pub struct ClusterFaultEntry {
     pub change: ClusterChange,
 }
 
-/// The cluster-scope analogue of [`FaultInjector`]'s timeline: one merged,
-/// time-sorted cursor over the cluster plan's link changes and machine
-/// failures *plus* every tenant's hoisted job-private link events, so each
-/// change applies to the shared fabric exactly once.
+/// The driver's fault timeline: one merged, time-sorted cursor over a
+/// cluster plan's link changes and machine failures *plus* every job's
+/// hoisted private link events and flaps, so each change applies to the
+/// fabric exactly once. A solo run is the one-job case.
 ///
-/// Per-job loss and straggler streams stay in the tenants' own
-/// `FaultInjector`s (seeded via [`job_seed`]) — only link-level changes,
-/// which touch shared ports, are hoisted here. Build order is the replay
-/// contract: cluster-plan entries first, then each job's entries in job
-/// order, each group in its plan's insertion order; [`Self::seal`]
-/// stable-sorts by time, so same-instant changes fire in that order. A
-/// single-job cluster therefore replays its plan in exactly the order the
-/// solo [`FaultInjector`] would.
+/// Per-job loss and straggler streams stay in the jobs' own
+/// [`FaultInjector`]s (seeded via [`job_seed`]) — only link-level
+/// changes, which touch fabric ports, are hoisted here. Build order is
+/// the replay contract: cluster-plan entries first, then each job's
+/// entries in job order, each group in plan order (link events, then
+/// flap edge pairs); [`Self::seal`] stable-sorts by time, so
+/// same-instant changes fire in that order.
 #[derive(Clone, Debug, Default)]
 pub struct ClusterFaultInjector {
     timeline: Vec<ClusterFaultEntry>,
@@ -651,30 +610,7 @@ impl ClusterFaultInjector {
     /// Loss, stragglers, and recovery are *not* consumed here — the
     /// caller projects them into per-job plans.
     pub fn add_plan(&mut self, plan: &FaultPlan) {
-        assert!(!self.sealed, "cluster fault timeline already sealed");
-        for e in &plan.link_events {
-            self.push(None, e.node, SimTime::from_micros(e.at_us), {
-                ClusterChange::Link(LinkChange::Scale {
-                    node: e.node,
-                    dir: e.dir,
-                    scale: e.scale,
-                })
-            });
-        }
-        for f in &plan.flaps {
-            self.push(
-                None,
-                f.node,
-                SimTime::from_micros(f.from_us),
-                ClusterChange::Link(LinkChange::FlapDown { node: f.node }),
-            );
-            self.push(
-                None,
-                f.node,
-                SimTime::from_micros(f.to_us),
-                ClusterChange::Link(LinkChange::FlapUp { node: f.node }),
-            );
-        }
+        self.push_links(None, plan, &|machine| machine);
         for m in &plan.machine_failures {
             self.push(
                 None,
@@ -693,20 +629,27 @@ impl ClusterFaultInjector {
         }
     }
 
-    /// Hoists `job`'s private link events and flaps onto the shared
-    /// timeline, translating job-local node indices to machines via
-    /// `machine_of`. Insertion order matches [`FaultInjector::new`]
-    /// (link events, then flap edge pairs), preserving solo-run replay
-    /// order for single-job clusters.
+    /// Hoists `job`'s private link events and flaps onto the timeline,
+    /// translating job-local node indices to machines via `machine_of`.
     pub fn add_job_links(
         &mut self,
         job: usize,
         plan: &FaultPlan,
         machine_of: &dyn Fn(usize) -> usize,
     ) {
+        self.push_links(Some(job), plan, machine_of);
+    }
+
+    /// Link events, then each flap's down/up edge pair, in plan order.
+    fn push_links(
+        &mut self,
+        owner: Option<usize>,
+        plan: &FaultPlan,
+        machine_of: &dyn Fn(usize) -> usize,
+    ) {
         assert!(!self.sealed, "cluster fault timeline already sealed");
         for e in &plan.link_events {
-            self.push(Some(job), e.node, SimTime::from_micros(e.at_us), {
+            self.push(owner, e.node, SimTime::from_micros(e.at_us), {
                 ClusterChange::Link(LinkChange::Scale {
                     node: machine_of(e.node),
                     dir: e.dir,
@@ -717,13 +660,13 @@ impl ClusterFaultInjector {
         for f in &plan.flaps {
             let machine = machine_of(f.node);
             self.push(
-                Some(job),
+                owner,
                 f.node,
                 SimTime::from_micros(f.from_us),
                 ClusterChange::Link(LinkChange::FlapDown { node: machine }),
             );
             self.push(
-                Some(job),
+                owner,
                 f.node,
                 SimTime::from_micros(f.to_us),
                 ClusterChange::Link(LinkChange::FlapUp { node: machine }),
@@ -885,34 +828,66 @@ mod tests {
         }
     }
 
+    /// A job's hoisted links with machine `local + 4`.
+    fn hoisted(plan: &FaultPlan) -> ClusterFaultInjector {
+        let mut inj = ClusterFaultInjector::new();
+        inj.add_job_links(0, plan, &|local| local + 4);
+        inj.seal();
+        inj
+    }
+
     #[test]
     fn injector_timeline_is_time_sorted_and_single_pass() {
-        let mut inj = FaultInjector::new(&sample_plan(), 7);
-        let mut times = Vec::new();
+        let mut inj = hoisted(&sample_plan());
+        let mut entries = Vec::new();
         loop {
             let t = inj.next_change_time();
             if t == SimTime::MAX {
                 break;
             }
-            let change = inj.pop_due(t).expect("due change");
-            times.push((t, change));
+            entries.push(inj.pop_due(t).expect("due change"));
         }
-        assert_eq!(times.len(), 4);
-        assert!(times.windows(2).all(|w| w[0].0 <= w[1].0));
+        // Only link-level changes hoist: no machine edges, no loss.
+        let changes: Vec<(u64, ClusterChange)> = entries
+            .iter()
+            .map(|e| (e.at.as_nanos() / 1_000, e.change))
+            .collect();
+        let scale = |node, scale| {
+            ClusterChange::Link(LinkChange::Scale {
+                node,
+                dir: LinkDir::Up,
+                scale,
+            })
+        };
         assert_eq!(
-            times[1].1,
-            LinkChange::FlapDown { node: 1 },
-            "flap down at 2s sits between the 1s degrade and 2.2s restore"
+            changes,
+            vec![
+                (1_000_000, scale(6, 0.25)),
+                (
+                    2_000_000,
+                    ClusterChange::Link(LinkChange::FlapDown { node: 5 })
+                ),
+                (
+                    2_200_000,
+                    ClusterChange::Link(LinkChange::FlapUp { node: 5 })
+                ),
+                (3_000_000, scale(6, 1.0)),
+            ],
+            "flap edges sit between the 1s degrade and 3s restore, on machines"
         );
+        assert!(entries.iter().all(|e| e.owner == Some(0)));
+        let local: Vec<usize> = entries.iter().map(|e| e.local_node).collect();
+        assert_eq!(local, vec![2, 1, 1, 2], "the owner sees its own nodes");
         assert!(inj.pop_due(SimTime::MAX).is_none(), "timeline spent");
     }
 
     #[test]
     fn pop_due_holds_future_changes_back() {
-        let mut inj = FaultInjector::new(&sample_plan(), 7);
+        let mut inj = hoisted(&sample_plan());
         assert_eq!(inj.next_change_time(), SimTime::from_micros(1_000_000));
         assert!(inj.pop_due(SimTime::from_micros(999_999)).is_none());
         assert!(inj.pop_due(SimTime::from_micros(1_000_000)).is_some());
+        assert_eq!(inj.next_change_time(), SimTime::from_micros(2_000_000));
     }
 
     #[test]
@@ -964,8 +939,8 @@ mod tests {
         let plan = FaultPlan::empty();
         assert!(plan.is_empty());
         let inj = FaultInjector::new(&plan, 9);
-        assert_eq!(inj.next_change_time(), SimTime::MAX);
         assert!(!inj.has_loss());
+        assert!(hoisted(&plan).is_empty());
         assert_eq!(inj.compute_scale(0, 0), 1.0);
     }
 
@@ -1039,33 +1014,6 @@ mod tests {
             "restore edge lands last at 9s"
         );
         assert!(inj.pop_due(SimTime::MAX).is_none(), "timeline spent");
-    }
-
-    #[test]
-    fn single_job_cluster_timeline_matches_the_solo_injector() {
-        // A one-job cluster hoists the job's private links with an
-        // identity machine map; playback order must equal FaultInjector's.
-        let plan = FaultPlan {
-            machine_failures: vec![],
-            ..sample_plan()
-        };
-        let mut solo = FaultInjector::new(&plan, 7);
-        let mut cluster = ClusterFaultInjector::new();
-        cluster.add_job_links(0, &plan, &|n| n);
-        cluster.seal();
-        loop {
-            let t_solo = solo.next_change_time();
-            let t_cluster = cluster.next_change_time();
-            assert_eq!(t_solo, t_cluster);
-            if t_solo == SimTime::MAX {
-                break;
-            }
-            let solo_change = solo.pop_due(t_solo).expect("solo due");
-            let entry = cluster.pop_due(t_cluster).expect("cluster due");
-            assert_eq!(entry.change, ClusterChange::Link(solo_change));
-            assert_eq!(entry.owner, Some(0));
-            assert_eq!(entry.local_node, solo_change.node());
-        }
     }
 
     #[test]

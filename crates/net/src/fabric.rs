@@ -291,14 +291,6 @@ impl Fabric {
         }
     }
 
-    /// Debug helper; see [`Network::debug_stalled`].
-    pub fn debug_stalled(&self) -> Vec<(usize, usize, u64, bool, bool)> {
-        match self {
-            Fabric::Fifo(n) => n.debug_stalled(),
-            Fabric::Fluid(_) => Vec::new(),
-        }
-    }
-
     /// Transfers submitted but not yet on the wire.
     pub fn queued(&self) -> usize {
         match self {
@@ -363,10 +355,6 @@ impl crate::port::NetPort for Fabric {
 
     fn queued(&self) -> usize {
         Fabric::queued(self)
-    }
-
-    fn debug_stalled(&self) -> Vec<(usize, usize, u64, bool, bool)> {
-        Fabric::debug_stalled(self)
     }
 
     fn drain_scope_windows(&mut self, out: &mut Vec<crate::scope::ScopeWindow>) {

@@ -986,42 +986,6 @@ impl Network {
             .count()
     }
 
-    /// Debug helper: (src, dst, tag) of every submitted-but-unstarted
-    /// transfer, plus whether src's uplink and dst's downlink are busy.
-    pub fn debug_stalled(&self) -> Vec<(usize, usize, u64, bool, bool)> {
-        let mut out = Vec::new();
-        for (src, nic) in self.nics.iter().enumerate() {
-            for (dst, q) in nic.up_queues.iter().enumerate() {
-                for id in q {
-                    let t = &self.transfers[id.0 as usize];
-                    if !t.started {
-                        out.push((
-                            src,
-                            dst,
-                            t.tag,
-                            self.nics[src].up_current.is_some(),
-                            self.nics[dst].down_current.is_some(),
-                        ));
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Debug helper: (src, dst, tag) of transfers currently holding ports,
-    /// plus the sizes of the release/delivery sets.
-    pub fn debug_in_flight(&self) -> (Vec<(usize, usize, u64)>, usize, usize) {
-        let mut cur = Vec::new();
-        for nic in &self.nics {
-            if let Some(id) = nic.up_current {
-                let t = &self.transfers[id.0 as usize];
-                cur.push((t.src.0, t.dst.0, t.tag));
-            }
-        }
-        (cur, self.releases.len(), self.deliveries.len())
-    }
-
     /// True when nothing is queued, in flight, or awaiting delivery.
     pub fn is_idle(&self) -> bool {
         self.in_flight() == 0 && self.queued() == 0 && self.deliveries.is_empty()
@@ -1082,10 +1046,6 @@ impl crate::port::NetPort for Network {
 
     fn queued(&self) -> usize {
         Network::queued(self)
-    }
-
-    fn debug_stalled(&self) -> Vec<(usize, usize, u64, bool, bool)> {
-        Network::debug_stalled(self)
     }
 
     fn drain_scope_windows(&mut self, out: &mut Vec<ScopeWindow>) {

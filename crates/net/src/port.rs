@@ -1,10 +1,10 @@
-//! The fabric interface the runtime's event loops are generic over.
+//! The fabric interface the runtime's event loop is generic over.
 //!
-//! Both driver loops (single-job and cluster) talk to the network through
-//! [`NetPort`]. The trait exists for speed: the drivers monomorphise their
-//! hot loops over the concrete fabric ([`Network`] or [`FluidNetwork`]),
-//! so per-event calls inline instead of dispatching through the
-//! [`Fabric`] enum on every submit and advance.
+//! The driver loop talks to the network through [`NetPort`]. The trait
+//! exists for speed: the driver monomorphises its hot loop over the
+//! concrete fabric ([`Network`] or [`FluidNetwork`]), so per-event calls
+//! inline instead of dispatching through the [`Fabric`] enum on every
+//! submit and advance.
 //!
 //! [`Network`]: crate::network::Network
 //! [`FluidNetwork`]: crate::fluid::FluidNetwork
@@ -15,7 +15,7 @@ use bs_sim::SimTime;
 use crate::network::{DroppedTransfer, NetEvent, NodeId, TransferId};
 use crate::scope::ScopeWindow;
 
-/// A point-to-point fabric as seen by a driver's event loop: transfer
+/// A point-to-point fabric as seen by the driver's event loop: transfer
 /// submission, clock queries, event draining, and the link-fault hooks.
 ///
 /// Implementations: [`Network`](crate::network::Network) (FIFO),
@@ -69,11 +69,6 @@ pub trait NetPort {
     /// Transfers submitted but not yet on the wire (diagnostics only).
     fn queued(&self) -> usize {
         0
-    }
-
-    /// Stalled-transfer rows for `BS_DEBUG_LOOP` (diagnostics only).
-    fn debug_stalled(&self) -> Vec<(usize, usize, u64, bool, bool)> {
-        Vec::new()
     }
 
     /// Unused: no fabric implements it and no driver calls it. It stays

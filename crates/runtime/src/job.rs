@@ -1,15 +1,15 @@
 //! Job-scoped simulation state: one training job's engines, schedulers,
 //! comm backend and plugins, decoupled from fabric ownership.
 //!
-//! Historically the single-job [`crate::world`] driver owned everything,
-//! including the point-to-point fabric. A shared cluster needs the
-//! opposite factoring: *N* jobs multiplex one fabric under one clock, so
-//! the per-job state lives here in [`JobState`] and the fabric is passed
-//! in by whichever driver owns it — [`crate::world::run`] for a solo job,
-//! `bs-cluster` for a co-scheduled fleet. A [`NodeMap`] translates
-//! job-local node indices (worker `w`, shard `s`) to fabric [`NodeId`]s
-//! and namespaces wire tags with the job's id, so transfers from
-//! different jobs are distinguishable on the shared wire.
+//! *N* jobs multiplex one fabric under one clock, so the per-job state
+//! lives here in [`JobState`] and the fabric is passed in by the one
+//! driver loop ([`crate::driver`]) — with a single tenant for
+//! [`crate::world::run`], with a placed fleet for `bs-cluster`. The
+//! driver also applies link faults; a job keeps only its loss stream,
+//! stragglers and recovery state. A [`NodeMap`] translates job-local
+//! node indices (worker `w`, shard `s`) to fabric [`NodeId`]s and
+//! namespaces wire tags with the job's id, so transfers from different
+//! jobs are distinguishable on the shared wire.
 
 use bs_comm::{AllReduceConfig, ParamServer, PartitionKey, PsConfig, RingAllReduce, ShardAssign};
 use bs_core::{
@@ -17,7 +17,7 @@ use bs_core::{
     WorkItem,
 };
 use bs_engine::{EngineEvent, ExternalRole, IterDag, NodeKind, Pass, WorkerEngine};
-use bs_faults::{job_seed, FaultInjector, FaultPlan, LinkChange, LinkDir};
+use bs_faults::{job_seed, FaultInjector, FaultPlan};
 use bs_net::{DroppedTransfer, NetEvent, NetPort, NodeId, WireSpan, WireXrayRecord};
 use bs_scope::{ScopeBus, ScopeEvent};
 use bs_sim::{SimRng, SimTime, Trace};
@@ -216,7 +216,7 @@ struct LostPart {
     bytes: u64,
 }
 
-/// Fault-injection cursor plus the recovery state machine: lost
+/// Loss stream and stragglers plus the recovery state machine: lost
 /// partitions sit in `pending` keyed by a monotonic sequence number until
 /// their backoff `timers` fire, then re-enter the scheduler under the
 /// same token. `attempts` is the per-partition retry ledger that enforces
@@ -546,29 +546,11 @@ impl JobState {
                 "machine failures are cluster-scope faults; a job-private \
                  plan cannot take down shared machines"
             );
-            if matches!(cfg.arch, Arch::AllReduce { .. }) {
-                assert!(
-                    plan.link_events.is_empty() && plan.flaps.is_empty(),
-                    "link faults target the p2p fabric; all-reduce runs model \
-                     loss and stragglers only"
-                );
-            }
-            for e in &plan.link_events {
-                assert!(
-                    e.node < nodes.len(),
-                    "link event node {} outside this job's {} fabric nodes",
-                    e.node,
-                    nodes.len()
-                );
-            }
-            for f in &plan.flaps {
-                assert!(
-                    f.node < nodes.len(),
-                    "flap node {} outside this job's {} fabric nodes",
-                    f.node,
-                    nodes.len()
-                );
-            }
+            assert!(
+                !plan.has_links(),
+                "link faults are driver-applied: hoist them onto the driver's \
+                 timeline (`driver::hoist_job_links`) before building the job"
+            );
             for s in &plan.stragglers {
                 assert!(
                     s.worker < cfg.num_workers,
@@ -703,10 +685,13 @@ impl JobState {
         }
     }
 
-    /// Routes a transfer the *driver* killed on the shared fabric (a
-    /// machine failure or a co-tenant's hoisted link fault) into this
-    /// job's recovery machinery, exactly as a job-private flap would.
-    /// The tag must belong to this job; its job bits are stripped here.
+    /// Routes a transfer the driver killed on the fabric (a link flap or
+    /// a machine failure) into this job's recovery machinery. Co-tenant
+    /// bursts simply re-arm (the tenant tries again next cycle); the
+    /// job's own partitions reclaim their credit — the wire never
+    /// released them, so it is still out under either credit-timing
+    /// discipline — and enter retransmit backoff. The tag must belong to
+    /// this job; its job bits are stripped here.
     pub fn route_fabric_drop<P: NetPort>(
         &mut self,
         d: DroppedTransfer,
@@ -726,7 +711,22 @@ impl JobState {
                 job_seed(0, self.nodes.job()),
             )));
         }
-        self.on_transfer_dropped(d, now, fabric);
+        let tag = inner_tag(d.tag);
+        if is_burst_tag(tag) {
+            if let Some(b) = self.burst.as_mut() {
+                b.requeue(now, d.src, d.dst, tag);
+            }
+            return;
+        }
+        let tok = Token::unpack(tag);
+        {
+            let f = self.faults.as_mut().expect("kill without fault state");
+            f.dropped_bytes += d.bytes;
+            f.reclaimed_bytes += d.bytes;
+        }
+        self.scheds[tok.worker].reclaim(now, tok.kind.lane(), d.bytes);
+        self.drain_sched(tok.worker, now, fabric);
+        self.schedule_retransmit(tag, d.bytes, true, now);
     }
 
     /// Buffers a scope event on this job's stream (no-op when the job is
@@ -772,7 +772,6 @@ impl JobState {
         }
         if let Some(f) = &self.faults {
             if f.failed.is_none() {
-                t = t.min(f.injector.next_change_time());
                 if let Some(&(due, _)) = f.timers.first() {
                     t = t.min(due);
                 }
@@ -787,7 +786,7 @@ impl JobState {
     /// loop. Fabric advancement stays with the driver.
     pub fn advance<P: NetPort>(&mut self, t: SimTime, fabric: &mut P, queue: &mut Vec<JobEvent>) {
         if self.faults.is_some() {
-            self.apply_due_faults(t, fabric);
+            self.fire_due_retransmits(t, fabric);
         }
         if let Some(b) = &mut self.burst {
             b.fire_due(t, fabric, &self.nodes);
@@ -834,40 +833,11 @@ impl JobState {
         }
     }
 
-    /// Applies every fault-plan change due at `t`: bandwidth scales,
-    /// flaps (whose killed in-flight transfers enter recovery), link
-    /// revivals, then due retransmit backoff timers — link changes
-    /// first, so a retransmit firing at the same instant sees the
+    /// Re-drives every lost partition whose backoff timer is due at `t`.
+    /// The driver applies link changes due at `t` before any tenant
+    /// advances, so a retransmit firing at the same instant sees the
     /// post-change fabric.
-    fn apply_due_faults<P: NetPort>(&mut self, t: SimTime, fabric: &mut P) {
-        loop {
-            let change = match self.faults.as_mut() {
-                Some(f) if f.failed.is_none() => f.injector.pop_due(t),
-                _ => return,
-            };
-            let Some(change) = change else { break };
-            if let Some(sc) = self.scope.as_mut() {
-                sc.pending.push(ScopeEvent::FaultFired {
-                    job: sc.job,
-                    at: t,
-                    kind: change.kind(),
-                    node: change.node(),
-                    scale: change.capacity_fraction(),
-                });
-            }
-            match change {
-                LinkChange::Scale { node, dir, scale } => {
-                    let up = matches!(dir, LinkDir::Up);
-                    fabric.set_port_scale(t, self.nodes.node(node), up, scale);
-                }
-                LinkChange::FlapDown { node } => {
-                    for d in fabric.kill_port(t, self.nodes.node(node)) {
-                        self.on_transfer_dropped(d, t, fabric);
-                    }
-                }
-                LinkChange::FlapUp { node } => fabric.revive_port(t, self.nodes.node(node)),
-            }
-        }
+    fn fire_due_retransmits<P: NetPort>(&mut self, t: SimTime, fabric: &mut P) {
         loop {
             let Some(f) = self.faults.as_mut() else {
                 return;
@@ -888,35 +858,6 @@ impl JobState {
                 .expect("timer without pending partition");
             self.resubmit_lost(lost, t, fabric);
         }
-    }
-
-    /// A link flap killed transfer `d` mid-wire. Co-tenant bursts simply
-    /// re-arm (the tenant tries again next cycle); the job's own
-    /// partitions reclaim their credit — the wire never released them,
-    /// so it is still out under either credit-timing discipline — and
-    /// enter retransmit backoff.
-    fn on_transfer_dropped<P: NetPort>(
-        &mut self,
-        d: DroppedTransfer,
-        now: SimTime,
-        fabric: &mut P,
-    ) {
-        let tag = inner_tag(d.tag);
-        if is_burst_tag(tag) {
-            if let Some(b) = self.burst.as_mut() {
-                b.requeue(now, d.src, d.dst, tag);
-            }
-            return;
-        }
-        let tok = Token::unpack(tag);
-        {
-            let f = self.faults.as_mut().expect("kill without fault state");
-            f.dropped_bytes += d.bytes;
-            f.reclaimed_bytes += d.bytes;
-        }
-        self.scheds[tok.worker].reclaim(now, tok.kind.lane(), d.bytes);
-        self.drain_sched(tok.worker, now, fabric);
-        self.schedule_retransmit(tag, d.bytes, true, now);
     }
 
     /// A delivered transfer was picked by the Bernoulli loss stream: the
@@ -1838,24 +1779,6 @@ impl JobState {
     /// Per-worker retired-iteration counts.
     pub fn debug_iterations(&self) -> Vec<u64> {
         self.engines.iter().map(|e| e.done_iterations()).collect()
-    }
-
-    /// Number of recorded iteration marks.
-    pub fn debug_marks(&self) -> usize {
-        self.marks.len()
-    }
-
-    /// Pending co-tenant burst timers.
-    pub fn debug_bg_timers(&self) -> usize {
-        self.burst.as_ref().map(|b| b.pending()).unwrap_or(0)
-    }
-
-    /// Outstanding collectives on the private ring stream.
-    pub fn debug_ring_outstanding(&self) -> usize {
-        match &self.backend {
-            JobBackend::Ring { ring, .. } => ring.outstanding(),
-            JobBackend::Ps { .. } => 0,
-        }
     }
 }
 

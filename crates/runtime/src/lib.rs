@@ -15,6 +15,7 @@
 //! plots.
 
 pub mod config;
+pub mod driver;
 pub mod job;
 pub mod plugin;
 pub mod result;
@@ -23,6 +24,7 @@ pub mod traffic;
 pub mod world;
 
 pub use config::{Arch, BackgroundLoad, SchedulerKind, WorldConfig};
+pub use driver::{DriverHooks, Tenant};
 pub use job::{JobEvent, JobNetStats, JobState, NodeMap};
 pub use result::{RunOutcome, RunResult};
-pub use world::{net_window_event, run, run_observed};
+pub use world::{run, run_observed};

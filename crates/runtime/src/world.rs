@@ -1,25 +1,21 @@
-//! The single-job co-simulation driver: one [`JobState`] on a private
-//! fabric under one clock.
+//! The single-job run: one [`JobState`] as the only tenant of the driver
+//! loop ([`crate::driver`]) on a private fabric.
 //!
-//! All per-job mechanics (plugins, schedulers, backends) live in
-//! [`crate::job`]; this module owns what a *driver* owns — the fabric,
-//! the clock, and the cascade loop — which is exactly the split that lets
-//! `bs-cluster` multiplex many [`JobState`]s over one shared fabric with
-//! the same loop structure.
+//! A solo run is a one-tenant cluster by construction: job 0 with an
+//! identity [`NodeMap`], its link faults hoisted onto the driver's
+//! timeline. This module keeps what is solo-specific — the fabric's
+//! size and recorders, and the result assembly (an un-prefixed trace,
+//! the fabric's `net/` metrics inside the job's result).
 
-use bs_net::{Fabric, NetPort, ScopeWindow};
-use bs_scope::{ScopeBus, ScopeEvent};
+use bs_faults::ClusterFaultInjector;
+use bs_net::Fabric;
+use bs_scope::ScopeBus;
 use bs_sim::{SimTime, Trace};
 
 use crate::config::{Arch, WorldConfig};
-use crate::job::{wire_span_into_trace, JobEvent, JobNetStats, JobState, NodeMap};
+use crate::driver::{self, hoist_job_links, Tenant};
+use crate::job::{wire_span_into_trace, JobNetStats, JobState, NodeMap};
 use crate::result::RunResult;
-
-struct World {
-    job: JobState,
-    fabric: Fabric,
-    now: SimTime,
-}
 
 /// Runs one configuration to completion and reports the measured speed.
 ///
@@ -37,219 +33,103 @@ pub fn run(cfg: &WorldConfig) -> RunResult {
 /// it never feeds back into simulation decisions, so the run's results,
 /// traces and metrics are byte-identical with or without a bus — the
 /// `scope_recording_does_not_change_results` test pins this.
-pub fn run_observed(cfg: &WorldConfig, scope: Option<&mut ScopeBus>) -> RunResult {
-    let mut world = World::build(cfg);
-    if let Some(bus) = scope {
-        world.job.enable_scope(0, SimTime::ZERO);
-        world.fabric.enable_scope(SimTime::ZERO, bus.window());
-        world.run_loop(Some(bus));
-        // Close the stream: flush the fabric's partial window, any
-        // straggling job events, then the bus's own open rollups.
-        world.fabric.finish_scope(world.now);
-        let mut wins = Vec::new();
-        world.fabric.drain_scope_windows(&mut wins);
-        for w in &wins {
-            bus.publish(net_window_event(w));
-        }
-        world.job.publish_scope(bus);
-        bus.finish(world.now);
-    } else {
-        world.run_loop(None);
+pub fn run_observed(cfg: &WorldConfig, mut scope: Option<&mut ScopeBus>) -> RunResult {
+    let nodes_needed = JobState::fabric_nodes_needed(cfg);
+    // Ring runs keep their collective stream private and never touch
+    // the point-to-point fabric; give them a minimal idle one.
+    let mut fabric = Fabric::new(cfg.fabric, nodes_needed.max(2), cfg.net);
+    let ps = matches!(cfg.arch, Arch::Ps { .. });
+    if cfg.record_trace && ps {
+        fabric.enable_trace();
     }
-    world.into_result(cfg)
-}
-
-/// Maps a fabric NIC-utilisation window onto its bus event.
-pub fn net_window_event(w: &ScopeWindow) -> ScopeEvent {
-    ScopeEvent::NetWindow {
-        start: w.start,
-        at: w.end,
-        util_secs: w.util_secs,
-        mean_util: w.mean_util,
+    if cfg.record_metrics && ps {
+        fabric.enable_telemetry(SimTime::ZERO);
     }
-}
-
-/// The single-job event loop, generic over the fabric so each fabric gets
-/// its own fully inlined instantiation.
-fn drive_job<P: NetPort>(
-    job: &mut JobState,
-    fabric: &mut P,
-    now: &mut SimTime,
-    mut scope: Option<&mut ScopeBus>,
-) {
-    job.seed_background(*now, fabric);
-    let mut queue: Vec<JobEvent> = Vec::new();
-    let mut net_events: Vec<bs_net::NetEvent> = Vec::new();
-    let mut scope_windows: Vec<ScopeWindow> = Vec::new();
-    let mut spins_at_same_instant: u64 = 0;
-    let mut last_now = SimTime::ZERO;
-    let debug_loop = std::env::var("BS_DEBUG_LOOP").is_ok();
-    loop {
-        if *now == last_now {
-            spins_at_same_instant += 1;
-            assert!(
-                spins_at_same_instant < 1_000_000,
-                "event loop spinning at {} without progress",
-                now
-            );
-        } else {
-            last_now = *now;
-            spins_at_same_instant = 0;
-        }
-        if debug_loop {
-            debug_progress_line(job, fabric, *now, spins_at_same_instant);
-        }
-        // Drain all cascades at the current instant. `handle` pushes
-        // follow-on events directly onto the queue (same LIFO order
-        // as the old collect-then-extend, without the Vec churn).
-        while let Some(ev) = queue.pop() {
-            job.handle(ev, *now, fabric, &mut queue);
-        }
-        if let Some(bus) = scope.as_deref_mut() {
-            job.publish_scope(bus);
-        }
-        if job.done() {
-            return;
-        }
-        // Find the next instant anything happens.
-        let t = job.next_event_time().min(fabric.next_event_time());
-        if t.is_never() {
-            panic!(
-                "simulation stalled at {}: iterations done {:?}, queued work {:?}",
-                now,
-                job.debug_iterations(),
-                job.debug_sched_queues()
-            );
-        }
-        *now = t;
-        // Job-owned sources first (co-tenant bursts, GPU ops, the
-        // private ring stream), then the shared fabric — the same
-        // within-instant order the loop has always used.
-        job.advance(t, fabric, &mut queue);
-        if fabric.wants_advance(t) {
-            fabric.advance_into(t, &mut net_events);
-            for c in net_events.drain(..) {
-                queue.push(JobEvent::Net(c));
-            }
-        }
-        if let Some(bus) = scope.as_deref_mut() {
-            job.publish_scope(bus);
-            fabric.drain_scope_windows(&mut scope_windows);
-            for w in scope_windows.drain(..) {
-                bus.publish(net_window_event(&w));
-            }
-        }
+    if cfg.record_xray && ps {
+        fabric.enable_xray();
     }
-}
-
-/// `BS_DEBUG_LOOP=1` diagnostics: a progress line every 100k loop
-/// turns, with subsystem queue depths — the first tool to reach for
-/// when a configuration seems wedged.
-#[cold]
-fn debug_progress_line<P: NetPort>(job: &JobState, fabric: &P, now: SimTime, spins: u64) {
-    static COUNT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let c = COUNT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    if !c.is_multiple_of(100_000) {
-        return;
+    let nodes = NodeMap::identity(nodes_needed);
+    let mut injector = ClusterFaultInjector::new();
+    let mut job_cfg = cfg.clone();
+    if let Some(plan) = job_cfg.faults.as_mut() {
+        hoist_job_links(&mut injector, plan, &nodes);
     }
-    let (nf, nq) = if job.debug_ring_outstanding() > 0 {
-        (job.debug_ring_outstanding(), 0)
-    } else {
-        (fabric.in_flight(), fabric.queued())
-    };
-    eprintln!(
-        "loop {c}: now={} spins={spins} iters_done={:?} marks={} sched_q={:?}              net_flight={nf} net_q={nq} bg_timers={}",
-        now,
-        job.debug_iterations(),
-        job.debug_marks(),
-        job.debug_sched_queues(),
-        job.debug_bg_timers()
+    injector.seal();
+    let mut state = JobState::build(&job_cfg, nodes);
+    if let Some(bus) = scope.as_deref_mut() {
+        state.enable_scope(0, SimTime::ZERO);
+        fabric.enable_scope(SimTime::ZERO, bus.window());
+    }
+    let mut tenants = [Tenant::train(state, job_cfg, SimTime::ZERO)];
+    let faults = (!injector.is_empty()).then_some(&mut injector);
+    let now = driver::drive(
+        &mut tenants,
+        &mut fabric,
+        faults,
+        &mut (),
+        scope.as_deref_mut(),
     );
-    for row in fabric.debug_stalled().iter().take(4) {
-        eprintln!("  stalled: {row:?}");
+    if let Some(bus) = scope {
+        driver::finish_scope(&mut fabric, &mut tenants, now, bus);
+        bus.finish(now);
     }
+    let [Tenant::Train { state, .. }] = tenants else {
+        unreachable!("a solo run has one training tenant")
+    };
+    into_result(state, fabric, now, cfg)
 }
 
-impl World {
-    fn build(cfg: &WorldConfig) -> World {
-        let nodes_needed = JobState::fabric_nodes_needed(cfg);
-        // Ring runs keep their collective stream private and never touch
-        // the point-to-point fabric; give them a minimal idle one.
-        let mut fabric = Fabric::new(cfg.fabric, nodes_needed.max(2), cfg.net);
-        if cfg.record_trace && matches!(cfg.arch, Arch::Ps { .. }) {
-            fabric.enable_trace();
-        }
-        if cfg.record_metrics && matches!(cfg.arch, Arch::Ps { .. }) {
-            fabric.enable_telemetry(SimTime::ZERO);
-        }
-        if cfg.record_xray && matches!(cfg.arch, Arch::Ps { .. }) {
-            fabric.enable_xray();
-        }
-        let job = JobState::build(cfg, NodeMap::identity(nodes_needed));
-        World {
-            job,
-            fabric,
-            now: SimTime::ZERO,
-        }
+fn into_result(
+    mut job: JobState,
+    mut fabric: Fabric,
+    now: SimTime,
+    cfg: &WorldConfig,
+) -> RunResult {
+    // Wire lifecycles must land in the partition records before the
+    // trace is assembled: flow arrows point at wire-start instants.
+    if cfg.record_xray {
+        let recs = fabric.take_xray();
+        job.absorb_wire_xray(&recs);
     }
-
-    fn run_loop(&mut self, scope: Option<&mut ScopeBus>) {
-        // Monomorphise the hot loop over the concrete fabric: every
-        // per-event submit/advance call inlines instead of dispatching
-        // through the enum millions of times per run.
-        let mut now = self.now;
-        match &mut self.fabric {
-            Fabric::Fifo(n) => drive_job(&mut self.job, n, &mut now, scope),
-            Fabric::Fluid(n) => drive_job(&mut self.job, n, &mut now, scope),
-        }
-        self.now = now;
-    }
-
-    fn into_result(mut self, cfg: &WorldConfig) -> RunResult {
-        // Wire lifecycles must land in the partition records before the
-        // trace is assembled: flow arrows point at wire-start instants.
-        if cfg.record_xray {
-            let recs = self.fabric.take_xray();
-            self.job.absorb_wire_xray(&recs);
-        }
-        let trace = cfg.record_trace.then(|| self.assemble_trace());
-        let net = JobNetStats {
-            p2p_bytes: self.fabric.bytes_delivered(),
-            comm_events: self.fabric.transfers_delivered(),
-            peak_in_flight: self.fabric.peak_in_flight(),
-            peak_port_utilisation: self.fabric.peak_port_utilisation(self.now),
-        };
-        let fabric_metrics = self.fabric.take_metrics(self.now);
-        let mut result = self.job.into_result(cfg, self.now, net);
-        result.trace = trace;
-        if let Some(fm) = fabric_metrics {
-            result
-                .metrics
-                .get_or_insert_with(bs_telemetry::MetricSet::new)
-                .absorb("net/", fm);
-        }
-        // With both recorders on, the run's series double as Perfetto
-        // counter tracks alongside the span trace.
-        if let (Some(trace), Some(ms)) = (&mut result.trace, &result.metrics) {
-            for t in ms.counter_tracks() {
-                trace.push_counter(t.name, t.samples);
-            }
-        }
+    let trace = cfg
+        .record_trace
+        .then(|| assemble_trace(&mut job, &mut fabric));
+    let net = JobNetStats {
+        p2p_bytes: fabric.bytes_delivered(),
+        comm_events: fabric.transfers_delivered(),
+        peak_in_flight: fabric.peak_in_flight(),
+        peak_port_utilisation: fabric.peak_port_utilisation(now),
+    };
+    let fabric_metrics = fabric.take_metrics(now);
+    let mut result = job.into_result(cfg, now, net);
+    result.trace = trace;
+    if let Some(fm) = fabric_metrics {
         result
+            .metrics
+            .get_or_insert_with(bs_telemetry::MetricSet::new)
+            .absorb("net/", fm);
     }
-
-    /// Collects the recorded spans from every subsystem into one trace
-    /// with human-readable track and span names.
-    fn assemble_trace(&mut self) -> Trace {
-        let mut trace = Trace::new();
-        self.job.append_compute_trace(&mut trace, "");
-        for span in self.fabric.take_trace() {
-            wire_span_into_trace(&mut trace, &span, "");
+    // With both recorders on, the run's series double as Perfetto
+    // counter tracks alongside the span trace.
+    if let (Some(trace), Some(ms)) = (&mut result.trace, &result.metrics) {
+        for t in ms.counter_tracks() {
+            trace.push_counter(t.name, t.samples);
         }
-        self.job.append_ring_trace(&mut trace, "");
-        self.job.append_xray_flows(&mut trace, "");
-        trace
     }
+    result
+}
+
+/// Collects the recorded spans from every subsystem into one trace with
+/// human-readable track and span names.
+fn assemble_trace(job: &mut JobState, fabric: &mut Fabric) -> Trace {
+    let mut trace = Trace::new();
+    job.append_compute_trace(&mut trace, "");
+    for span in fabric.take_trace() {
+        wire_span_into_trace(&mut trace, &span, "");
+    }
+    job.append_ring_trace(&mut trace, "");
+    job.append_xray_flows(&mut trace, "");
+    trace
 }
 
 #[cfg(test)]
@@ -921,25 +801,90 @@ mod tests {
     }
 
     /// Exhausting the retry cap aborts the run with a reason instead of
-    /// deadlocking the event loop.
+    /// deadlocking the event loop — whether loss or a flap spends the
+    /// budget. The flap input pins the failed-owner corner: two flaps at
+    /// one instant with no retries allowed fail the run on the first, and
+    /// the second never fires — one `FaultFired`, and only the first
+    /// flap's kills in the drop and reclaim counters.
     #[test]
     fn retry_cap_exhaustion_fails_the_run() {
-        let mut c = fault_cfg();
-        c.faults = Some(FaultPlan {
+        use bs_scope::{Collector, ScopeBus, ScopeEvent};
+        let lossy = FaultPlan {
             loss_rate: 0.95,
             recovery: RecoveryPolicy {
                 timeout_us: 100,
                 max_retries: 1,
             },
             ..FaultPlan::empty()
-        });
-        let r = run(&c);
-        let RunOutcome::Failed { reason } = r.outcome else {
-            panic!("expected failure, got {:?}", r.outcome);
         };
-        assert!(reason.contains("retransmit attempts"), "{reason}");
-        assert_eq!(r.speed, 0.0);
-        assert!(r.iter_times.is_empty());
+        let flap = |node| LinkFlap {
+            node,
+            from_us: 40_000,
+            to_us: 70_000,
+        };
+        let flaps = FaultPlan {
+            flaps: vec![flap(0), flap(1)],
+            recovery: RecoveryPolicy {
+                timeout_us: 1_000,
+                max_retries: 0,
+            },
+            ..FaultPlan::empty()
+        };
+        for (plan, flapped) in [(lossy, false), (flaps, true)] {
+            let mut c = fault_cfg();
+            c.record_metrics = true;
+            c.faults = Some(plan);
+            let mut bus = ScopeBus::new();
+            let (collector, log) = Collector::new();
+            bus.subscribe(Box::new(collector));
+            let r = run_observed(&c, Some(&mut bus));
+            let RunOutcome::Failed { reason } = r.outcome else {
+                panic!("expected failure, got {:?}", r.outcome);
+            };
+            assert!(reason.contains("retransmit attempts"), "{reason}");
+            assert_eq!(r.speed, 0.0);
+            assert!(r.iter_times.is_empty());
+            if !flapped {
+                continue;
+            }
+            let ms = r.metrics.as_ref().expect("metrics recorded");
+            let fired: Vec<ScopeEvent> = log
+                .events()
+                .into_iter()
+                .filter(|e| e.kind() == "fault_fired")
+                .collect();
+            assert_eq!(
+                fired,
+                vec![ScopeEvent::FaultFired {
+                    job: 0,
+                    at: SimTime::from_micros(40_000),
+                    kind: "flap_down",
+                    node: 0,
+                    scale: 0.0,
+                }],
+                "the run failed on the first flap; the second never fires"
+            );
+            // The first flap killed one 2 MB partition; nothing else counts.
+            assert_eq!(ms.get_counter("faults/dropped_bytes"), Some(2_000_000));
+            assert_eq!(ms.get_counter("faults/reclaimed_bytes"), Some(2_000_000));
+        }
+    }
+
+    /// Link faults are validated on the solo path too: an inverted flap
+    /// fails fast instead of killing its port for good.
+    #[test]
+    #[should_panic(expected = "invalid fault plan")]
+    fn inverted_flap_is_rejected() {
+        let mut c = fault_cfg();
+        c.faults = Some(FaultPlan {
+            flaps: vec![LinkFlap {
+                node: 0,
+                from_us: 70_000,
+                to_us: 40_000,
+            }],
+            ..FaultPlan::empty()
+        });
+        run(&c);
     }
 
     /// Ring collectives lose and retry too, in both baseline (fused) and

@@ -8,10 +8,11 @@
 //!    silently change the contention model.
 //! 2. **Degenerate-case equivalence** — a single-job cluster is the
 //!    standalone simulator: `run_cluster` with one job must reproduce
-//!    `bs_runtime::run` exactly (finish time, speed, iteration vector,
-//!    byte and event counts) for any scheduler, fabric, and seed. This is
-//!    what makes every existing single-job result in this repo a valid
-//!    cluster baseline.
+//!    `bs_runtime::run` exactly (outcome, finish time, speed, iteration
+//!    vector, byte and event counts) for any scheduler, fabric, seed and
+//!    job-private link plan. Both run the same driver loop, so this holds
+//!    by construction; the property guards it. It is what makes every
+//!    existing single-job result in this repo a valid cluster baseline.
 //! 3. **Byte-determinism** — for any job mix, placement, fabric and
 //!    recorder set, with or without a machine failure, running the same
 //!    cluster twice gives the same [`ClusterResult`]. The whole result —
@@ -25,7 +26,7 @@
 
 use bs_cluster::{run_cluster, ClusterConfig, ClusterResult, JobSpec, PlacementPolicy};
 use bs_engine::EngineConfig;
-use bs_faults::{FaultPlan, MachineFailure};
+use bs_faults::{FaultPlan, LinkDir, LinkEvent, LinkFlap, MachineFailure, RecoveryPolicy};
 use bs_models::{DnnModel, GpuSpec, ModelBuilder, SampleUnit};
 use bs_net::{FabricModel, NetConfig, Transport};
 use bs_runtime::{run, Arch, BackgroundLoad, RunOutcome, SchedulerKind, WorldConfig};
@@ -190,7 +191,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// One-job cluster ≡ `World::run`, over schedulers × fabrics × seeds
-    /// × placement policies.
+    /// × placement policies × no plan or a random job-private link plan
+    /// (bandwidth scales and flaps, hoisted onto the driver's timeline on
+    /// both paths).
     #[test]
     fn single_job_cluster_reproduces_the_standalone_run(
         seed in 0u64..1000,
@@ -198,6 +201,9 @@ proptest! {
         fluid in any::<bool>(),
         policy_pick in 0usize..3,
         workers in 2usize..4,
+        scales in proptest::collection::vec((0u64..80_000, 0usize..8, any::<bool>(), 0.1f64..1.0), 0..4),
+        flaps in proptest::collection::vec((0u64..80_000, 1u64..20_000, 0usize..8), 0..3),
+        faulty in any::<bool>(),
     ) {
         let sched = match sched_pick {
             0 => SchedulerKind::Baseline,
@@ -218,6 +224,33 @@ proptest! {
         cfg.jitter = 0.02;
         cfg.seed = seed;
         cfg.fabric = fabric;
+        // Local nodes are workers, then as many PS shards. Half the cases
+        // keep the fault-free configuration (`faults: None`).
+        let nodes = 2 * workers;
+        cfg.faults = faulty.then(|| FaultPlan {
+            link_events: scales
+                .iter()
+                .map(|&(at_us, node, up, scale)| LinkEvent {
+                    at_us,
+                    node: node % nodes,
+                    dir: if up { LinkDir::Up } else { LinkDir::Down },
+                    scale,
+                })
+                .collect(),
+            flaps: flaps
+                .iter()
+                .map(|&(from_us, len_us, node)| LinkFlap {
+                    node: node % nodes,
+                    from_us,
+                    to_us: from_us + len_us,
+                })
+                .collect(),
+            recovery: RecoveryPolicy {
+                timeout_us: 1_000,
+                max_retries: 8,
+            },
+            ..FaultPlan::empty()
+        });
 
         let solo = run(&cfg);
 
@@ -228,6 +261,7 @@ proptest! {
         prop_assert_eq!(r.jobs.len(), 1);
         let job = &r.jobs[0].result;
 
+        prop_assert_eq!(&solo.outcome, &job.outcome);
         prop_assert_eq!(solo.finished_at, job.finished_at);
         prop_assert_eq!(solo.speed, job.speed);
         prop_assert_eq!(&solo.iter_times, &job.iter_times);
