@@ -9,7 +9,7 @@
 //! [`ClusterResult`] assembly.
 
 use bs_faults::{ClusterChange, ClusterFaultEntry, ClusterFaultInjector, FaultPlan};
-use bs_net::{CompletedTransfer, Fabric, NetPort, NodeId};
+use bs_net::{CompletedTransfer, Fabric, NetPort, NodeId, WireXrayRecord};
 use bs_scope::{ScopeBus, ScopeEvent};
 use bs_tune::RestartCost;
 
@@ -337,19 +337,17 @@ pub fn run_cluster_observed(
         injector.add_plan(plan);
     }
     let mut fabric = Fabric::new(cluster.fabric, cluster.machines.max(2), cluster.net);
-    if cluster.record_trace {
-        fabric.enable_trace();
+    let tap = fabric.tap();
+    if cluster.record_trace || cluster.record_xray {
+        tap.enable_wire_log();
     }
     if cluster.record_metrics {
-        fabric.enable_telemetry(SimTime::ZERO);
-    }
-    if cluster.record_xray {
-        fabric.enable_xray();
+        tap.enable_telemetry(SimTime::ZERO);
     }
     if cluster.record_contention {
         // The tag namespace is the job extractor: bits 58.. of every
         // fabric tag name the owning job.
-        fabric.enable_contention(SimTime::ZERO, job_of_tag);
+        tap.enable_contention(SimTime::ZERO, job_of_tag);
     }
 
     let mut tenants: Vec<Tenant> = specs
@@ -404,7 +402,7 @@ pub fn run_cluster_observed(
         .collect();
 
     if let Some(bus) = scope.as_deref_mut() {
-        fabric.enable_scope(SimTime::ZERO, bus.window());
+        fabric.tap().enable_scope(SimTime::ZERO, bus.window());
         for (j, tenant) in tenants.iter_mut().enumerate() {
             if let Tenant::Train { state, arrival, .. } = tenant {
                 state.enable_scope(j, *arrival);
@@ -452,45 +450,44 @@ pub fn run_cluster_observed(
         migrations,
         ..
     } = hooks;
-    // Demultiplex the fabric's transfer lifecycles by job id (stripping
-    // the namespace bits) and hand each training job its own — before the
-    // trace is assembled, since flow arrows point at wire-start instants.
-    if cluster.record_xray {
-        let mut per_job: Vec<Vec<bs_net::WireXrayRecord>> = vec![Vec::new(); tenants.len()];
-        for (tag, src, dst, submitted, started, released, delivered) in fabric.take_xray() {
-            per_job[job_of_tag(tag)].push((
-                inner_tag(tag),
-                src,
-                dst,
-                submitted,
-                started,
-                released,
-                delivered,
-            ));
-        }
-        for (j, tenant) in tenants.iter_mut().enumerate() {
-            if let Tenant::Train { state, .. } = tenant {
-                state.absorb_wire_xray(&per_job[j]);
+    // Xray and the span trace read one wire log. Strip the namespace
+    // bits from every record; xray demultiplexes them by job id and hands
+    // each training job its own — before the trace is assembled, since
+    // flow arrows point at wire-start instants.
+    let trace = {
+        let wire = fabric.tap().take_wire_log();
+        let local = |mut rec: WireXrayRecord| {
+            rec.0 = inner_tag(rec.0);
+            rec
+        };
+        if cluster.record_xray {
+            let mut per_job: Vec<Vec<WireXrayRecord>> = vec![Vec::new(); tenants.len()];
+            for &rec in &wire {
+                per_job[job_of_tag(rec.0)].push(local(rec));
+            }
+            for (j, tenant) in tenants.iter_mut().enumerate() {
+                if let Tenant::Train { state, .. } = tenant {
+                    state.absorb_wire_xray(&per_job[j]);
+                }
             }
         }
-    }
-    let trace = cluster.record_trace.then(|| {
-        let mut trace = Trace::new();
-        for (j, tenant) in tenants.iter_mut().enumerate() {
-            if let Tenant::Train { state, .. } = tenant {
-                let prefix = format!("job{j}/");
-                state.append_compute_trace(&mut trace, &prefix);
-                state.append_ring_trace(&mut trace, &prefix);
-                state.append_xray_flows(&mut trace, &prefix);
+        cluster.record_trace.then(|| {
+            let mut trace = Trace::new();
+            for (j, tenant) in tenants.iter_mut().enumerate() {
+                if let Tenant::Train { state, .. } = tenant {
+                    let prefix = format!("job{j}/");
+                    state.append_compute_trace(&mut trace, &prefix);
+                    state.append_ring_trace(&mut trace, &prefix);
+                    state.append_xray_flows(&mut trace, &prefix);
+                }
             }
-        }
-        for (tag, src, dst, start, end) in fabric.take_trace() {
-            let j = job_of_tag(tag);
-            let span = (inner_tag(tag), src, dst, start, end);
-            wire_span_into_trace(&mut trace, &span, &format!("job{j}/"));
-        }
-        trace
-    });
+            for &rec in &wire {
+                let j = job_of_tag(rec.0);
+                wire_span_into_trace(&mut trace, &local(rec), &format!("job{j}/"));
+            }
+            trace
+        })
+    };
 
     let peak_in_flight = fabric.peak_in_flight();
     let peak_port_utilisation = fabric.peak_port_utilisation(makespan);
@@ -501,7 +498,7 @@ pub fn run_cluster_observed(
     let mut metrics = cluster.record_metrics.then(MetricSet::new);
     if let Some(ms) = metrics.as_mut() {
         ms.horizon = makespan;
-        if let Some(fm) = fabric.take_metrics(makespan) {
+        if let Some(fm) = fabric.tap().take_metrics(makespan) {
             ms.absorb("net/", fm);
         }
         if let Some(share) = &job_nic_bytes {
@@ -529,7 +526,7 @@ pub fn run_cluster_observed(
         }
     }
 
-    let contention = fabric.take_contention().map(|log| {
+    let contention = fabric.tap().take_contention().map(|log| {
         let names = specs.iter().map(|s| s.name().to_string()).collect();
         ContentionMatrix::reduce(&log, makespan, names)
     });

@@ -87,11 +87,8 @@ pub struct WorkerEngine {
     done_iters: u64,
     all_done_emitted: bool,
     /// When enabled, completed compute spans: (iter, node, start, end).
-    trace: Option<Vec<(u64, usize, SimTime, SimTime)>>,
-    /// When enabled, the same spans recorded for causal tracing (xray).
-    /// A separate buffer so the chrome-trace path and the xray analyser
-    /// can drain independently.
-    xray: Option<Vec<(u64, usize, SimTime, SimTime)>>,
+    /// The span trace and xray both read this one log.
+    spans: Option<Vec<(u64, usize, SimTime, SimTime)>>,
     /// When enabled, a 0/1 series of GPU occupancy. Its integral is the
     /// worker's compute-busy time; the complement of the run window is
     /// the communication-stall time the paper's Fig. 1 visualises.
@@ -156,8 +153,7 @@ impl WorkerEngine {
             straggle: Vec::new(),
             done_iters: 0,
             all_done_emitted: false,
-            trace: None,
-            xray: None,
+            spans: None,
             gpu_busy: None,
         };
         engine.instantiate(0, start);
@@ -189,29 +185,22 @@ impl WorkerEngine {
         }
     }
 
-    /// Enables compute-span recording (see [`Self::take_trace`]).
-    pub fn enable_trace(&mut self) {
-        self.trace = Some(Vec::new());
-    }
-
-    /// Drains recorded compute spans: `(iteration, template node, start,
-    /// end)` per retired GPU op.
-    pub fn take_trace(&mut self) -> Vec<(u64, usize, SimTime, SimTime)> {
-        self.trace.as_mut().map(std::mem::take).unwrap_or_default()
-    }
-
-    /// Enables compute-span recording for causal tracing (xray); same
-    /// tuples as [`Self::take_trace`] but drained independently.
-    pub fn enable_xray(&mut self) {
-        if self.xray.is_none() {
-            self.xray = Some(Vec::new());
+    /// Enables compute-span recording (see [`Self::spans`]).
+    pub fn enable_spans(&mut self) {
+        if self.spans.is_none() {
+            self.spans = Some(Vec::new());
         }
     }
 
-    /// Drains recorded xray compute spans: `(iteration, template node,
-    /// start, end)` per retired GPU op.
-    pub fn take_xray(&mut self) -> Vec<(u64, usize, SimTime, SimTime)> {
-        self.xray.as_mut().map(std::mem::take).unwrap_or_default()
+    /// The recorded compute spans so far: `(iteration, template node,
+    /// start, end)` per retired GPU op, in retire order.
+    pub fn spans(&self) -> &[(u64, usize, SimTime, SimTime)] {
+        self.spans.as_deref().unwrap_or_default()
+    }
+
+    /// Drains the recorded compute spans (see [`Self::spans`]).
+    pub fn take_spans(&mut self) -> Vec<(u64, usize, SimTime, SimTime)> {
+        self.spans.as_mut().map(std::mem::take).unwrap_or_default()
     }
 
     /// Starts recording the GPU busy/idle series. Recording never changes
@@ -265,11 +254,8 @@ impl WorkerEngine {
                 break;
             }
             self.gpu = None;
-            if let Some(trace) = &mut self.trace {
-                trace.push((iter, node, start, end));
-            }
-            if let Some(xray) = &mut self.xray {
-                xray.push((iter, node, start, end));
+            if let Some(spans) = &mut self.spans {
+                spans.push((iter, node, start, end));
             }
             if let Some(busy) = &mut self.gpu_busy {
                 busy.record(end, 0.0);

@@ -17,10 +17,10 @@
 //!   wire occupancy, so byte shares can be split into solo vs contended
 //!   time against the active-set series.
 //!
-//! Recording is strictly observational: the fabrics call the hooks from
-//! existing code paths and nothing feeds back, so enabling contention
-//! recording cannot change a single simulation event (pinned by the
-//! golden byte-identity tests).
+//! Recording is strictly observational: the recorder is one of the folds
+//! inside the fabric's [`Tap`](crate::tap::Tap) and nothing feeds back,
+//! so enabling contention recording cannot change a single simulation
+//! event (pinned by the golden byte-identity tests).
 
 use bs_sim::SimTime;
 use bs_telemetry::SetSeries;
@@ -41,8 +41,8 @@ pub struct ContentionLog {
     pub occupancy: Vec<OccupancySpan>,
 }
 
-/// The per-fabric recorder; `Some` only while contention recording is
-/// enabled, mirroring the telemetry/trace/xray pattern.
+/// The per-fabric recorder, held by the fabric's tap while contention
+/// recording is enabled.
 #[derive(Clone, Debug)]
 pub struct ContentionRecorder {
     job_of: fn(u64) -> usize,

@@ -1,12 +1,14 @@
 //! A fabric is either the FIFO network or the fluid network, behind one
 //! dispatching wrapper so the runtime can switch sharing disciplines with
-//! a config flag.
+//! a config flag. Recorders are not dispatched method by method: both
+//! variants expose their one [`Tap`], and [`Fabric::tap`] returns it.
 
 use bs_sim::SimTime;
 use serde::Serialize;
 
 use crate::fluid::FluidNetwork;
 use crate::network::{DroppedTransfer, NetEvent, Network, NodeId, TransferId};
+use crate::tap::Tap;
 use crate::transport::NetConfig;
 
 /// Which sharing discipline the point-to-point fabric uses.
@@ -141,108 +143,12 @@ impl Fabric {
             .fold(0.0, f64::max)
     }
 
-    /// Starts recording metric series (per-port utilisation, active and
-    /// queued transfers). Recording never changes fabric behaviour.
-    pub fn enable_telemetry(&mut self, now: SimTime) {
+    /// The fabric's recorders (see [`Tap`]). On the fluid fabric this
+    /// flushes a pending waterfill first, so its rate sample is in.
+    pub fn tap(&mut self) -> &mut Tap {
         match self {
-            Fabric::Fifo(n) => n.enable_telemetry(now),
-            Fabric::Fluid(n) => n.enable_telemetry(now),
-        }
-    }
-
-    /// Takes the recorded metrics with summaries closed at `now`, or
-    /// `None` if telemetry was never enabled. Both disciplines export the
-    /// same metric names; FIFO port utilisation is busy/idle (0 or 1),
-    /// fluid port utilisation is the allocated-rate fraction.
-    pub fn take_metrics(&mut self, now: SimTime) -> Option<bs_telemetry::MetricSet> {
-        match self {
-            Fabric::Fifo(n) => n.take_metrics(now),
-            Fabric::Fluid(n) => n.take_metrics(now),
-        }
-    }
-
-    /// Starts aggregating NIC utilisation into grid-aligned tumbling
-    /// windows of `window` for the scope bus. Recording never changes
-    /// fabric behaviour.
-    pub fn enable_scope(&mut self, now: SimTime, window: SimTime) {
-        match self {
-            Fabric::Fifo(n) => n.enable_scope(now, window),
-            Fabric::Fluid(n) => n.enable_scope(now, window),
-        }
-    }
-
-    /// Integrates the scope windows up to `now` and closes the final
-    /// partial window.
-    pub fn finish_scope(&mut self, now: SimTime) {
-        match self {
-            Fabric::Fifo(n) => n.finish_scope(now),
-            Fabric::Fluid(n) => n.finish_scope(now),
-        }
-    }
-
-    /// Moves closed scope windows into `out`, oldest first.
-    pub fn drain_scope_windows(&mut self, out: &mut Vec<crate::scope::ScopeWindow>) {
-        match self {
-            Fabric::Fifo(n) => n.drain_scope_windows(out),
-            Fabric::Fluid(n) => n.drain_scope_windows(out),
-        }
-    }
-
-    /// Enables span recording. The FIFO fabric records exclusive wire
-    /// occupancies (start → release); the fluid fabric records flow
-    /// lifetimes (submit → drain), which may overlap.
-    pub fn enable_trace(&mut self) {
-        match self {
-            Fabric::Fifo(n) => n.enable_trace(),
-            Fabric::Fluid(n) => n.enable_trace(),
-        }
-    }
-
-    /// Drains recorded spans: `(tag, src, dst, start, end)`.
-    pub fn take_trace(&mut self) -> Vec<crate::network::WireSpan> {
-        match self {
-            Fabric::Fifo(n) => n.take_trace(),
-            Fabric::Fluid(n) => n.take_trace(),
-        }
-    }
-
-    /// Enables full-lifecycle transfer recording for causal tracing.
-    /// Recording never changes fabric behaviour.
-    pub fn enable_xray(&mut self) {
-        match self {
-            Fabric::Fifo(n) => n.enable_xray(),
-            Fabric::Fluid(n) => n.enable_xray(),
-        }
-    }
-
-    /// Drains recorded transfer lifecycles:
-    /// `(tag, src, dst, submitted, wire_start, released, delivered)`.
-    /// The fluid fabric starts flows at submission, so its records have
-    /// `submitted == wire_start`.
-    pub fn take_xray(&mut self) -> Vec<crate::network::WireXrayRecord> {
-        match self {
-            Fabric::Fifo(n) => n.take_xray(),
-            Fabric::Fluid(n) => n.take_xray(),
-        }
-    }
-
-    /// Starts recording per-NIC-direction active-job sets and occupancy
-    /// spans; `job_of` maps a transfer tag to its job index (the cluster
-    /// driver passes the tag-namespace extractor). Recording never
-    /// changes fabric behaviour.
-    pub fn enable_contention(&mut self, now: SimTime, job_of: fn(u64) -> usize) {
-        match self {
-            Fabric::Fifo(n) => n.enable_contention(now, job_of),
-            Fabric::Fluid(n) => n.enable_contention(now, job_of),
-        }
-    }
-
-    /// Drains the contention recording, or `None` if it was never
-    /// enabled.
-    pub fn take_contention(&mut self) -> Option<crate::contention::ContentionLog> {
-        match self {
-            Fabric::Fifo(n) => n.take_contention(),
-            Fabric::Fluid(n) => n.take_contention(),
+            Fabric::Fifo(n) => n.tap(),
+            Fabric::Fluid(n) => n.tap(),
         }
     }
 
@@ -358,7 +264,7 @@ impl crate::port::NetPort for Fabric {
     }
 
     fn drain_scope_windows(&mut self, out: &mut Vec<crate::scope::ScopeWindow>) {
-        Fabric::drain_scope_windows(self, out)
+        self.tap().drain_scope_windows(out)
     }
 }
 

@@ -20,18 +20,22 @@
 //! FIFO fabric — so schedulers see the same interface and the same knob
 //! semantics, only the sharing discipline differs. The fabric-sensitivity
 //! ablation (`tests/fabrics.rs`) compares the two.
+//!
+//! Recording goes through the fabric's one [`Tap`], reached through
+//! [`FluidNetwork::tap`]: submit, flow drain (wire end), delivered and
+//! dropped are lifecycle calls, and each waterfill samples its new rates
+//! into the tap. The tap lives in the allocation cell next to the rates,
+//! because a waterfill may run from `&self`; the accessor flushes a
+//! pending waterfill first.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
 
 use bs_sim::SimTime;
-use bs_telemetry::{MetricSet, TimeSeries};
 
-use crate::contention::{ContentionLog, ContentionRecorder};
-use crate::network::{
-    CompletedTransfer, DroppedTransfer, NetEvent, NodeId, TransferId, WireSpan, WireXrayRecord,
-};
-use crate::scope::{ScopeUtil, ScopeWindow};
+use crate::network::{CompletedTransfer, DroppedTransfer, NetEvent, NodeId, TransferId};
+use crate::scope::ScopeWindow;
+use crate::tap::Tap;
 use crate::transport::NetConfig;
 
 /// Fault-injection state, allocated lazily on the first fault hook call
@@ -56,7 +60,7 @@ struct Flow {
     /// Payload bytes (reported on completion).
     bytes: u64,
     tag: u64,
-    /// Submission instant, recorded for flow-span tracing.
+    /// Submission instant, which is also the flow's wire start.
     started_at: SimTime,
 }
 
@@ -75,7 +79,9 @@ struct Pair {
 
 /// The max-min allocation and everything the waterfill writes, behind
 /// one `RefCell` so that `next_event_time(&self)` can flush a pending
-/// waterfill. The `&mut self` paths reach it through `get_mut()`.
+/// waterfill. The `&mut self` paths reach it through `get_mut()`. The
+/// fabric's recorder tap lives here too, because the waterfill samples
+/// its rates into it.
 #[derive(Clone, Debug)]
 struct Alloc {
     /// Set by every change to the flow set or to a port capacity; the
@@ -85,16 +91,19 @@ struct Alloc {
     rate: Vec<f64>,
     /// Earliest flow-drain instant under `rate`, from `last_update`.
     drain: SimTime,
-    /// Waterfill scratch, reused so the hot path performs no allocation.
+    scratch: Box<Scratch>,
+    /// Every recorder, and the delivery counters.
+    tap: Tap,
+}
+
+/// Waterfill scratch, reused so the hot path performs no allocation.
+#[derive(Clone, Debug, Default)]
+struct Scratch {
     port_cap: Vec<f64>,
     port_live: Vec<u32>,
     port_share: Vec<f64>,
     /// Rate per pair slot, `None` until the pair freezes.
     pair_rate: Vec<Option<f64>>,
-    /// `Some` only while metrics recording is enabled.
-    telem: Option<Box<FluidTelemetry>>,
-    /// `Some` only while the scope bus records NIC-utilisation windows.
-    scope: Option<Box<ScopeUtil>>,
 }
 
 /// A max-min fair fluid fabric with the same event interface as
@@ -129,35 +138,12 @@ pub struct FluidNetwork {
     /// Last instant `remaining` values were integrated to.
     last_update: SimTime,
     alloc: RefCell<Alloc>,
-    bytes_delivered: u64,
-    transfers_delivered: u64,
     /// High-water mark of concurrently active flows.
     peak_in_flight: usize,
-    /// When enabled, completed flow spans: `(tag, src, dst, submit,
-    /// drain)`. Unlike the FIFO fabric's exclusive wire occupancies,
-    /// fluid spans overlap — each covers a flow's whole lifetime.
-    trace: Option<Vec<WireSpan>>,
-    /// When enabled, full flow lifecycles for causal tracing. A fluid
-    /// flow starts at submission, so submitted == wire-start.
-    xray: Option<Vec<WireXrayRecord>>,
     /// Flows removed by the last `remove_flows`, reused across calls.
     scratch_removed: Vec<(TransferId, Flow)>,
-    /// `Some` only while link-contention recording is enabled.
-    contention: Option<Box<ContentionRecorder>>,
     /// `Some` only once a fault hook has been exercised.
     faults: Option<Box<FaultState>>,
-}
-
-/// Metric series for the fluid fabric. Per-port utilisation is the
-/// allocated-rate sum over capacity (a fraction in `[0, 1]`), resampled
-/// after every waterfill — the exact step function the max-min
-/// allocator produces, not a polled approximation.
-#[derive(Clone, Debug)]
-struct FluidTelemetry {
-    /// Up ports `0..n`, down ports `n..2n`, matching `port_flows`.
-    port_util: Vec<TimeSeries>,
-    /// Concurrently active flows.
-    active_flows: TimeSeries,
 }
 
 /// The earliest drain instant from `from`, given the smallest
@@ -207,126 +193,24 @@ impl FluidNetwork {
                 dirty: false,
                 rate: Vec::new(),
                 drain: SimTime::MAX,
-                port_cap: Vec::new(),
-                port_live: Vec::new(),
-                port_share: Vec::new(),
-                pair_rate: Vec::new(),
-                telem: None,
-                scope: None,
+                scratch: Box::default(),
+                tap: Tap::fluid(num_nodes),
             }),
-            bytes_delivered: 0,
-            transfers_delivered: 0,
             peak_in_flight: 0,
-            trace: None,
-            xray: None,
             scratch_removed: Vec::new(),
-            contention: None,
             faults: None,
         }
     }
 
-    /// Starts recording per-port utilisation and active-flow series.
-    /// Recording never changes fabric behaviour.
-    pub fn enable_telemetry(&mut self, now: SimTime) {
+    /// The fabric's recorders (see [`Tap`]), after flushing a pending
+    /// waterfill so its rate sample is in. Per-port utilisation is the
+    /// allocated-rate sum over capacity (a fraction in `[0, 1]`),
+    /// resampled after every waterfill — the exact step function the
+    /// max-min allocator produces, not a polled approximation. Flow
+    /// spans overlap: each covers a flow's whole lifetime.
+    pub fn tap(&mut self) -> &mut Tap {
         self.flush();
-        let ports = 2 * self.num_nodes;
-        let a = self.alloc.get_mut();
-        if a.telem.is_none() {
-            let mut zero = TimeSeries::new();
-            zero.record(now, 0.0);
-            a.telem = Some(Box::new(FluidTelemetry {
-                port_util: vec![zero.clone(); ports],
-                active_flows: zero,
-            }));
-        }
-    }
-
-    /// Starts aggregating NIC utilisation (allocated-rate fractions) into
-    /// grid-aligned tumbling windows of `window` for the scope bus, fed
-    /// from the same waterfill instants as the telemetry series.
-    /// Recording never changes fabric behaviour.
-    ///
-    /// One aggregate slot, not one per direction: a window's `util_secs`
-    /// sums over every port direction anyway, and each flow contributes
-    /// its rate to exactly two slots (source up, destination down), so
-    /// integrating `2 * total_rate / cap` directly is the same signal at
-    /// a fraction of the per-waterfill cost.
-    pub fn enable_scope(&mut self, now: SimTime, window: SimTime) {
-        self.flush();
-        let a = self.alloc.get_mut();
-        if a.scope.is_none() {
-            a.scope = Some(Box::new(ScopeUtil::new(now, 1, window)));
-        }
-    }
-
-    /// Integrates the scope windows up to `now` and closes the final
-    /// partial window (publish by draining afterwards).
-    pub fn finish_scope(&mut self, now: SimTime) {
-        self.flush();
-        if let Some(sc) = self.alloc.get_mut().scope.as_mut() {
-            sc.finish(now);
-        }
-    }
-
-    /// Moves closed scope windows into `out`, oldest first.
-    pub fn drain_scope_windows(&mut self, out: &mut Vec<ScopeWindow>) {
-        self.flush();
-        if let Some(sc) = self.alloc.get_mut().scope.as_mut() {
-            sc.drain_into(out);
-        }
-    }
-
-    /// Takes the recorded metrics with summaries closed at `now`, or
-    /// `None` if telemetry was never enabled.
-    pub fn take_metrics(&mut self, now: SimTime) -> Option<MetricSet> {
-        self.flush();
-        let t = self.alloc.get_mut().telem.take()?;
-        let n = self.num_nodes;
-        let mut set = MetricSet::new();
-        set.horizon = now;
-        set.counter("transfers_delivered", self.transfers_delivered);
-        set.counter("bytes_delivered", self.bytes_delivered);
-        set.series("active_transfers", t.active_flows);
-        // Fluid flows start transmitting on submission; nothing ever
-        // queues. Kept as a constant-zero series so both fabrics export
-        // the same metric names.
-        let mut zero = TimeSeries::new();
-        zero.record(SimTime::ZERO, 0.0);
-        set.series("queued_transfers", zero);
-        let mut ports = t.port_util.into_iter();
-        for i in 0..n {
-            set.series(
-                format!("nic{i}/up_util"),
-                ports.next().expect("up port series"),
-            );
-        }
-        for i in 0..n {
-            set.series(
-                format!("nic{i}/down_util"),
-                ports.next().expect("down port series"),
-            );
-        }
-        Some(set)
-    }
-
-    /// Starts recording per-NIC-direction active-job sets and flow
-    /// spans; `job_of` maps a transfer tag to its job index. Recording
-    /// never changes fabric behaviour.
-    pub fn enable_contention(&mut self, now: SimTime, job_of: fn(u64) -> usize) {
-        if self.contention.is_none() {
-            self.contention = Some(Box::new(ContentionRecorder::new(
-                now,
-                self.num_nodes,
-                job_of,
-            )));
-        }
-    }
-
-    /// Drains the contention recording, or `None` if it was never
-    /// enabled.
-    pub fn take_contention(&mut self) -> Option<ContentionLog> {
-        self.flush();
-        self.contention.as_mut().map(|c| c.take())
+        &mut self.alloc.get_mut().tap
     }
 
     /// The network configuration.
@@ -336,36 +220,12 @@ impl FluidNetwork {
 
     /// Total payload bytes delivered so far.
     pub fn bytes_delivered(&self) -> u64 {
-        self.bytes_delivered
+        self.alloc.borrow().tap.bytes_delivered()
     }
 
     /// Transfers delivered end-to-end so far.
     pub fn transfers_delivered(&self) -> u64 {
-        self.transfers_delivered
-    }
-
-    /// Enables flow-span recording (see [`Self::take_trace`]).
-    pub fn enable_trace(&mut self) {
-        self.trace = Some(Vec::new());
-    }
-
-    /// Drains the recorded spans: `(tag, src, dst, submit, drain)` per
-    /// completed flow, in drain order.
-    pub fn take_trace(&mut self) -> Vec<WireSpan> {
-        self.trace.as_mut().map(std::mem::take).unwrap_or_default()
-    }
-
-    /// Enables full-lifecycle flow recording for causal tracing.
-    /// Recording never changes fabric behaviour.
-    pub fn enable_xray(&mut self) {
-        if self.xray.is_none() {
-            self.xray = Some(Vec::new());
-        }
-    }
-
-    /// Drains the recorded flow lifecycles, in drain order.
-    pub fn take_xray(&mut self) -> Vec<WireXrayRecord> {
-        self.xray.as_mut().map(std::mem::take).unwrap_or_default()
+        self.alloc.borrow().tap.transfers_delivered()
     }
 
     /// Number of flows currently transmitting.
@@ -438,9 +298,7 @@ impl FluidNetwork {
         self.port_flows[src.0].push(id);
         self.port_flows[self.num_nodes + dst.0].push(id);
         self.peak_in_flight = self.peak_in_flight.max(self.active.len());
-        if let Some(c) = self.contention.as_mut() {
-            c.on_submit(now, src.0, dst.0, tag);
-        }
+        a.tap.submit(now, src.0, dst.0, tag);
         id
     }
 
@@ -505,11 +363,8 @@ impl FluidNetwork {
             if delivery <= next {
                 let (dt, c) = self.deliveries.pop_front().expect("front exists");
                 debug_assert_eq!(dt, c.finished_at);
-                self.bytes_delivered += c.bytes;
-                self.transfers_delivered += 1;
-                if let Some(rec) = self.contention.as_mut() {
-                    rec.on_delivered(dt, c.src.0, c.dst.0, c.tag);
-                }
+                let tap = &mut self.alloc.get_mut().tap;
+                tap.delivered(dt, c.src.0, c.dst.0, c.tag, c.bytes);
                 out.push(NetEvent::Delivered(c));
                 continue;
             }
@@ -605,9 +460,8 @@ impl FluidNetwork {
             }
         });
         for c in purged {
-            if let Some(rec) = self.contention.as_mut() {
-                rec.on_dropped(now, c.src.0, c.dst.0, c.tag);
-            }
+            let tap = &mut self.alloc.get_mut().tap;
+            tap.dropped(now, c.src.0, c.dst.0, c.tag, false);
             dropped.push(DroppedTransfer {
                 tag: c.tag,
                 src: c.src,
@@ -640,9 +494,8 @@ impl FluidNetwork {
         for (_, f) in removed.drain(..) {
             // Killed at now; a retransmit shows up as a separate record.
             self.record_flow_end(&f, now, now);
-            if let Some(rec) = self.contention.as_mut() {
-                rec.on_dropped(now, f.src.0, f.dst.0, f.tag);
-            }
+            let tap = &mut self.alloc.get_mut().tap;
+            tap.dropped(now, f.src.0, f.dst.0, f.tag, false);
             dropped.push(DroppedTransfer {
                 tag: f.tag,
                 src: f.src,
@@ -716,26 +569,12 @@ impl FluidNetwork {
         g
     }
 
-    /// Feeds a flow that left the wire at `drained` (delivering at
-    /// `delivered`) to the span, xray and contention recorders.
+    /// Reports a flow that left the wire at `drained` (delivering at
+    /// `delivered`) to the tap.
     fn record_flow_end(&mut self, f: &Flow, drained: SimTime, delivered: SimTime) {
-        if let Some(trace) = &mut self.trace {
-            trace.push((f.tag, f.src.0, f.dst.0, f.started_at, drained));
-        }
-        if let Some(xray) = &mut self.xray {
-            xray.push((
-                f.tag,
-                f.src.0,
-                f.dst.0,
-                f.started_at,
-                f.started_at,
-                drained,
-                delivered,
-            ));
-        }
-        if let Some(rec) = self.contention.as_mut() {
-            rec.on_wire(f.src.0, f.dst.0, f.tag, f.bytes, f.started_at, drained);
-        }
+        let (src, dst, start) = (f.src.0, f.dst.0, f.started_at);
+        let rec = (f.tag, src, dst, start, start, drained, delivered);
+        self.alloc.get_mut().tap.wire_end(rec, f.bytes);
     }
 
     /// Runs a pending waterfill.
@@ -772,9 +611,9 @@ impl FluidNetwork {
 
     /// Progressive filling: repeatedly find the most-contended port,
     /// freeze its flows at the equal share, remove the port, repeat.
-    /// Also refreshes the drain instant and feeds the recorders at
-    /// `last_update`, the instant the allocation takes effect (nothing
-    /// integrates while it is pending).
+    /// Also refreshes the drain instant and samples the rates into the
+    /// tap at `last_update`, the instant the allocation takes effect
+    /// (nothing integrates while it is pending).
     ///
     /// Runs entirely on persistent state (`port_pairs`, `port_flows`)
     /// and reusable scratch buffers: cost scales with the *current*
@@ -788,10 +627,16 @@ impl FluidNetwork {
         let cap = self.cfg.bytes_per_sec();
         // Port index: up ports are 0..n, down ports n..2n.
         let ports = 2 * self.num_nodes;
-        a.port_cap.clear();
-        a.port_cap.resize(ports, cap);
+        let Scratch {
+            port_cap,
+            port_live,
+            port_share,
+            pair_rate,
+        } = &mut *a.scratch;
+        port_cap.clear();
+        port_cap.resize(ports, cap);
         if let Some(fs) = &self.faults {
-            for (p, c) in a.port_cap.iter_mut().enumerate() {
+            for (p, c) in port_cap.iter_mut().enumerate() {
                 let node = p % self.num_nodes;
                 *c = if fs.down[node] {
                     0.0
@@ -800,27 +645,30 @@ impl FluidNetwork {
                 };
             }
         }
-        a.pair_rate.clear();
-        a.pair_rate.resize(self.pairs.len(), None);
+        pair_rate.clear();
+        pair_rate.resize(self.pairs.len(), None);
         // Unfrozen-flow count per port; freezing a pair decrements both
         // ports it traverses, so each round sees the live count without
         // rescanning the port's pair list.
-        a.port_live.clear();
-        a.port_live
-            .extend(self.port_flows.iter().map(|flows| flows.len() as u32));
+        port_live.clear();
+        port_live.extend(self.port_flows.iter().map(|flows| flows.len() as u32));
         // Fair share per port, `INFINITY` once no unfrozen flow crosses
         // it. A round only changes the shares of the ports it charges, so
         // only those are recomputed.
-        a.port_share.clear();
-        a.port_share.extend(
-            a.port_cap
+        port_share.clear();
+        port_share.extend(
+            port_cap
                 .iter()
-                .zip(&a.port_live)
+                .zip(port_live.iter())
                 .map(|(&cap, &live)| fair_share(cap, live)),
         );
+        // The rounds below index the buffers only: slices keep their
+        // bounds in registers.
+        let (port_cap, port_live) = (&mut port_cap[..], &mut port_live[..]);
+        let (port_share, pair_rate) = (&mut port_share[..], &mut pair_rate[..]);
         let mut remaining_unfrozen = self.active.len();
-        // Total allocated rate, accumulated as flows freeze so the scope
-        // hook below never has to rescan the active set.
+        // Total allocated rate, accumulated as flows freeze so the rate
+        // sample below never has to rescan the active set.
         let mut total_rate = 0.0;
         while remaining_unfrozen > 0 {
             // Bottleneck port: smallest fair share, first port on ties.
@@ -828,7 +676,7 @@ impl FluidNetwork {
             // shares finite), so there always is one.
             let mut share = f64::INFINITY;
             let mut port = usize::MAX;
-            for (p, &s) in a.port_share.iter().enumerate() {
+            for (p, &s) in port_share.iter().enumerate() {
                 if s < share {
                     (share, port) = (s, p);
                 }
@@ -839,48 +687,44 @@ impl FluidNetwork {
             // result as freezing the flows one by one.
             let mut frozen_now = 0u32;
             for &g in &self.port_pairs[port] {
-                if a.pair_rate[g].is_some() {
+                if pair_rate[g].is_some() {
                     continue;
                 }
-                a.pair_rate[g] = Some(share);
+                pair_rate[g] = Some(share);
                 let Pair { up, down, flows } = self.pairs[g];
                 let other = if up == port { down } else { up };
                 for _ in 0..flows {
-                    a.port_cap[other] = (a.port_cap[other] - share).max(0.0);
+                    port_cap[other] = (port_cap[other] - share).max(0.0);
                 }
-                a.port_live[up] -= flows;
-                a.port_live[down] -= flows;
-                a.port_share[other] = fair_share(a.port_cap[other], a.port_live[other]);
+                port_live[up] -= flows;
+                port_live[down] -= flows;
+                port_share[other] = fair_share(port_cap[other], port_live[other]);
                 frozen_now += flows;
             }
             remaining_unfrozen -= frozen_now as usize;
             total_rate += share * frozen_now as f64;
-            a.port_share[port] = f64::INFINITY;
+            port_share[port] = f64::INFINITY;
         }
         let mut q_min = f64::INFINITY;
         for id in &self.active {
             let slot = id.0 as usize;
-            let rate = a.pair_rate[self.pair_of[slot]].expect("every pair froze");
+            let rate = pair_rate[self.pair_of[slot]].expect("every pair froze");
             a.rate[slot] = rate;
             if rate > 0.0 {
                 q_min = q_min.min(self.remaining[slot] / rate);
             }
         }
         a.drain = drain_at(self.last_update, q_min);
-        let at = self.last_update;
-        if let Some(te) = a.telem.as_mut() {
-            for (p, flows) in self.port_flows.iter().enumerate() {
-                let rate: f64 = flows.iter().map(|id| a.rate[id.0 as usize]).sum();
-                te.port_util[p].record(at, rate / cap);
-            }
-            te.active_flows.record(at, self.active.len() as f64);
-        }
-        if let Some(sc) = a.scope.as_mut() {
-            // Every flow's rate lands on exactly two port directions (see
-            // `enable_scope`), so the waterfill's running total is the
-            // whole signal.
-            sc.record(at, 0, 2.0 * total_rate / cap);
-        }
+        let rate = &a.rate;
+        let port_rate = |p: usize| -> f64 {
+            self.port_flows[p]
+                .iter()
+                .map(|id| rate[id.0 as usize])
+                .sum()
+        };
+        let active = self.active.len();
+        a.tap
+            .rate_sample(self.last_update, cap, active, total_rate, port_rate);
     }
 }
 
@@ -937,7 +781,7 @@ impl crate::port::NetPort for FluidNetwork {
     }
 
     fn drain_scope_windows(&mut self, out: &mut Vec<ScopeWindow>) {
-        FluidNetwork::drain_scope_windows(self, out)
+        self.tap().drain_scope_windows(out)
     }
 }
 
@@ -1135,7 +979,7 @@ mod tests {
     #[test]
     fn same_instant_submits_leave_one_sample_of_the_final_allocation() {
         let mut n = net(4);
-        n.enable_telemetry(SimTime::ZERO);
+        n.tap().enable_telemetry(SimTime::ZERO);
         let t = SimTime::from_millis(1);
         n.advance(t);
         // Three flows out of node 0 arrive at one instant: one waterfill
@@ -1143,7 +987,7 @@ mod tests {
         for d in 1..4usize {
             n.submit(t, NodeId(0), NodeId(d), mb(1), d as u64);
         }
-        let m = n.take_metrics(t).expect("telemetry on");
+        let m = n.tap().take_metrics(t).expect("telemetry on");
         let samples = |name: &str| m.get_series(name).expect(name).samples().to_vec();
         // Each flow gets a third of node 0's uplink.
         let cap = n.cfg.bytes_per_sec();

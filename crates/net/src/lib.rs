@@ -25,15 +25,14 @@ pub mod fluid;
 pub mod network;
 pub mod port;
 pub mod scope;
+pub mod tap;
 pub mod transport;
 
 pub use contention::{ContentionLog, ContentionRecorder, OccupancySpan};
 pub use fabric::{Fabric, FabricModel};
 pub use fluid::FluidNetwork;
-pub use network::{
-    CompletedTransfer, DroppedTransfer, NetEvent, Network, NodeId, TransferId, WireSpan,
-    WireXrayRecord,
-};
+pub use network::{CompletedTransfer, DroppedTransfer, NetEvent, Network, NodeId, TransferId};
 pub use port::NetPort;
 pub use scope::ScopeWindow;
+pub use tap::{Tap, WireXrayRecord};
 pub use transport::{NetConfig, Transport};

@@ -1,22 +1,21 @@
-//! The point-to-point network state machine.
+//! The point-to-point network state machine: the FIFO fabric.
+//!
+//! Every recorder of the fabric sits behind its one [`Tap`], reached
+//! through [`Network::tap`]. The state machine calls it at each lifecycle
+//! point — submit, wire start, wire end, delivered, dropped — and all
+//! three ways a transfer leaves the wire (release, [`Network::kill_port`],
+//! [`Network::cancel_where`]) end its occupancy through one helper, so
+//! the wire-end fan-out exists once.
 
 use std::cell::Cell;
 use std::collections::{BTreeSet, VecDeque};
 
 use bs_sim::SimTime;
-use bs_telemetry::{MetricSet, TimeSeries};
 use serde::{Deserialize, Serialize};
 
-use crate::contention::{ContentionLog, ContentionRecorder};
-use crate::scope::{ScopeUtil, ScopeWindow};
+use crate::scope::ScopeWindow;
+use crate::tap::Tap;
 use crate::transport::NetConfig;
-
-/// A recorded wire occupancy: `(tag, src, dst, start, end)`.
-pub type WireSpan = (u64, usize, usize, SimTime, SimTime);
-
-/// A recorded full transfer lifecycle for causal tracing:
-/// `(tag, src, dst, submitted, wire_start, released, delivered)`.
-pub type WireXrayRecord = (u64, usize, usize, SimTime, SimTime, SimTime, SimTime);
 
 /// Index of a node (worker or parameter-server shard) in the fabric.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -81,9 +80,9 @@ struct Transfer {
     tag: u64,
     /// True once the transfer occupies its two ports.
     started: bool,
-    /// Wire-occupancy start, for trace recording.
+    /// Wire-occupancy start.
     started_at: SimTime,
-    /// Submission instant, for xray recording.
+    /// Submission instant, for the wire lifecycle log.
     submitted_at: SimTime,
     /// Scheduled wire-release instant (valid while on the wire); kept so
     /// fault rescaling can find and move the `releases` entry.
@@ -157,54 +156,18 @@ pub struct Network {
     /// Memoised `min(releases.first, deliveries.first)`; `None` when
     /// stale. Filled lazily so idle polls from the event loop are O(1).
     next_event: Cell<Option<SimTime>>,
-    /// Bytes delivered since construction.
-    bytes_delivered: u64,
-    /// Transfers delivered since construction.
-    transfers_delivered: u64,
     /// High-water mark of concurrently started (on-wire) transfers.
     peak_in_flight: usize,
-    /// When enabled, completed wire occupancies.
-    trace: Option<Vec<WireSpan>>,
-    /// When enabled, full transfer lifecycles for causal tracing.
-    xray: Option<Vec<WireXrayRecord>>,
     /// Accumulated wire-busy time per uplink, for utilisation accounting.
     up_busy: Vec<SimTime>,
     /// Accumulated wire-busy time per downlink.
     down_busy: Vec<SimTime>,
-    /// `Some` only while metrics recording is enabled.
-    telem: Option<NetTelemetry>,
-    /// `Some` only while the scope bus records NIC-utilisation windows.
-    scope: Option<Box<ScopeUtil>>,
-    /// `Some` only while link-contention recording is enabled.
-    contention: Option<Box<ContentionRecorder>>,
+    /// Every recorder, and the delivery counters. Each NIC direction is
+    /// busy (1) or idle (0), so its utilisation series integrates to
+    /// exactly the accumulated wire-busy time.
+    tap: Tap,
     /// `Some` only once a fault hook has been exercised.
     faults: Option<Box<FaultState>>,
-}
-
-/// Metric series for the FIFO fabric; each NIC direction is busy (1) or
-/// idle (0), so the per-port utilisation series integrates to exactly the
-/// accumulated wire-busy time.
-#[derive(Clone, Debug)]
-struct NetTelemetry {
-    up_util: Vec<TimeSeries>,
-    down_util: Vec<TimeSeries>,
-    /// Transfers currently occupying wires.
-    active: TimeSeries,
-    /// Transfers submitted but not yet on the wire.
-    queued: TimeSeries,
-}
-
-impl NetTelemetry {
-    fn new(now: SimTime, num_nodes: usize) -> NetTelemetry {
-        let mut zero = TimeSeries::new();
-        zero.record(now, 0.0);
-        NetTelemetry {
-            up_util: vec![zero.clone(); num_nodes],
-            down_util: vec![zero.clone(); num_nodes],
-            active: zero.clone(),
-            queued: zero,
-        }
-    }
 }
 
 impl Network {
@@ -222,89 +185,17 @@ impl Network {
             releases: BTreeSet::new(),
             deliveries: BTreeSet::new(),
             next_event: Cell::new(None),
-            bytes_delivered: 0,
-            transfers_delivered: 0,
             peak_in_flight: 0,
-            trace: None,
-            xray: None,
             up_busy: vec![SimTime::ZERO; num_nodes],
             down_busy: vec![SimTime::ZERO; num_nodes],
-            telem: None,
-            scope: None,
-            contention: None,
+            tap: Tap::fifo(num_nodes),
             faults: None,
         }
     }
 
-    /// Starts recording per-port utilisation and queue-depth series.
-    /// Recording never changes fabric behaviour.
-    pub fn enable_telemetry(&mut self, now: SimTime) {
-        if self.telem.is_none() {
-            self.telem = Some(NetTelemetry::new(now, self.nics.len()));
-        }
-    }
-
-    /// Starts aggregating NIC utilisation into grid-aligned tumbling
-    /// windows of `window` for the scope bus, fed from the same record
-    /// sites as the telemetry series. Recording never changes fabric
-    /// behaviour.
-    pub fn enable_scope(&mut self, now: SimTime, window: SimTime) {
-        if self.scope.is_none() {
-            self.scope = Some(Box::new(ScopeUtil::new(now, 2 * self.nics.len(), window)));
-        }
-    }
-
-    /// Integrates the scope windows up to `now` and closes the final
-    /// partial window (publish by draining afterwards).
-    pub fn finish_scope(&mut self, now: SimTime) {
-        if let Some(sc) = self.scope.as_mut() {
-            sc.finish(now);
-        }
-    }
-
-    /// Moves closed scope windows into `out`, oldest first.
-    pub fn drain_scope_windows(&mut self, out: &mut Vec<ScopeWindow>) {
-        if let Some(sc) = self.scope.as_mut() {
-            sc.drain_into(out);
-        }
-    }
-
-    /// Takes the recorded metrics with summaries closed at `now`, or
-    /// `None` if telemetry was never enabled.
-    pub fn take_metrics(&mut self, now: SimTime) -> Option<MetricSet> {
-        let t = self.telem.take()?;
-        let mut set = MetricSet::new();
-        set.horizon = now;
-        set.counter("transfers_delivered", self.transfers_delivered);
-        set.counter("bytes_delivered", self.bytes_delivered);
-        set.series("active_transfers", t.active);
-        set.series("queued_transfers", t.queued);
-        for (i, s) in t.up_util.into_iter().enumerate() {
-            set.series(format!("nic{i}/up_util"), s);
-        }
-        for (i, s) in t.down_util.into_iter().enumerate() {
-            set.series(format!("nic{i}/down_util"), s);
-        }
-        Some(set)
-    }
-
-    /// Starts recording per-NIC-direction active-job sets and occupancy
-    /// spans; `job_of` maps a transfer tag to its job index. Recording
-    /// never changes fabric behaviour.
-    pub fn enable_contention(&mut self, now: SimTime, job_of: fn(u64) -> usize) {
-        if self.contention.is_none() {
-            self.contention = Some(Box::new(ContentionRecorder::new(
-                now,
-                self.nics.len(),
-                job_of,
-            )));
-        }
-    }
-
-    /// Drains the contention recording, or `None` if it was never
-    /// enabled.
-    pub fn take_contention(&mut self) -> Option<ContentionLog> {
-        self.contention.as_mut().map(|c| c.take())
+    /// The fabric's recorders (see [`Tap`]).
+    pub fn tap(&mut self) -> &mut Tap {
+        &mut self.tap
     }
 
     /// Accumulated wire-busy time of every uplink (completed occupancies
@@ -316,30 +207,6 @@ impl Network {
     /// Accumulated wire-busy time of every downlink.
     pub fn downlink_busy(&self) -> &[SimTime] {
         &self.down_busy
-    }
-
-    /// Enables wire-occupancy span recording (see [`Self::take_trace`]).
-    pub fn enable_trace(&mut self) {
-        self.trace = Some(Vec::new());
-    }
-
-    /// Drains the recorded spans: `(tag, src, dst, start, end)` per
-    /// completed wire occupancy, in release order.
-    pub fn take_trace(&mut self) -> Vec<WireSpan> {
-        self.trace.as_mut().map(std::mem::take).unwrap_or_default()
-    }
-
-    /// Enables full-lifecycle transfer recording for causal tracing.
-    /// Recording never changes fabric behaviour.
-    pub fn enable_xray(&mut self) {
-        if self.xray.is_none() {
-            self.xray = Some(Vec::new());
-        }
-    }
-
-    /// Drains the recorded transfer lifecycles, in release order.
-    pub fn take_xray(&mut self) -> Vec<WireXrayRecord> {
-        self.xray.as_mut().map(std::mem::take).unwrap_or_default()
     }
 
     /// The network configuration.
@@ -359,12 +226,12 @@ impl Network {
 
     /// Total payload bytes delivered so far.
     pub fn bytes_delivered(&self) -> u64 {
-        self.bytes_delivered
+        self.tap.bytes_delivered()
     }
 
     /// Transfers delivered end-to-end so far.
     pub fn transfers_delivered(&self) -> u64 {
-        self.transfers_delivered
+        self.tap.transfers_delivered()
     }
 
     /// Highest number of simultaneously on-wire transfers seen so far.
@@ -401,12 +268,7 @@ impl Network {
             eff: 1.0,
         });
         self.nics[src.0].up_queues[dst.0].push_back(id);
-        if let Some(t) = self.telem.as_mut() {
-            t.queued.step(now, 1.0);
-        }
-        if let Some(c) = self.contention.as_mut() {
-            c.on_submit(now, src.0, dst.0, tag);
-        }
+        self.tap.submit(now, src.0, dst.0, tag);
         self.try_start(now, src);
         id
     }
@@ -466,44 +328,7 @@ impl Network {
                 self.next_event.set(None);
                 let tr = &self.transfers[id.0 as usize];
                 let (src, dst, bytes, tag) = (tr.src, tr.dst, tr.bytes, tr.tag);
-                debug_assert_eq!(self.nics[src.0].up_current, Some(id));
-                debug_assert_eq!(self.nics[dst.0].down_current, Some(id));
-                self.nics[src.0].up_current = None;
-                self.nics[dst.0].down_current = None;
-                let popped = self.nics[src.0].up_queues[dst.0].pop_front();
-                debug_assert_eq!(popped, Some(id));
-                let occ = t.saturating_sub(self.transfers[id.0 as usize].started_at);
-                self.up_busy[src.0] += occ;
-                self.down_busy[dst.0] += occ;
-                if let Some(trace) = &mut self.trace {
-                    let started_at = self.transfers[id.0 as usize].started_at;
-                    trace.push((tag, src.0, dst.0, started_at, t));
-                }
-                if let Some(xray) = &mut self.xray {
-                    let tr = &self.transfers[id.0 as usize];
-                    xray.push((
-                        tag,
-                        src.0,
-                        dst.0,
-                        tr.submitted_at,
-                        tr.started_at,
-                        t,
-                        t + self.cfg.transport.latency,
-                    ));
-                }
-                if let Some(te) = self.telem.as_mut() {
-                    te.active.step(t, -1.0);
-                    te.up_util[src.0].record(t, 0.0);
-                    te.down_util[dst.0].record(t, 0.0);
-                }
-                if let Some(sc) = self.scope.as_mut() {
-                    sc.record(t, src.0, 0.0);
-                    sc.record(t, self.nics.len() + dst.0, 0.0);
-                }
-                if let Some(c) = self.contention.as_mut() {
-                    let started_at = self.transfers[id.0 as usize].started_at;
-                    c.on_wire(src.0, dst.0, tag, bytes, started_at, t);
-                }
+                self.end_occupancy(id, t, t + self.cfg.transport.latency);
                 self.try_start(t, src);
                 self.serve_down_waiters(t, dst);
                 done.push(NetEvent::Released(CompletedTransfer {
@@ -522,13 +347,7 @@ impl Network {
                 self.deliveries.pop_first();
                 self.next_event.set(None);
                 let tr = &self.transfers[id.0 as usize];
-                self.bytes_delivered += tr.bytes;
-                self.transfers_delivered += 1;
-                if let Some(c) = self.contention.as_mut() {
-                    let (src, dst, tag) = (tr.src.0, tr.dst.0, tr.tag);
-                    c.on_delivered(t, src, dst, tag);
-                }
-                let tr = &self.transfers[id.0 as usize];
+                self.tap.delivered(t, tr.src.0, tr.dst.0, tr.tag, tr.bytes);
                 done.push(NetEvent::Delivered(CompletedTransfer {
                     id,
                     src: tr.src,
@@ -651,16 +470,65 @@ impl Network {
         self.deliveries.insert((deliver, id));
         self.next_event.set(None);
         self.peak_in_flight = self.peak_in_flight.max(self.releases.len());
-        if let Some(t) = self.telem.as_mut() {
-            t.queued.step(now, -1.0);
-            t.active.step(now, 1.0);
-            t.up_util[src.0].record(now, 1.0);
-            t.down_util[dst.0].record(now, 1.0);
-        }
-        if let Some(sc) = self.scope.as_mut() {
-            sc.record(now, src.0, 1.0);
-            sc.record(now, self.nics.len() + dst.0, 1.0);
-        }
+        self.tap.wire_start(now, src.0, dst.0);
+    }
+
+    /// Ends on-wire transfer `id`'s occupancy at `end` (delivering at
+    /// `delivered`): frees both ports, pops its connection head, charges
+    /// the busy time and reports the wire end to the tap. The caller
+    /// owns the scheduled release and delivery and re-kicks the ports.
+    fn end_occupancy(&mut self, id: TransferId, end: SimTime, delivered: SimTime) {
+        let t = &self.transfers[id.0 as usize];
+        let (src, dst) = (t.src, t.dst);
+        let rec = (
+            t.tag,
+            src.0,
+            dst.0,
+            t.submitted_at,
+            t.started_at,
+            end,
+            delivered,
+        );
+        let bytes = t.bytes;
+        debug_assert_eq!(self.nics[src.0].up_current, Some(id));
+        debug_assert_eq!(self.nics[dst.0].down_current, Some(id));
+        self.nics[src.0].up_current = None;
+        self.nics[dst.0].down_current = None;
+        let popped = self.nics[src.0].up_queues[dst.0].pop_front();
+        debug_assert_eq!(popped, Some(id));
+        let occ = end.saturating_sub(rec.4);
+        self.up_busy[src.0] += occ;
+        self.down_busy[dst.0] += occ;
+        self.tap.wire_end(rec, bytes);
+    }
+
+    /// Evicts on-wire transfer `id` at `now` without delivering it: its
+    /// release and delivery never fire, the aborted occupancy still
+    /// counts as busy until `now`, and both freed ports take other work
+    /// (the `port_down` guards skip a flapped node).
+    fn evict(&mut self, now: SimTime, id: TransferId) -> DroppedTransfer {
+        let t = &self.transfers[id.0 as usize];
+        let dropped = DroppedTransfer {
+            tag: t.tag,
+            src: t.src,
+            dst: t.dst,
+            bytes: t.bytes,
+        };
+        let (release_at, deliver_at) = (t.release_at, t.deliver_at);
+        let had_release = self.releases.remove(&(release_at, id));
+        let had_delivery = self.deliveries.remove(&(deliver_at, id));
+        debug_assert!(
+            had_release && had_delivery,
+            "on-wire victim must be scheduled"
+        );
+        // A killed transfer releases and "delivers" (dies) at now; a
+        // retransmit shows up as a separate record.
+        self.end_occupancy(id, now, now);
+        let DroppedTransfer { tag, src, dst, .. } = dropped;
+        self.tap.dropped(now, src.0, dst.0, tag, false);
+        self.try_start(now, src);
+        self.serve_down_waiters(now, dst);
+        dropped
     }
 
     /// True when `node` is currently flapped down.
@@ -753,74 +621,7 @@ impl Network {
                 .into_iter()
                 .flatten()
                 .collect();
-        let mut dropped = Vec::with_capacity(victims.len());
-        for id in victims {
-            let (src, dst, bytes, tag, started_at, release_at, deliver_at) = {
-                let t = &self.transfers[id.0 as usize];
-                (
-                    t.src,
-                    t.dst,
-                    t.bytes,
-                    t.tag,
-                    t.started_at,
-                    t.release_at,
-                    t.deliver_at,
-                )
-            };
-            let had_release = self.releases.remove(&(release_at, id));
-            let had_delivery = self.deliveries.remove(&(deliver_at, id));
-            debug_assert!(
-                had_release && had_delivery,
-                "on-wire victim must be scheduled"
-            );
-            self.nics[src.0].up_current = None;
-            self.nics[dst.0].down_current = None;
-            let popped = self.nics[src.0].up_queues[dst.0].pop_front();
-            debug_assert_eq!(popped, Some(id));
-            // The aborted occupancy still held the wire until now.
-            let occ = now.saturating_sub(started_at);
-            self.up_busy[src.0] += occ;
-            self.down_busy[dst.0] += occ;
-            if let Some(trace) = &mut self.trace {
-                trace.push((tag, src.0, dst.0, started_at, now));
-            }
-            if let Some(xray) = &mut self.xray {
-                // A killed transfer releases and "delivers" (dies) at now;
-                // the retransmit shows up as a separate record.
-                xray.push((
-                    tag,
-                    src.0,
-                    dst.0,
-                    self.transfers[id.0 as usize].submitted_at,
-                    started_at,
-                    now,
-                    now,
-                ));
-            }
-            if let Some(te) = self.telem.as_mut() {
-                te.active.step(now, -1.0);
-                te.up_util[src.0].record(now, 0.0);
-                te.down_util[dst.0].record(now, 0.0);
-            }
-            if let Some(sc) = self.scope.as_mut() {
-                sc.record(now, src.0, 0.0);
-                sc.record(now, self.nics.len() + dst.0, 0.0);
-            }
-            if let Some(c) = self.contention.as_mut() {
-                c.on_wire(src.0, dst.0, tag, bytes, started_at, now);
-                c.on_dropped(now, src.0, dst.0, tag);
-            }
-            dropped.push(DroppedTransfer {
-                tag,
-                src,
-                dst,
-                bytes,
-            });
-            // The surviving side's port freed: let it take other work
-            // (guards skip the down node).
-            self.try_start(now, src);
-            self.serve_down_waiters(now, dst);
-        }
+        let dropped = victims.into_iter().map(|id| self.evict(now, id)).collect();
         self.next_event.set(None);
         dropped
     }
@@ -847,12 +648,7 @@ impl Network {
                     if t.started || !pred(t.tag) {
                         return true;
                     }
-                    if let Some(te) = self.telem.as_mut() {
-                        te.queued.step(now, -1.0);
-                    }
-                    if let Some(c) = self.contention.as_mut() {
-                        c.on_dropped(now, t.src.0, t.dst.0, t.tag);
-                    }
+                    self.tap.dropped(now, t.src.0, t.dst.0, t.tag, true);
                     dropped.push(DroppedTransfer {
                         tag: t.tag,
                         src: t.src,
@@ -873,66 +669,7 @@ impl Network {
             .filter(|id| pred(self.transfers[id.0 as usize].tag))
             .collect();
         for id in victims {
-            let (src, dst, bytes, tag, started_at, release_at, deliver_at) = {
-                let t = &self.transfers[id.0 as usize];
-                (
-                    t.src,
-                    t.dst,
-                    t.bytes,
-                    t.tag,
-                    t.started_at,
-                    t.release_at,
-                    t.deliver_at,
-                )
-            };
-            let had_release = self.releases.remove(&(release_at, id));
-            let had_delivery = self.deliveries.remove(&(deliver_at, id));
-            debug_assert!(
-                had_release && had_delivery,
-                "on-wire victim must be scheduled"
-            );
-            self.nics[src.0].up_current = None;
-            self.nics[dst.0].down_current = None;
-            let popped = self.nics[src.0].up_queues[dst.0].pop_front();
-            debug_assert_eq!(popped, Some(id));
-            let occ = now.saturating_sub(started_at);
-            self.up_busy[src.0] += occ;
-            self.down_busy[dst.0] += occ;
-            if let Some(trace) = &mut self.trace {
-                trace.push((tag, src.0, dst.0, started_at, now));
-            }
-            if let Some(xray) = &mut self.xray {
-                xray.push((
-                    tag,
-                    src.0,
-                    dst.0,
-                    self.transfers[id.0 as usize].submitted_at,
-                    started_at,
-                    now,
-                    now,
-                ));
-            }
-            if let Some(te) = self.telem.as_mut() {
-                te.active.step(now, -1.0);
-                te.up_util[src.0].record(now, 0.0);
-                te.down_util[dst.0].record(now, 0.0);
-            }
-            if let Some(sc) = self.scope.as_mut() {
-                sc.record(now, src.0, 0.0);
-                sc.record(now, self.nics.len() + dst.0, 0.0);
-            }
-            if let Some(c) = self.contention.as_mut() {
-                c.on_wire(src.0, dst.0, tag, bytes, started_at, now);
-                c.on_dropped(now, src.0, dst.0, tag);
-            }
-            dropped.push(DroppedTransfer {
-                tag,
-                src,
-                dst,
-                bytes,
-            });
-            self.try_start(now, src);
-            self.serve_down_waiters(now, dst);
+            dropped.push(self.evict(now, id));
         }
         // Latency-phase transfers (past wire release): their deliveries
         // simply never fire.
@@ -945,9 +682,7 @@ impl Network {
         for (t, id) in purge {
             self.deliveries.remove(&(t, id));
             let tr = &self.transfers[id.0 as usize];
-            if let Some(c) = self.contention.as_mut() {
-                c.on_dropped(now, tr.src.0, tr.dst.0, tr.tag);
-            }
+            self.tap.dropped(now, tr.src.0, tr.dst.0, tr.tag, false);
             dropped.push(DroppedTransfer {
                 tag: tr.tag,
                 src: tr.src,
@@ -1049,7 +784,7 @@ impl crate::port::NetPort for Network {
     }
 
     fn drain_scope_windows(&mut self, out: &mut Vec<ScopeWindow>) {
-        Network::drain_scope_windows(self, out)
+        self.tap.drain_scope_windows(out)
     }
 }
 
@@ -1269,12 +1004,12 @@ mod tests {
     #[test]
     fn xray_records_full_transfer_lifecycle() {
         let mut n = net_lat(2);
-        n.enable_xray();
+        n.tap().enable_wire_log();
         n.submit(SimTime::ZERO, NodeId(0), NodeId(1), mb(1), 1);
         n.submit(SimTime::ZERO, NodeId(0), NodeId(1), mb(1), 2);
         drain(&mut n);
         let us = SimTime::from_micros;
-        let recs = n.take_xray();
+        let recs = n.tap().take_wire_log();
         // (tag, src, dst, submitted, wire_start, released, delivered):
         // the second message queued behind the first from submission at
         // t=0 until the port freed at 1.1 ms.
@@ -1285,7 +1020,7 @@ mod tests {
                 (2, 0, 1, us(0), us(1_100), us(2_200), us(2_600)),
             ]
         );
-        assert!(n.take_xray().is_empty(), "take drains the recorder");
+        assert!(n.tap().take_wire_log().is_empty(), "take drains the log");
     }
 
     #[test]

@@ -79,6 +79,7 @@ pub trait NetPort {
     }
 
     /// Moves closed scope NIC-utilisation windows into `out`, oldest
-    /// first (observation only; no-op unless `enable_scope` was called).
+    /// first (observation only; no-op unless the fabric's tap records
+    /// scope windows).
     fn drain_scope_windows(&mut self, _out: &mut Vec<ScopeWindow>) {}
 }

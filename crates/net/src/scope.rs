@@ -3,9 +3,10 @@
 //! bs-telemetry records per-direction utilisation as full time series and
 //! summarises them after the run; the scope bus needs the opposite shape
 //! — a bounded stream of pre-aggregated windows it can surface *during*
-//! the run. [`ScopeUtil`] is fed from the exact same record sites the
-//! fabric telemetry uses (FIFO wire start/release/drop, fluid
-//! reallocation), so a window's `util_secs` integrates the identical
+//! the run. [`ScopeUtil`] is one of the folds inside the fabric's
+//! [`Tap`](crate::tap::Tap), fed by the same lifecycle calls as the
+//! telemetry series (FIFO wire start and end, fluid rate samples), so a
+//! window's `util_secs` integrates the identical
 //! piecewise-constant utilisation function the telemetry series describe:
 //! the sum of windowed integrals equals the sum of
 //! `TimeSeries::integral_secs` over every port direction (up to float

@@ -487,9 +487,10 @@ fn stalled(tenants: &[Tenant], now: SimTime) -> ! {
 /// utilisation window, then every tenant's straggling events. The bus
 /// itself stays open.
 pub fn finish_scope(fabric: &mut Fabric, tenants: &mut [Tenant], end: SimTime, bus: &mut ScopeBus) {
-    fabric.finish_scope(end);
+    let tap = fabric.tap();
+    tap.finish_scope(end);
     let mut wins = Vec::new();
-    fabric.drain_scope_windows(&mut wins);
+    tap.drain_scope_windows(&mut wins);
     for w in &wins {
         bus.publish(net_window_event(w));
     }

@@ -18,7 +18,7 @@ use bs_core::{
 };
 use bs_engine::{EngineEvent, ExternalRole, IterDag, NodeKind, Pass, WorkerEngine};
 use bs_faults::{job_seed, FaultInjector, FaultPlan};
-use bs_net::{DroppedTransfer, NetEvent, NetPort, NodeId, WireSpan, WireXrayRecord};
+use bs_net::{DroppedTransfer, NetEvent, NetPort, NodeId, WireXrayRecord};
 use bs_scope::{ScopeBus, ScopeEvent};
 use bs_sim::{SimRng, SimTime, Trace};
 use bs_telemetry::MetricSet;
@@ -497,10 +497,13 @@ impl JobState {
         let mut engines = engines;
         let mut backend = backend;
         let mut scheds = scheds;
-        if cfg.record_trace {
+        // The span trace and xray read one compute-span log per engine.
+        if cfg.record_trace || cfg.record_xray {
             for e in &mut engines {
-                e.enable_trace();
+                e.enable_spans();
             }
+        }
+        if cfg.record_trace {
             if let JobBackend::Ring { ring, .. } = &mut backend {
                 ring.enable_trace();
             }
@@ -514,9 +517,6 @@ impl JobState {
             }
         }
         let xray = cfg.record_xray.then(|| {
-            for e in &mut engines {
-                e.enable_xray();
-            }
             for s in &mut scheds {
                 s.enable_xray(arrival);
             }
@@ -1586,7 +1586,7 @@ impl JobState {
         };
         for (w, engine) in self.engines.iter_mut().enumerate() {
             let dag = engine.dag().clone();
-            for (iter, node, start, end) in engine.take_xray() {
+            for (iter, node, start, end) in engine.take_spans() {
                 if let NodeKind::Compute { layer, pass } = dag.nodes[node].kind {
                     log.compute.push(ComputeSpan {
                         worker: w,
@@ -1723,11 +1723,12 @@ impl JobState {
     }
 
     /// Appends this job's recorded compute spans to `trace`, with track
-    /// names prefixed by `prefix` (e.g. `"job0/"`).
-    pub fn append_compute_trace(&mut self, trace: &mut Trace, prefix: &str) {
-        for (w, engine) in self.engines.iter_mut().enumerate() {
-            let dag = engine.dag().clone();
-            for (iter, node, start, end) in engine.take_trace() {
+    /// names prefixed by `prefix` (e.g. `"job0/"`). The spans are peeked,
+    /// not drained: xray drains the same log when the result is built.
+    pub fn append_compute_trace(&self, trace: &mut Trace, prefix: &str) {
+        for (w, engine) in self.engines.iter().enumerate() {
+            let dag = engine.dag();
+            for &(iter, node, start, end) in engine.spans() {
                 let name = match dag.nodes[node].kind {
                     NodeKind::Compute { layer, pass } => match pass {
                         Pass::Forward => format!("fwd{layer}@it{iter}"),
@@ -1782,12 +1783,13 @@ impl JobState {
     }
 }
 
-/// Names one wire span from its job-local tag, matching the single-job
-/// trace conventions: co-tenant bursts are labelled by node pair, subtask
+/// Names the wire span of one wire lifecycle record (its wire start to
+/// its release) from its job-local tag, matching the single-job trace
+/// conventions: co-tenant bursts are labelled by node pair, subtask
 /// transfers by `(kind, tensor, partition, iteration)` on the owning
 /// worker's up/down track. Track names get `prefix` prepended.
-pub fn wire_span_into_trace(trace: &mut Trace, span: &WireSpan, prefix: &str) {
-    let (tag, src, dst, start, end) = *span;
+pub fn wire_span_into_trace(trace: &mut Trace, rec: &WireXrayRecord, prefix: &str) {
+    let &(tag, src, dst, _, start, end, _) = rec;
     if is_burst_tag(tag) {
         trace.push(
             "co-tenant burst",

@@ -8,7 +8,7 @@
 //! the fabric's `net/` metrics inside the job's result).
 
 use bs_faults::ClusterFaultInjector;
-use bs_net::Fabric;
+use bs_net::{Fabric, WireXrayRecord};
 use bs_scope::ScopeBus;
 use bs_sim::{SimTime, Trace};
 
@@ -38,15 +38,14 @@ pub fn run_observed(cfg: &WorldConfig, mut scope: Option<&mut ScopeBus>) -> RunR
     // Ring runs keep their collective stream private and never touch
     // the point-to-point fabric; give them a minimal idle one.
     let mut fabric = Fabric::new(cfg.fabric, nodes_needed.max(2), cfg.net);
-    let ps = matches!(cfg.arch, Arch::Ps { .. });
-    if cfg.record_trace && ps {
-        fabric.enable_trace();
-    }
-    if cfg.record_metrics && ps {
-        fabric.enable_telemetry(SimTime::ZERO);
-    }
-    if cfg.record_xray && ps {
-        fabric.enable_xray();
+    if matches!(cfg.arch, Arch::Ps { .. }) {
+        let tap = fabric.tap();
+        if cfg.record_trace || cfg.record_xray {
+            tap.enable_wire_log();
+        }
+        if cfg.record_metrics {
+            tap.enable_telemetry(SimTime::ZERO);
+        }
     }
     let nodes = NodeMap::identity(nodes_needed);
     let mut injector = ClusterFaultInjector::new();
@@ -58,7 +57,7 @@ pub fn run_observed(cfg: &WorldConfig, mut scope: Option<&mut ScopeBus>) -> RunR
     let mut state = JobState::build(&job_cfg, nodes);
     if let Some(bus) = scope.as_deref_mut() {
         state.enable_scope(0, SimTime::ZERO);
-        fabric.enable_scope(SimTime::ZERO, bus.window());
+        fabric.tap().enable_scope(SimTime::ZERO, bus.window());
     }
     let mut tenants = [Tenant::train(state, job_cfg, SimTime::ZERO)];
     let faults = (!injector.is_empty()).then_some(&mut injector);
@@ -85,22 +84,23 @@ fn into_result(
     now: SimTime,
     cfg: &WorldConfig,
 ) -> RunResult {
-    // Wire lifecycles must land in the partition records before the
-    // trace is assembled: flow arrows point at wire-start instants.
-    if cfg.record_xray {
-        let recs = fabric.take_xray();
-        job.absorb_wire_xray(&recs);
-    }
-    let trace = cfg
-        .record_trace
-        .then(|| assemble_trace(&mut job, &mut fabric));
+    // Xray and the span trace read one wire log. Wire lifecycles must
+    // land in the partition records before the trace is assembled: flow
+    // arrows point at wire-start instants.
+    let trace = {
+        let wire = fabric.tap().take_wire_log();
+        if cfg.record_xray {
+            job.absorb_wire_xray(&wire);
+        }
+        cfg.record_trace.then(|| assemble_trace(&mut job, &wire))
+    };
     let net = JobNetStats {
         p2p_bytes: fabric.bytes_delivered(),
         comm_events: fabric.transfers_delivered(),
         peak_in_flight: fabric.peak_in_flight(),
         peak_port_utilisation: fabric.peak_port_utilisation(now),
     };
-    let fabric_metrics = fabric.take_metrics(now);
+    let fabric_metrics = fabric.tap().take_metrics(now);
     let mut result = job.into_result(cfg, now, net);
     result.trace = trace;
     if let Some(fm) = fabric_metrics {
@@ -120,12 +120,12 @@ fn into_result(
 }
 
 /// Collects the recorded spans from every subsystem into one trace with
-/// human-readable track and span names.
-fn assemble_trace(job: &mut JobState, fabric: &mut Fabric) -> Trace {
+/// human-readable track and span names; `wire` is the fabric's wire log.
+fn assemble_trace(job: &mut JobState, wire: &[WireXrayRecord]) -> Trace {
     let mut trace = Trace::new();
     job.append_compute_trace(&mut trace, "");
-    for span in fabric.take_trace() {
-        wire_span_into_trace(&mut trace, &span, "");
+    for rec in wire {
+        wire_span_into_trace(&mut trace, rec, "");
     }
     job.append_ring_trace(&mut trace, "");
     job.append_xray_flows(&mut trace, "");

@@ -8,7 +8,9 @@
 //! exactly for the FIFO fabric's 0/1 busy series, and up to f64 rate
 //! accumulation for the fluid fabric's allocated-rate fraction.
 
-use bytescheduler::net::{Fabric, FabricModel, NetConfig, NetEvent, NodeId, Transport};
+use bytescheduler::net::{
+    DroppedTransfer, Fabric, FabricModel, NetConfig, NetEvent, NodeId, Transport,
+};
 use bytescheduler::sim::SimTime;
 use bytescheduler::telemetry::MetricSet;
 use proptest::prelude::*;
@@ -23,7 +25,7 @@ fn run_workload(
 ) -> (MetricSet, [u64; NODES], [u64; NODES]) {
     let cfg = NetConfig::gbps(8.0, Transport::ideal()); // 1e9 B/s
     let mut fabric = Fabric::new(model, NODES, cfg);
-    fabric.enable_telemetry(SimTime::ZERO);
+    fabric.tap().enable_telemetry(SimTime::ZERO);
     let mut sent = [0u64; NODES];
     let mut recv = [0u64; NODES];
     let mut events: Vec<NetEvent> = Vec::new();
@@ -60,7 +62,7 @@ fn run_workload(
         guard += 1;
         assert!(guard < 2_000_000, "fabric did not drain");
     }
-    let ms = fabric.take_metrics(end).expect("telemetry enabled");
+    let ms = fabric.tap().take_metrics(end).expect("telemetry enabled");
     (ms, sent, recv)
 }
 
@@ -106,6 +108,165 @@ proptest! {
             // And the fabric's own byte counter agrees with the series.
             let delivered: u64 = sent.iter().sum();
             prop_assert_eq!(ms.get_counter("bytes_delivered"), Some(delivered));
+        }
+    }
+}
+
+/// One timed input of a fault-interleaved workload.
+#[derive(Clone, Copy, Debug)]
+enum Op {
+    /// Submit `bytes` from `src` to `dst`.
+    Flow(usize, usize, u64),
+    /// Flap a node down.
+    Kill(usize),
+    /// Bring a node back up.
+    Revive(usize),
+    /// Rescale one NIC direction: `(node, up, scale)`.
+    Scale(usize, bool, f64),
+    /// Cancel every pending transfer whose tag has this parity.
+    Cancel(u64),
+}
+
+/// Half the ops are flows; the rest spread over the four fault hooks.
+fn op() -> impl Strategy<Value = Op> {
+    (
+        0u8..8,
+        0usize..NODES,
+        0usize..NODES,
+        1u64..4_000_000,
+        any::<bool>(),
+        0.25f64..4.0,
+    )
+        .prop_map(|(kind, a, b, bytes, up, scale)| match kind {
+            0..=3 => Op::Flow(a, b, bytes),
+            4 => Op::Kill(a),
+            5 => Op::Revive(a),
+            6 => Op::Scale(a, up, scale),
+            _ => Op::Cancel(bytes % 2),
+        })
+}
+
+/// Everything a fault-interleaved run emits, plus (when recording) the
+/// closed metrics and the FIFO fabric's per-uplink busy time.
+struct Observed {
+    events: Vec<NetEvent>,
+    dropped: Vec<DroppedTransfer>,
+    metrics: Option<MetricSet>,
+    up_busy: Option<Vec<SimTime>>,
+}
+
+/// Contention job extractor for the test's tags.
+fn job_of(tag: u64) -> usize {
+    (tag % 4) as usize
+}
+
+/// Switches on every fabric recorder: telemetry, scope windows, the
+/// wire lifecycle log (xray and trace) and contention.
+fn record_everything(fabric: &mut Fabric) {
+    let tap = fabric.tap();
+    tap.enable_telemetry(SimTime::ZERO);
+    tap.enable_scope(SimTime::ZERO, SimTime::from_micros(250));
+    tap.enable_wire_log();
+    tap.enable_contention(SimTime::ZERO, job_of);
+}
+
+/// Closes every recorder at `end` and returns the metrics.
+fn close_recorders(fabric: &mut Fabric, end: SimTime) -> MetricSet {
+    let tap = fabric.tap();
+    tap.finish_scope(end);
+    let mut windows = Vec::new();
+    tap.drain_scope_windows(&mut windows);
+    let _ = (tap.take_wire_log(), tap.take_contention());
+    tap.take_metrics(end).expect("telemetry enabled")
+}
+
+/// Runs timed `ops` to completion, with every recorder on or none.
+fn run_faulted(model: FabricModel, ops: &[(u64, Op)], record: bool) -> Observed {
+    let cfg = NetConfig::gbps(8.0, Transport::ideal());
+    let mut fabric = Fabric::new(model, NODES, cfg);
+    if record {
+        record_everything(&mut fabric);
+    }
+    let mut events: Vec<NetEvent> = Vec::new();
+    let mut dropped: Vec<DroppedTransfer> = Vec::new();
+    let mut windows = Vec::new();
+    let mut end = SimTime::ZERO;
+    let mut ops = ops.to_vec();
+    ops.sort_by_key(|&(at, _)| at);
+    let mut advance_to = |fabric: &mut Fabric, at: SimTime, end: &mut SimTime| {
+        while fabric.next_event_time() <= at && !fabric.next_event_time().is_never() {
+            let t = fabric.next_event_time();
+            fabric.advance_into(t, &mut events);
+            fabric.tap().drain_scope_windows(&mut windows);
+            *end = (*end).max(t);
+        }
+    };
+    for (i, &(at_us, op)) in ops.iter().enumerate() {
+        let at = SimTime::from_micros(at_us);
+        advance_to(&mut fabric, at, &mut end);
+        end = end.max(at);
+        match op {
+            Op::Flow(s, d, bytes) if s != d => {
+                fabric.submit(at, NodeId(s), NodeId(d), bytes, i as u64);
+            }
+            Op::Flow(..) => {}
+            Op::Kill(n) => dropped.extend(fabric.kill_port(at, NodeId(n))),
+            Op::Revive(n) => fabric.revive_port(at, NodeId(n)),
+            Op::Scale(n, up, s) => fabric.set_port_scale(at, NodeId(n), up, s),
+            Op::Cancel(parity) => {
+                dropped.extend(fabric.cancel_where(at, &mut |tag| tag % 2 == parity))
+            }
+        }
+    }
+    // Revive every node so queued work can drain, then run dry.
+    let last = end;
+    for n in 0..NODES {
+        fabric.revive_port(last, NodeId(n));
+    }
+    advance_to(&mut fabric, SimTime::MAX, &mut end);
+    let up_busy = match &fabric {
+        Fabric::Fifo(n) => Some(n.uplink_busy().to_vec()),
+        Fabric::Fluid(_) => None,
+    };
+    let metrics = record.then(|| close_recorders(&mut fabric, end));
+    Observed {
+        events,
+        dropped,
+        metrics,
+        up_busy,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Recording changes nothing, fault hooks included: with every
+    /// recorder on, both fabrics emit the same events and drop the same
+    /// transfers as with none, under interleaved flaps, rescales and
+    /// cancellations; and on the FIFO fabric each uplink's utilisation
+    /// series integrates to exactly its accumulated busy time, killed and
+    /// cancelled occupancies included.
+    #[test]
+    fn recording_changes_nothing_under_fault_hooks(
+        ops in proptest::collection::vec((0u64..6_000, op()), 1..40),
+    ) {
+        for model in [FabricModel::SerialFifo, FabricModel::FairShare] {
+            let bare = run_faulted(model, &ops, false);
+            let seen = run_faulted(model, &ops, true);
+            prop_assert_eq!(&bare.events, &seen.events, "{:?} events", model);
+            prop_assert_eq!(&bare.dropped, &seen.dropped, "{:?} drops", model);
+            let Some(busy) = seen.up_busy else { continue };
+            let ms = seen.metrics.expect("recorded");
+            for (n, b) in busy.iter().enumerate() {
+                let util = ms
+                    .get_series(&format!("nic{n}/up_util"))
+                    .expect("up series")
+                    .integral_secs(ms.horizon);
+                prop_assert!(
+                    (util - b.as_secs_f64()).abs() <= 1e-9,
+                    "nic{} up: ∫util = {}, busy {}", n, util, b.as_secs_f64()
+                );
+            }
         }
     }
 }
