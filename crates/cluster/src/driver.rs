@@ -8,7 +8,7 @@
 //! (checkpoint, migrate, resume) behind [`DriverHooks`], and the
 //! [`ClusterResult`] assembly.
 
-use bs_faults::{ClusterChange, ClusterFaultEntry, ClusterFaultInjector, FaultPlan};
+use bs_faults::{ClusterChange, ClusterFaultEntry, ClusterFaultInjector, FaultPlan, PlanTarget};
 use bs_net::{CompletedTransfer, Fabric, NetPort, NodeId, WireXrayRecord};
 use bs_scope::{ScopeBus, ScopeEvent};
 use bs_tune::RestartCost;
@@ -224,7 +224,7 @@ impl ClusterHooks {
         cfg2.warmup = cfg.warmup.min(cfg2.iters - 2);
         let mut next = JobState::build_at(&cfg2, NodeMap::new(j, new_nodes.clone()), resume_at);
         if self.scope_on {
-            next.enable_scope(j, resume_at);
+            next.enable_scope(j);
         }
         next.scope_push(ScopeEvent::FaultFired {
             job: j,
@@ -309,30 +309,11 @@ pub fn run_cluster_observed(
     // events — each applied to the shared fabric exactly once.
     let mut injector = ClusterFaultInjector::new();
     if let Some(plan) = &cluster.faults {
-        plan.validate().expect("invalid cluster fault plan");
-        for e in &plan.link_events {
-            assert!(
-                e.node < cluster.machines,
-                "cluster fault plan rescales machine {} but the cluster has {}",
-                e.node,
-                cluster.machines
-            );
-        }
-        for f in &plan.flaps {
-            assert!(
-                f.node < cluster.machines,
-                "cluster fault plan flaps machine {} but the cluster has {}",
-                f.node,
-                cluster.machines
-            );
-        }
-        for mf in &plan.machine_failures {
-            assert!(
-                mf.machine < cluster.machines,
-                "cluster fault plan fails machine {} but the cluster has {}",
-                mf.machine,
-                cluster.machines
-            );
+        let target = PlanTarget::Cluster {
+            machines: cluster.machines,
+        };
+        if let Err(e) = plan.check_fits(target) {
+            panic!("invalid cluster fault plan: {e}");
         }
         injector.add_plan(plan);
     }
@@ -361,10 +342,10 @@ pub fn run_cluster_observed(
                 cfg.record_metrics = cluster.record_metrics;
                 cfg.record_xray = cluster.record_xray;
                 let node_map = NodeMap::new(j, nodes.clone());
-                if let Some(p) = cfg.faults.as_mut() {
+                if cfg.faults.is_some() {
                     // A tenant's link events touch shared ports: they join
                     // the cluster timeline, translated to machines.
-                    hoist_job_links(&mut injector, p, &node_map);
+                    hoist_job_links(&mut injector, &mut cfg, &node_map);
                 } else if let Some(cp) = &cluster.faults {
                     // The cluster plan's loss/straggler streams project
                     // onto every tenant without a private plan, each
@@ -404,8 +385,8 @@ pub fn run_cluster_observed(
     if let Some(bus) = scope.as_deref_mut() {
         fabric.tap().enable_scope(SimTime::ZERO, bus.window());
         for (j, tenant) in tenants.iter_mut().enumerate() {
-            if let Tenant::Train { state, arrival, .. } = tenant {
-                state.enable_scope(j, *arrival);
+            if let Tenant::Train { state, .. } = tenant {
+                state.enable_scope(j);
             }
         }
     }
@@ -450,44 +431,21 @@ pub fn run_cluster_observed(
         migrations,
         ..
     } = hooks;
-    // Xray and the span trace read one wire log. Strip the namespace
-    // bits from every record; xray demultiplexes them by job id and hands
-    // each training job its own — before the trace is assembled, since
-    // flow arrows point at wire-start instants.
-    let trace = {
-        let wire = fabric.tap().take_wire_log();
-        let local = |mut rec: WireXrayRecord| {
-            rec.0 = inner_tag(rec.0);
-            rec
-        };
-        if cluster.record_xray {
-            let mut per_job: Vec<Vec<WireXrayRecord>> = vec![Vec::new(); tenants.len()];
-            for &rec in &wire {
-                per_job[job_of_tag(rec.0)].push(local(rec));
-            }
-            for (j, tenant) in tenants.iter_mut().enumerate() {
-                if let Tenant::Train { state, .. } = tenant {
-                    state.absorb_wire_xray(&per_job[j]);
-                }
-            }
+    // Xray and the span trace read one wire log: each training job
+    // gets its own records with the namespace bits stripped, and the
+    // trace gets every record's wire span under its job's prefix.
+    let mut trace = cluster.record_trace.then(Trace::new);
+    let mut per_job: Vec<Vec<WireXrayRecord>> = vec![Vec::new(); tenants.len()];
+    for mut rec in fabric.tap().take_wire_log() {
+        let j = job_of_tag(rec.0);
+        rec.0 = inner_tag(rec.0);
+        if let Some(trace) = trace.as_mut() {
+            wire_span_into_trace(trace, &rec, &format!("job{j}/"));
         }
-        cluster.record_trace.then(|| {
-            let mut trace = Trace::new();
-            for (j, tenant) in tenants.iter_mut().enumerate() {
-                if let Tenant::Train { state, .. } = tenant {
-                    let prefix = format!("job{j}/");
-                    state.append_compute_trace(&mut trace, &prefix);
-                    state.append_ring_trace(&mut trace, &prefix);
-                    state.append_xray_flows(&mut trace, &prefix);
-                }
-            }
-            for &rec in &wire {
-                let j = job_of_tag(rec.0);
-                wire_span_into_trace(&mut trace, &local(rec), &format!("job{j}/"));
-            }
-            trace
-        })
-    };
+        if cluster.record_xray {
+            per_job[j].push(rec);
+        }
+    }
 
     let peak_in_flight = fabric.peak_in_flight();
     let peak_port_utilisation = fabric.peak_port_utilisation(makespan);
@@ -531,7 +489,6 @@ pub fn run_cluster_observed(
         ContentionMatrix::reduce(&log, makespan, names)
     });
 
-    let mut trace = trace;
     if let (Some(trace), Some(ms)) = (trace.as_mut(), metrics.as_ref()) {
         for t in ms.counter_tracks() {
             trace.push_counter(t.name, t.samples);
@@ -559,7 +516,14 @@ pub fn run_cluster_observed(
             peak_in_flight,
             peak_port_utilisation,
         };
-        let mut result = state.into_result(&cfg, finished_at, net);
+        let mut result = state.close_out(
+            &cfg,
+            finished_at,
+            net,
+            std::mem::take(&mut per_job[j]),
+            trace.as_mut(),
+            &format!("job{j}/"),
+        );
         // A migrated job finished, but not unscathed: surface each
         // checkpoint/migrate cycle as a reroute so the outcome can never
         // read as a clean completion.
@@ -578,13 +542,6 @@ pub fn run_cluster_observed(
                 }
                 failed => failed,
             };
-        }
-        // Per-job series double as counter tracks in the merged trace,
-        // prefixed like the job's span tracks.
-        if let (Some(trace), Some(ms)) = (trace.as_mut(), result.metrics.as_ref()) {
-            for t in ms.counter_tracks() {
-                trace.push_counter(format!("job{j}/{}", t.name), t.samples);
-            }
         }
         outcomes.push(JobOutcome {
             name: spec.name().to_string(),

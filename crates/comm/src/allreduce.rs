@@ -22,6 +22,11 @@
 //! This per-op cost is what makes small partitions expensive in all-reduce
 //! and pushes Table 1's optimal partition/credit sizes an order of magnitude
 //! above the PS ones.
+//!
+//! The stream keeps no recorders. A completed op's span is
+//! `[finished_at − op_time(bytes), finished_at]`; the runtime records it
+//! there, and the per-chunk hop decomposition xray attributes is a pure
+//! projection of that span (`bs_xray::RingOp::hops`).
 
 use std::collections::VecDeque;
 
@@ -72,49 +77,6 @@ impl AllReduceConfig {
     }
 }
 
-/// Which half of the ring algorithm a hop belongs to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
-pub enum RingPhase {
-    /// Steps `0 .. n-1`: each chunk is combined around the ring.
-    ReduceScatter,
-    /// Steps `n-1 .. 2(n-1)`: the reduced chunks are broadcast back.
-    AllGather,
-}
-
-/// One chunk's traversal of one ring step.
-///
-/// The analytic cost model runs one op as `S = 2(n−1)` equal-duration
-/// pipelined steps; at step `k` every chunk moves one hop concurrently.
-/// Step boundaries are `t_k = start + D·k/S` in integer nanoseconds
-/// (monotone, `t_0 = start`, `t_S = end` exactly), so the per-chunk hop
-/// windows tile the op span without drift — the invariant the xray
-/// analyzer's exact-tiling attribution leans on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RingHop {
-    /// The batch tag of the owning op.
-    pub tag: u64,
-    /// Chunk index `0 .. n`.
-    pub chunk: u32,
-    /// Hop index `0 .. 2(n−1)` (== the ring step the chunk moved in).
-    pub hop: u32,
-    /// Reduce-scatter or all-gather half.
-    pub phase: RingPhase,
-    /// When the chunk became ready for this hop: the op start for hop 0,
-    /// the previous hop's deliver otherwise.
-    pub enqueue: SimTime,
-    /// When the hop's step window opened.
-    pub submit: SimTime,
-    /// When the hop's step window closed (chunk at the next rank).
-    pub deliver: SimTime,
-}
-
-/// Step boundary `t_k = start + D·k/S` of an op spanning `[start, end]`.
-fn step_boundary(start: SimTime, end: SimTime, k: u64, steps: u64) -> SimTime {
-    let d = end.as_nanos().saturating_sub(start.as_nanos());
-    let off = (d as u128 * k as u128 / steps as u128) as u64;
-    SimTime::from_nanos(start.as_nanos() + off)
-}
-
 /// One finished all-reduce, reported by [`RingAllReduce::advance`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub struct CompletedOp {
@@ -151,13 +113,6 @@ pub struct RingAllReduce {
     next_id: u64,
     bytes_reduced: u64,
     ops_reduced: u64,
-    /// When enabled, completed op spans split at the phase boundary:
-    /// (tag, start, reduce-scatter end, end).
-    trace: Option<Vec<(u64, SimTime, SimTime, SimTime)>>,
-    /// When enabled, per-chunk per-hop lifecycle records for causal
-    /// tracing (xray); a separate buffer so both consumers can drain
-    /// independently.
-    xray: Option<Vec<RingHop>>,
 }
 
 impl RingAllReduce {
@@ -171,40 +126,7 @@ impl RingAllReduce {
             next_id: 0,
             bytes_reduced: 0,
             ops_reduced: 0,
-            trace: None,
-            xray: None,
         }
-    }
-
-    /// Enables op-span recording (see [`Self::take_trace`]).
-    pub fn enable_trace(&mut self) {
-        self.trace = Some(Vec::new());
-    }
-
-    /// Drains the recorded op spans: `(tag, start, reduce-scatter end,
-    /// end)` per collective, in completion order.
-    pub fn take_trace(&mut self) -> Vec<(u64, SimTime, SimTime, SimTime)> {
-        self.trace.as_mut().map(std::mem::take).unwrap_or_default()
-    }
-
-    /// Enables per-chunk hop recording for causal tracing (xray).
-    pub fn enable_xray(&mut self) {
-        if self.xray.is_none() {
-            self.xray = Some(Vec::new());
-        }
-    }
-
-    /// Drains the recorded hop records, grouped per op in completion
-    /// order (chunk-major, hop-minor within each op).
-    pub fn take_xray(&mut self) -> Vec<RingHop> {
-        self.xray.as_mut().map(std::mem::take).unwrap_or_default()
-    }
-
-    /// Peeks at the recorded hop records without draining them, so trace
-    /// assembly can emit per-chunk flow arrows before the xray log is
-    /// taken. Empty unless xray recording is enabled.
-    pub fn xray_hops(&self) -> &[RingHop] {
-        self.xray.as_deref().unwrap_or_default()
     }
 
     /// The configuration.
@@ -260,40 +182,6 @@ impl RingAllReduce {
             self.free_at = end;
             self.bytes_reduced += op.bytes;
             self.ops_reduced += 1;
-            if self.trace.is_some() || self.xray.is_some() {
-                let start = end.saturating_sub(self.cfg.op_time(op.bytes));
-                let n = self.cfg.num_workers as u64;
-                let steps = 2 * (n - 1);
-                let rs_end = step_boundary(start, end, n - 1, steps);
-                if let Some(trace) = &mut self.trace {
-                    trace.push((op.tag, start, rs_end, end));
-                }
-                if let Some(xray) = &mut self.xray {
-                    // At step k every chunk moves one hop concurrently, so
-                    // chunk c's hop h occupies step window [t_h, t_{h+1}].
-                    for chunk in 0..n {
-                        let mut enqueue = start;
-                        for hop in 0..steps {
-                            let submit = step_boundary(start, end, hop, steps);
-                            let deliver = step_boundary(start, end, hop + 1, steps);
-                            xray.push(RingHop {
-                                tag: op.tag,
-                                chunk: chunk as u32,
-                                hop: hop as u32,
-                                phase: if hop < n - 1 {
-                                    RingPhase::ReduceScatter
-                                } else {
-                                    RingPhase::AllGather
-                                },
-                                enqueue,
-                                submit,
-                                deliver,
-                            });
-                            enqueue = deliver;
-                        }
-                    }
-                }
-            }
             done.push(CompletedOp {
                 id: op.id,
                 bytes: op.bytes,
@@ -452,66 +340,6 @@ mod tests {
             done.extend(ring.advance(t).into_iter().map(|c| c.tag));
         }
         assert_eq!(done, vec![1, 2], "FIFO stream even with a delayed head");
-    }
-
-    #[test]
-    fn hop_records_tile_the_op_span_exactly() {
-        let mut ring = RingAllReduce::new(cfg(4));
-        ring.enable_xray();
-        ring.enable_trace();
-        ring.submit(SimTime::ZERO, 4_000_000, 7);
-        ring.advance(SimTime::from_micros(6_100));
-        let hops = ring.take_xray();
-        let n = 4u32;
-        let steps = 2 * (n - 1);
-        assert_eq!(hops.len(), (n * steps) as usize);
-        let (start, end) = (SimTime::ZERO, SimTime::from_micros(6_100));
-        for chunk in 0..n {
-            let mine: Vec<_> = hops.iter().filter(|h| h.chunk == chunk).collect();
-            assert_eq!(mine.len(), steps as usize);
-            assert_eq!(mine[0].enqueue, start);
-            assert_eq!(mine[0].submit, start);
-            assert_eq!(mine.last().unwrap().deliver, end);
-            for w in mine.windows(2) {
-                assert_eq!(w[0].deliver, w[1].submit, "hop windows abut");
-                assert_eq!(w[1].enqueue, w[0].deliver, "enqueue chains hops");
-            }
-            for h in &mine {
-                let expect = if h.hop < n - 1 {
-                    RingPhase::ReduceScatter
-                } else {
-                    RingPhase::AllGather
-                };
-                assert_eq!(h.phase, expect);
-            }
-        }
-        // The trace span's phase boundary matches the hop decomposition.
-        let spans = ring.take_trace();
-        assert_eq!(spans.len(), 1);
-        let (tag, s, rs_end, e) = spans[0];
-        assert_eq!(tag, 7);
-        assert_eq!((s, e), (start, end));
-        let rs_hop_end = hops
-            .iter()
-            .filter(|h| h.phase == RingPhase::ReduceScatter)
-            .map(|h| h.deliver)
-            .max()
-            .unwrap();
-        assert_eq!(rs_end, rs_hop_end);
-        assert!(s < rs_end && rs_end < e);
-    }
-
-    #[test]
-    fn hop_boundaries_are_exact_under_integer_division() {
-        // A duration not divisible by the step count must still produce
-        // t_0 == start and t_S == end with monotone boundaries.
-        let (s, e) = (SimTime::from_nanos(13), SimTime::from_nanos(1_000_000_007));
-        let steps = 6;
-        assert_eq!(step_boundary(s, e, 0, steps), s);
-        assert_eq!(step_boundary(s, e, steps, steps), e);
-        for k in 0..steps {
-            assert!(step_boundary(s, e, k, steps) <= step_boundary(s, e, k + 1, steps));
-        }
     }
 
     #[test]

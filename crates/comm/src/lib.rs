@@ -24,5 +24,5 @@
 pub mod allreduce;
 pub mod ps;
 
-pub use allreduce::{AllReduceConfig, CompletedOp, OpId, RingAllReduce, RingHop, RingPhase};
+pub use allreduce::{AllReduceConfig, CompletedOp, OpId, RingAllReduce};
 pub use ps::{ParamServer, PartitionKey, PsConfig, PsMode, PullGrant, ShardAssign};

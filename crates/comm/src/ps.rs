@@ -10,11 +10,14 @@
 //! partially done, the done part can be pulled" — holds here by
 //! construction because aggregation state is tracked per *partition*, not
 //! per tensor.
+//!
+//! The server keeps no recorders: a push completion that grants pulls is
+//! the partition's aggregation instant, and the runtime records it there
+//! for xray.
 
 use std::collections::HashMap;
 
 use bs_net::NodeId;
-use bs_sim::SimTime;
 use serde::Serialize;
 
 /// Identifies one partition of one tensor.
@@ -88,9 +91,6 @@ pub struct ParamServer {
     partition_shard: HashMap<PartitionKey, usize>,
     /// Next shard for the global per-partition round-robin.
     next_shard: usize,
-    /// When enabled, aggregation-complete instants for causal tracing:
-    /// `(iter, tensor, part, at)` per key whose pulls became legal.
-    xray: Option<Vec<(u64, u32, u32, SimTime)>>,
 }
 
 impl ParamServer {
@@ -103,22 +103,7 @@ impl ParamServer {
             arrived: HashMap::new(),
             partition_shard: HashMap::new(),
             next_shard: 0,
-            xray: None,
         }
-    }
-
-    /// Enables aggregation-event recording for causal tracing. Recording
-    /// never changes grant decisions.
-    pub fn enable_xray(&mut self) {
-        if self.xray.is_none() {
-            self.xray = Some(Vec::new());
-        }
-    }
-
-    /// Drains recorded aggregation completions: `(iter, tensor, part, at)`
-    /// per key whose pulls became legal.
-    pub fn take_xray(&mut self) -> Vec<(u64, u32, u32, SimTime)> {
-        self.xray.as_mut().map(std::mem::take).unwrap_or_default()
     }
 
     /// The configuration.
@@ -144,12 +129,13 @@ impl ParamServer {
     }
 
     /// Records that `worker`'s push of `key` for `iter` finished arriving
-    /// at its shard at `now`. Returns the pulls that this completion makes
-    /// legal: in synchronous mode, all workers' pulls once the last copy
-    /// arrives; in asynchronous mode, just this worker's own pull.
+    /// at its shard. Returns the pulls that this completion makes legal:
+    /// in synchronous mode, all workers' pulls once the last copy
+    /// arrives; in asynchronous mode, just this worker's own pull. A
+    /// non-empty answer is the key's aggregation-complete instant, which
+    /// the runtime records for xray.
     pub fn on_push_complete(
         &mut self,
-        now: SimTime,
         iter: u64,
         key: PartitionKey,
         worker: usize,
@@ -158,7 +144,7 @@ impl ParamServer {
             worker < self.cfg.num_workers,
             "worker {worker} out of range"
         );
-        let grants = match self.cfg.mode {
+        match self.cfg.mode {
             PsMode::Asynchronous => vec![PullGrant { worker, key }],
             PsMode::Synchronous => {
                 let count = self.arrived.entry((iter, key)).or_insert(0);
@@ -176,13 +162,7 @@ impl ParamServer {
                     Vec::new()
                 }
             }
-        };
-        if !grants.is_empty() {
-            if let Some(x) = self.xray.as_mut() {
-                x.push((iter, key.tensor, key.part, now));
-            }
         }
-        grants
     }
 
     /// Number of partitions still mid-aggregation (sync mode only).
@@ -230,13 +210,9 @@ mod tests {
     #[test]
     fn sync_mode_grants_pulls_only_after_all_pushes() {
         let mut ps = ParamServer::new(cfg(3, 1, ShardAssign::PerTensor, PsMode::Synchronous));
-        assert!(ps
-            .on_push_complete(SimTime::ZERO, 0, key(0, 0), 0)
-            .is_empty());
-        assert!(ps
-            .on_push_complete(SimTime::ZERO, 0, key(0, 0), 1)
-            .is_empty());
-        let grants = ps.on_push_complete(SimTime::ZERO, 0, key(0, 0), 2);
+        assert!(ps.on_push_complete(0, key(0, 0), 0).is_empty());
+        assert!(ps.on_push_complete(0, key(0, 0), 1).is_empty());
+        let grants = ps.on_push_complete(0, key(0, 0), 2);
         assert_eq!(grants.len(), 3);
         assert!(grants.iter().all(|g| g.key == key(0, 0)));
         let workers: Vec<_> = grants.iter().map(|g| g.worker).collect();
@@ -249,9 +225,9 @@ mod tests {
         // Theorem 1 condition 3: a done partition is pullable even while
         // the rest of the tensor is still in flight.
         let mut ps = ParamServer::new(cfg(2, 1, ShardAssign::PerTensor, PsMode::Synchronous));
-        ps.on_push_complete(SimTime::ZERO, 0, key(0, 0), 0);
-        ps.on_push_complete(SimTime::ZERO, 0, key(0, 1), 0);
-        let g = ps.on_push_complete(SimTime::ZERO, 0, key(0, 0), 1);
+        ps.on_push_complete(0, key(0, 0), 0);
+        ps.on_push_complete(0, key(0, 1), 0);
+        let g = ps.on_push_complete(0, key(0, 0), 1);
         assert_eq!(g.len(), 2, "partition 0 ready while partition 1 pending");
         assert_eq!(ps.pending_aggregations(), 1);
     }
@@ -259,18 +235,16 @@ mod tests {
     #[test]
     fn iterations_do_not_interfere() {
         let mut ps = ParamServer::new(cfg(2, 1, ShardAssign::PerTensor, PsMode::Synchronous));
-        ps.on_push_complete(SimTime::ZERO, 0, key(0, 0), 0);
+        ps.on_push_complete(0, key(0, 0), 0);
         // Same key, next iteration: separate aggregation.
-        assert!(ps
-            .on_push_complete(SimTime::ZERO, 1, key(0, 0), 0)
-            .is_empty());
+        assert!(ps.on_push_complete(1, key(0, 0), 0).is_empty());
         assert_eq!(ps.pending_aggregations(), 2);
     }
 
     #[test]
     fn async_mode_grants_own_pull_immediately() {
         let mut ps = ParamServer::new(cfg(3, 1, ShardAssign::PerTensor, PsMode::Asynchronous));
-        let g = ps.on_push_complete(SimTime::ZERO, 0, key(2, 1), 1);
+        let g = ps.on_push_complete(0, key(2, 1), 1);
         assert_eq!(
             g,
             vec![PullGrant {
@@ -281,20 +255,9 @@ mod tests {
     }
 
     #[test]
-    fn xray_records_aggregation_instants() {
-        let mut ps = ParamServer::new(cfg(2, 1, ShardAssign::PerTensor, PsMode::Synchronous));
-        ps.enable_xray();
-        ps.on_push_complete(SimTime::from_micros(5), 0, key(3, 1), 0);
-        assert!(ps.take_xray().is_empty(), "no grant, no aggregation event");
-        ps.on_push_complete(SimTime::from_micros(9), 0, key(3, 1), 1);
-        assert_eq!(ps.take_xray(), vec![(0, 3, 1, SimTime::from_micros(9))]);
-        assert!(ps.take_xray().is_empty(), "drained");
-    }
-
-    #[test]
     #[should_panic(expected = "out of range")]
     fn bogus_worker_rejected() {
         let mut ps = ParamServer::new(cfg(2, 1, ShardAssign::PerTensor, PsMode::Synchronous));
-        ps.on_push_complete(SimTime::ZERO, 0, key(0, 0), 5);
+        ps.on_push_complete(0, key(0, 0), 5);
     }
 }

@@ -1,4 +1,11 @@
 //! Algorithm 1: priority queuing with credit-based preemption (§4.2).
+//!
+//! Recording: each lane keeps one credit-stall recorder, a 0/1 series
+//! fed wherever the lane's blocked state can change (submit, complete,
+//! poll, teardown). Telemetry exports it as `credit_stalled` with its
+//! rising edges as `stall_events`; xray's stall intervals are its runs
+//! of 1. Credit occupancy, queue depth and the counters exist only for
+//! telemetry.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -62,9 +69,6 @@ struct LaneTelemetry {
     credit_in_use: TimeSeries,
     /// Bytes submitted but not yet started.
     queued_bytes: TimeSeries,
-    /// 1 while the lane is credit-blocked, else 0; its integral is the
-    /// lane's total credit-stall time.
-    stalled: TimeSeries,
     /// Submissions that outranked the queue head (jumped the line).
     preemptions: Counter,
     /// Items handed to the network.
@@ -75,60 +79,20 @@ struct LaneTelemetry {
     reclaimed: Counter,
 }
 
-impl LaneTelemetry {
-    fn record_stall(&mut self, now: SimTime, blocked: bool) {
-        self.stalled.record(now, if blocked { 1.0 } else { 0.0 });
-    }
-
-    /// Entries into the credit-blocked state: rising edges of the
-    /// (collapsed) stall series, so a zero-duration unblock-and-reblock
-    /// at one instant does not count as a new stall.
-    fn stall_events(&self) -> u64 {
-        self.stalled
-            .samples()
-            .iter()
-            .filter(|&&(_, v)| v != 0.0)
-            .count() as u64
-    }
-}
-
-/// Per-lane credit-stall interval recorder; exists only while xray
-/// recording is enabled. An interval that closes and reopens at the same
-/// instant — e.g. a completion whose freed credit is immediately
-/// re-consumed around a preemption — coalesces into one continuous
-/// interval, mirroring the collapse semantics of the telemetry series.
-#[derive(Debug, Default)]
-struct LaneXray {
-    /// Start of the currently open stall, if the lane is credit-blocked.
-    open: Option<SimTime>,
-    /// Closed `(start, end)` stall intervals, in time order.
-    closed: Vec<(SimTime, SimTime)>,
-}
-
-impl LaneXray {
-    fn note(&mut self, now: SimTime, blocked: bool) {
-        match (self.open, blocked) {
-            (None, true) => {
-                // Reopening at the instant the last interval closed
-                // continues that interval rather than starting a new one.
-                if let Some(&(start, end)) = self.closed.last() {
-                    if end == now {
-                        self.closed.pop();
-                        self.open = Some(start);
-                        return;
-                    }
-                }
-                self.open = Some(now);
-            }
-            (Some(start), false) => {
-                self.open = None;
-                if start < now {
-                    self.closed.push((start, now));
-                }
-            }
-            _ => {}
-        }
-    }
+/// Closed `(start, end)` intervals of a 0/1 stall series, an interval
+/// still open at `now` closing there. The series collapses a stall that
+/// ends and restarts at one instant, so each interval is one stall.
+fn stall_intervals(stalled: &TimeSeries, now: SimTime) -> Vec<(SimTime, SimTime)> {
+    let samples = stalled.samples();
+    samples
+        .iter()
+        .enumerate()
+        .filter(|(_, &(_, v))| v != 0.0)
+        .filter_map(|(i, &(start, _))| {
+            let end = samples.get(i + 1).map_or(now, |&(t, _)| t);
+            (start < end).then_some((start, end))
+        })
+        .collect()
 }
 
 /// The ByteScheduler policy: Algorithm 1 of the paper.
@@ -153,8 +117,10 @@ pub struct ByteScheduler {
     /// `Some` only while telemetry is recording (one entry per lane);
     /// the disabled path costs one branch per scheduler call.
     telemetry: Option<Vec<LaneTelemetry>>,
-    /// `Some` only while xray recording is on (one entry per lane).
-    xray: Option<Vec<LaneXray>>,
+    /// `Some` while telemetry or xray records: per lane, 1 while the
+    /// lane is credit-blocked, else 0. Telemetry exports it with its
+    /// rising edges as `stall_events`; xray reads its intervals.
+    stalls: Option<Vec<TimeSeries>>,
     /// Total credit bytes returned through [`Scheduler::reclaim`] — lost
     /// partitions whose credit came back without a delivery. Always
     /// counted (no recording gate): the runtime reports it on
@@ -174,7 +140,7 @@ impl ByteScheduler {
             credit_bytes,
             lanes: (0..num_lanes).map(|_| Lane::new(credit_bytes)).collect(),
             telemetry: None,
-            xray: None,
+            stalls: None,
             reclaimed_bytes: 0,
         }
     }
@@ -184,12 +150,23 @@ impl ByteScheduler {
         self.reclaimed_bytes
     }
 
-    /// Re-examines one lane's blocked state for the xray recorder; a
-    /// no-op unless xray recording is on.
-    fn note_xray(&mut self, lane: usize, now: SimTime) {
-        if let Some(x) = self.xray.as_mut() {
+    /// Re-examines one lane's blocked state for the stall recorder; a
+    /// no-op unless it records.
+    fn note_stall(&mut self, lane: usize, now: SimTime) {
+        if let Some(stalls) = self.stalls.as_mut() {
             let blocked = self.lanes[lane].credit_blocked();
-            x[lane].note(now, blocked);
+            stalls[lane].record(now, if blocked { 1.0 } else { 0.0 });
+        }
+    }
+
+    /// Starts the per-lane stall recorder at `now` (idempotent).
+    fn enable_stalls(&mut self, now: SimTime) {
+        let n = self.lanes.len();
+        for s in self
+            .stalls
+            .get_or_insert_with(|| vec![TimeSeries::new(); n])
+        {
+            s.record(now, 0.0);
         }
     }
 
@@ -234,11 +211,7 @@ impl Scheduler for ByteScheduler {
                 token: item.token,
             },
         )));
-        if let Some(telem) = self.telemetry.as_mut() {
-            let blocked = self.lanes[item.lane].credit_blocked();
-            telem[item.lane].record_stall(now, blocked);
-        }
-        self.note_xray(item.lane, now);
+        self.note_stall(item.lane, now);
     }
 
     fn complete(&mut self, now: SimTime, lane: usize, bytes: u64) {
@@ -252,9 +225,8 @@ impl Scheduler for ByteScheduler {
             let l = &self.lanes[lane];
             t.credit_in_use
                 .record(now, (self.credit_bytes as i64 - l.credit) as f64);
-            t.record_stall(now, l.credit_blocked());
         }
-        self.note_xray(lane, now);
+        self.note_stall(lane, now);
     }
 
     fn reclaim(&mut self, now: SimTime, lane: usize, bytes: u64) {
@@ -268,15 +240,8 @@ impl Scheduler for ByteScheduler {
     }
 
     fn teardown(&mut self, now: SimTime) {
-        if let Some(telem) = self.telemetry.as_mut() {
-            for t in telem.iter_mut() {
-                t.record_stall(now, false);
-            }
-        }
-        if let Some(xray) = self.xray.as_mut() {
-            for lx in xray.iter_mut() {
-                lx.note(now, false);
-            }
+        for s in self.stalls.iter_mut().flatten() {
+            s.record(now, 0.0);
         }
     }
 
@@ -287,7 +252,8 @@ impl Scheduler for ByteScheduler {
     }
 
     fn poll_into(&mut self, now: SimTime, out: &mut Vec<WorkItem>) {
-        for (lane_idx, lane) in self.lanes.iter_mut().enumerate() {
+        for lane_idx in 0..self.lanes.len() {
+            let lane = &mut self.lanes[lane_idx];
             let mut released = 0u32;
             while let Some(Reverse((priority, _, item))) = lane.queue.peek().copied() {
                 let fits = lane.credit >= item.bytes as i64;
@@ -318,14 +284,10 @@ impl Scheduler for ByteScheduler {
             }
             if released > 0 {
                 if let Some(telem) = self.telemetry.as_mut() {
-                    let t = &mut telem[lane_idx];
-                    t.credit_in_use
-                        .record(now, (self.credit_bytes as i64 - lane.credit) as f64);
-                    t.record_stall(now, lane.credit_blocked());
+                    let in_use = self.credit_bytes as i64 - lane.credit;
+                    telem[lane_idx].credit_in_use.record(now, in_use as f64);
                 }
-                if let Some(x) = self.xray.as_mut() {
-                    x[lane_idx].note(now, lane.credit_blocked());
-                }
+                self.note_stall(lane_idx, now);
             }
         }
     }
@@ -347,40 +309,47 @@ impl Scheduler for ByteScheduler {
         for t in telem.iter_mut() {
             t.credit_in_use.record(now, 0.0);
             t.queued_bytes.record(now, 0.0);
-            t.stalled.record(now, 0.0);
         }
+        self.enable_stalls(now);
     }
 
     fn take_metrics(&mut self, now: SimTime) -> Option<MetricSet> {
         let telem = self.telemetry.take()?;
+        let stalls = self.stalls.as_deref().unwrap_or_default();
         let mut set = MetricSet::new();
         set.horizon = now;
         set.gauge("credit_bytes", self.credit_bytes as f64);
         set.gauge("partition_bytes", self.partition_bytes as f64);
-        for (i, t) in telem.into_iter().enumerate() {
+        for (i, (t, stalled)) in telem.into_iter().zip(stalls).enumerate() {
+            // Entries into the credit-blocked state: the rising edges of
+            // the collapsed series, so a zero-duration unblock-and-reblock
+            // at one instant is not a new stall.
+            let stall_events = stalled.samples().iter().filter(|&&(_, v)| v != 0.0).count();
             set.counter(format!("lane{i}/preemptions"), t.preemptions.get());
             set.counter(format!("lane{i}/released"), t.released.get());
             set.counter(format!("lane{i}/forced_oversize"), t.forced.get());
             set.counter(format!("lane{i}/reclaimed_bytes"), t.reclaimed.get());
-            set.counter(format!("lane{i}/stall_events"), t.stall_events());
+            set.counter(format!("lane{i}/stall_events"), stall_events as u64);
             set.series(format!("lane{i}/credit_in_use"), t.credit_in_use);
             set.series(format!("lane{i}/queued_bytes"), t.queued_bytes);
-            set.series(format!("lane{i}/credit_stalled"), t.stalled);
+            set.series(format!("lane{i}/credit_stalled"), stalled.clone());
         }
         Some(set)
     }
 
-    fn enable_xray(&mut self, _now: SimTime) {
-        self.xray
-            .get_or_insert_with(|| (0..self.lanes.len()).map(|_| LaneXray::default()).collect());
+    fn enable_xray(&mut self, now: SimTime) {
+        self.enable_stalls(now);
     }
 
     fn take_xray(&mut self, now: SimTime) -> Option<Vec<(usize, SimTime, SimTime)>> {
-        let lanes = self.xray.take()?;
+        let stalls = self.stalls.as_ref()?;
         let mut out = Vec::new();
-        for (i, mut lx) in lanes.into_iter().enumerate() {
-            lx.note(now, false);
-            out.extend(lx.closed.into_iter().map(|(s, e)| (i, s, e)));
+        for (i, stalled) in stalls.iter().enumerate() {
+            out.extend(
+                stall_intervals(stalled, now)
+                    .into_iter()
+                    .map(|(s, e)| (i, s, e)),
+            );
         }
         Some(out)
     }
@@ -602,10 +571,11 @@ mod tests {
         // reopen at t=3 or t=10.
         assert!((stalled.integral_secs(at(20)) - 13e-6).abs() < 1e-12);
 
-        // The xray recorder agrees: exactly one closed interval [2, 15].
+        // Xray reads the same series: exactly one closed interval
+        // [2, 15], and reading leaves the recorder to the other reader.
         let spans = s.take_xray(at(20)).expect("xray enabled");
         assert_eq!(spans, vec![(0, at(2), at(15))]);
-        assert!(s.take_xray(at(20)).is_none(), "take drains the recorder");
+        assert_eq!(s.take_xray(at(20)), Some(spans));
     }
 
     /// A lost item's credit comes back through `reclaim`: the window slot

@@ -125,13 +125,15 @@ pub trait Scheduler: Send {
     /// Starts recording causal-tracing (xray) state: per-lane
     /// credit-stall intervals. Like telemetry, recording never changes
     /// scheduling decisions; policies without instrumentation ignore it.
+    /// Policies keep one stall recorder that both readers share.
     fn enable_xray(&mut self, now: SimTime) {
         let _ = now;
     }
 
-    /// Takes the recorded credit-stall intervals as `(lane, start, end)`
-    /// tuples, closing any open interval at `now`. `None` if xray was
-    /// never enabled or the policy has no instrumentation.
+    /// The recorded credit-stall intervals as `(lane, start, end)`
+    /// tuples, closing any open interval at `now`. Reading leaves the
+    /// recorder intact for [`Scheduler::take_metrics`]. `None` if no
+    /// stall recorder runs or the policy has no instrumentation.
     fn take_xray(&mut self, now: SimTime) -> Option<Vec<(usize, SimTime, SimTime)>> {
         let _ = now;
         None

@@ -1,5 +1,10 @@
 //! The per-worker execution engine: instantiates the [`IterDag`] template
 //! iteration by iteration and runs it on a serial GPU.
+//!
+//! The engine's only recorder is its compute-span log (one entry per
+//! retired GPU op, see [`WorkerEngine::spans`]). The span trace, xray's
+//! compute spans, and the runtime's GPU-busy / comm-stall figures for
+//! metrics and the scope bus are all folds over that one log.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
@@ -87,12 +92,8 @@ pub struct WorkerEngine {
     done_iters: u64,
     all_done_emitted: bool,
     /// When enabled, completed compute spans: (iter, node, start, end).
-    /// The span trace and xray both read this one log.
+    /// Every compute-side recorder reads this one log.
     spans: Option<Vec<(u64, usize, SimTime, SimTime)>>,
-    /// When enabled, a 0/1 series of GPU occupancy. Its integral is the
-    /// worker's compute-busy time; the complement of the run window is
-    /// the communication-stall time the paper's Fig. 1 visualises.
-    gpu_busy: Option<TimeSeries>,
 }
 
 impl WorkerEngine {
@@ -154,7 +155,6 @@ impl WorkerEngine {
             done_iters: 0,
             all_done_emitted: false,
             spans: None,
-            gpu_busy: None,
         };
         engine.instantiate(0, start);
         engine.maybe_start_gpu(start);
@@ -203,28 +203,27 @@ impl WorkerEngine {
         self.spans.as_mut().map(std::mem::take).unwrap_or_default()
     }
 
-    /// Starts recording the GPU busy/idle series. Recording never changes
-    /// engine behaviour.
-    pub fn enable_telemetry(&mut self, now: SimTime) {
-        if self.gpu_busy.is_none() {
-            let mut s = TimeSeries::new();
-            s.record(now, if self.gpu.is_some() { 1.0 } else { 0.0 });
-            self.gpu_busy = Some(s);
+    /// GPU-busy seconds from the first op up to `until`, which must not
+    /// precede the last retired op: `fold` absorbs the spans it has not
+    /// seen yet, and the op still on the GPU counts up to `until`.
+    pub fn busy_secs(&self, fold: &mut BusyFold, until: SimTime) -> f64 {
+        fold.absorb(self.spans());
+        fold.secs(until, self.gpu.map(|(start, ..)| start))
+    }
+
+    /// The 0/1 GPU-occupancy series from `start`, rendered from the span
+    /// log; an op still on the GPU leaves the series at 1.
+    pub fn busy_series(&self, start: SimTime) -> TimeSeries {
+        let mut s = TimeSeries::new();
+        s.record(start, 0.0);
+        for &(_, _, a, b) in self.spans() {
+            s.record(a, 1.0);
+            s.record(b, 0.0);
         }
-    }
-
-    /// Takes the recorded GPU busy/idle series, or `None` if telemetry
-    /// was never enabled.
-    pub fn take_gpu_busy(&mut self) -> Option<TimeSeries> {
-        self.gpu_busy.take()
-    }
-
-    /// Exact GPU-busy seconds accumulated up to `until`, or `None` if
-    /// telemetry was never enabled. Reads the same series `take_gpu_busy`
-    /// exports, so live consumers (the scope bus) and post-hoc summaries
-    /// agree by construction.
-    pub fn gpu_busy_secs_until(&self, until: SimTime) -> Option<f64> {
-        self.gpu_busy.as_ref().map(|s| s.integral_secs(until))
+        if let Some((a, ..)) = self.gpu {
+            s.record(a, 1.0);
+        }
+        s
     }
 
     /// Iterations fully retired so far.
@@ -256,9 +255,6 @@ impl WorkerEngine {
             self.gpu = None;
             if let Some(spans) = &mut self.spans {
                 spans.push((iter, node, start, end));
-            }
-            if let Some(busy) = &mut self.gpu_busy {
-                busy.record(end, 0.0);
             }
             self.complete_node(end, iter, node);
             self.maybe_start_gpu(end);
@@ -480,9 +476,64 @@ impl WorkerEngine {
             }
         };
         self.gpu = Some((now, now + dur, iter, node));
-        if let Some(busy) = &mut self.gpu_busy {
-            busy.record(now, 1.0);
+    }
+}
+
+/// GPU occupancy as an incremental fold over a compute-span log.
+///
+/// Back-to-back ops merge into one busy run, as they do in
+/// [`WorkerEngine::busy_series`], and closed runs are summed in time
+/// order, so [`WorkerEngine::busy_secs`] is bit-identical to that
+/// series' integral. A reader that asks once per iteration pays for
+/// each span once.
+#[derive(Clone, Debug, Default)]
+pub struct BusyFold {
+    /// Spans absorbed so far.
+    seen: usize,
+    /// Summed seconds of the closed busy runs.
+    closed_secs: f64,
+    /// The latest busy run, `(start, end)`; a later op starting at its
+    /// end extends it.
+    run: Option<(SimTime, SimTime)>,
+}
+
+impl BusyFold {
+    fn absorb(&mut self, spans: &[(u64, usize, SimTime, SimTime)]) {
+        for &(_, _, start, end) in &spans[self.seen..] {
+            self.run = match self.run {
+                Some((rs, re)) if re == start => Some((rs, end)),
+                Some((rs, re)) => {
+                    self.closed_secs += (re - rs).as_secs_f64();
+                    Some((start, end))
+                }
+                None => Some((start, end)),
+            };
         }
+        self.seen = spans.len();
+    }
+
+    fn secs(&self, until: SimTime, running: Option<SimTime>) -> f64 {
+        let part = |from: SimTime, to: SimTime| {
+            let to = to.min(until);
+            if to > from {
+                (to - from).as_secs_f64()
+            } else {
+                0.0
+            }
+        };
+        let mut total = self.closed_secs;
+        match (self.run, running) {
+            (Some((rs, re)), Some(r)) if r == re => total += part(rs, until),
+            (run, running) => {
+                if let Some((rs, re)) = run {
+                    total += part(rs, re);
+                }
+                if let Some(r) = running {
+                    total += part(r, until);
+                }
+            }
+        }
+        total
     }
 }
 
@@ -787,6 +838,41 @@ mod tests {
         // it too.
         eng.add_compute_scale(0, 1, 3.0);
         assert_eq!(eng.next_event_time(), SimTime::from_millis(3));
+    }
+
+    /// The busy fold equals the busy series' integral to the bit: back-
+    /// to-back ops merge into one run, a stall splits runs, and the op
+    /// still on the GPU counts up to the query instant.
+    #[test]
+    fn busy_fold_matches_the_busy_series_integral() {
+        let dag = IterDag::build(3, EngineConfig::mxnet_ps());
+        let model = model3();
+        let mut eng = WorkerEngine::new(dag, &model, 2, Some((SimRng::new(5), 0.05)));
+        eng.enable_spans();
+        let mut fold = BusyFold::default();
+        let mut check = |eng: &WorkerEngine, until: SimTime| {
+            let series = eng.busy_series(SimTime::ZERO).integral_secs(until);
+            let folded = eng.busy_secs(&mut fold, until);
+            assert_eq!(folded.to_bits(), series.to_bits(), "busy at {until}");
+        };
+        // Iteration 0's compute runs back to back, then stalls on pulls.
+        loop {
+            let t = eng.next_event_time();
+            if t.is_never() {
+                break;
+            }
+            eng.advance(t);
+            check(&eng, t);
+        }
+        let now = SimTime::from_millis(20);
+        eng.complete_external(now, 0, ExternalRole::Push(0));
+        eng.complete_external(now, 0, ExternalRole::Pull(0));
+        // fwd_0 of iteration 1 is on the GPU; then it retires.
+        check(&eng, now + SimTime::from_micros(300));
+        let end = eng.next_event_time();
+        eng.advance(end);
+        check(&eng, end + SimTime::from_millis(3));
+        assert_eq!(eng.busy_series(SimTime::ZERO).len(), 4, "two busy runs");
     }
 
     #[test]

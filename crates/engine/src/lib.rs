@@ -33,4 +33,4 @@ pub mod engine;
 
 pub use config::{CommPattern, EngineConfig, EngineKind, Gating};
 pub use dag::{ExternalRole, InstantRole, IterDag, NodeKind, Pass};
-pub use engine::{EngineEvent, WorkerEngine};
+pub use engine::{BusyFold, EngineEvent, WorkerEngine};

@@ -152,6 +152,24 @@ impl RecoveryPolicy {
     }
 }
 
+/// The run a [`FaultPlan`] is checked against ([`FaultPlan::check_fits`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PlanTarget {
+    /// One job's private plan: its worker count and the fabric nodes it
+    /// occupies (none for all-reduce, whose collectives are private).
+    Job {
+        /// Workers in the job.
+        workers: usize,
+        /// Fabric nodes the job occupies; its link faults name these.
+        nodes: usize,
+    },
+    /// A cluster-scope plan over shared machines.
+    Cluster {
+        /// Machines in the cluster; link faults and failures name these.
+        machines: usize,
+    },
+}
+
 /// A deterministic, seeded schedule of faults for one run.
 #[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct FaultPlan {
@@ -253,6 +271,53 @@ impl FaultPlan {
         Ok(())
     }
 
+    /// Checks that the plan is valid and fits the run it is meant for,
+    /// returning the first violation: every straggler, link event and
+    /// flap names a worker or node the run has, a job's private plan
+    /// takes down no machines and changes links only if the job occupies
+    /// fabric nodes, and a cluster plan fails only machines it has.
+    /// Drivers reject a plan that fails this; CLIs report it.
+    pub fn check_fits(&self, target: PlanTarget) -> Result<(), String> {
+        self.validate()?;
+        let (nodes, what) = match target {
+            PlanTarget::Job { workers, nodes } => {
+                if !self.machine_failures.is_empty() {
+                    return Err("machine failures are cluster-scope faults; a job-private \
+                                plan cannot take down shared machines"
+                        .into());
+                }
+                if self.has_links() && nodes == 0 {
+                    return Err("link faults need fabric nodes, but this job occupies none \
+                                (all-reduce collectives are private: they model loss and \
+                                stragglers only)"
+                        .into());
+                }
+                if let Some(s) = self.stragglers.iter().find(|s| s.worker >= workers) {
+                    return Err(format!(
+                        "straggler worker {} outside this job's {workers} workers",
+                        s.worker
+                    ));
+                }
+                (nodes, "this job's fabric nodes")
+            }
+            PlanTarget::Cluster { machines } => {
+                if let Some(m) = self.machine_failures.iter().find(|m| m.machine >= machines) {
+                    return Err(format!(
+                        "machine failure on machine {} outside the cluster's {machines} machines",
+                        m.machine
+                    ));
+                }
+                (machines, "the cluster's machines")
+            }
+        };
+        let links = self.link_events.iter().map(|e| ("link event", e.node));
+        let flaps = self.flaps.iter().map(|f| ("flap", f.node));
+        if let Some((kind, node)) = links.chain(flaps).find(|&(_, node)| node >= nodes) {
+            return Err(format!("{kind} on node {node} outside {what} ({nodes})"));
+        }
+        Ok(())
+    }
+
     /// Renders the plan as the schema-versioned JSON document
     /// `results/fault_plan.schema.json` describes.
     pub fn to_json(&self) -> String {
@@ -272,6 +337,14 @@ impl FaultPlan {
     pub fn from_json(text: &str) -> Result<FaultPlan, String> {
         let doc = serde_json::from_str(text).map_err(|e| format!("fault plan: {e}"))?;
         Self::from_value(&doc)
+    }
+
+    /// Reads and parses the plan in the file at `path`; errors name the
+    /// file.
+    pub fn from_file(path: &str) -> Result<FaultPlan, String> {
+        let text = std::fs::read_to_string(path)
+            .map_err(|e| format!("cannot read fault plan {path}: {e}"))?;
+        Self::from_json(&text).map_err(|e| format!("{path}: {e}"))
     }
 
     /// Parses a plan from an already-decoded JSON tree.
@@ -771,6 +844,58 @@ mod tests {
                 max_retries: 6,
             },
         }
+    }
+
+    #[test]
+    fn plans_are_checked_against_the_run_they_target() {
+        let plan = sample_plan();
+        // Machine 3 fails; links touch nodes 1 and 2.
+        assert_eq!(plan.check_fits(PlanTarget::Cluster { machines: 4 }), Ok(()));
+        let err = plan
+            .check_fits(PlanTarget::Cluster { machines: 3 })
+            .unwrap_err();
+        assert!(err.contains("machine 3"), "{err}");
+        let err = plan
+            .check_fits(PlanTarget::Job {
+                workers: 2,
+                nodes: 4,
+            })
+            .unwrap_err();
+        assert!(err.contains("cluster-scope"), "{err}");
+
+        let job_plan = FaultPlan {
+            machine_failures: Vec::new(),
+            ..sample_plan()
+        };
+        let job = |workers, nodes| job_plan.check_fits(PlanTarget::Job { workers, nodes });
+        assert_eq!(job(1, 3), Ok(()));
+        assert!(job(1, 2).unwrap_err().contains("link event on node 2"));
+        assert!(job(1, 0).unwrap_err().contains("occupies none"));
+        let stragglers_only = FaultPlan {
+            stragglers: job_plan.stragglers.clone(),
+            ..FaultPlan::empty()
+        };
+        assert_eq!(
+            stragglers_only.check_fits(PlanTarget::Job {
+                workers: 1,
+                nodes: 0
+            }),
+            Ok(())
+        );
+        let late = FaultPlan {
+            stragglers: vec![StragglerSpec {
+                worker: 1,
+                ..job_plan.stragglers[0]
+            }],
+            ..FaultPlan::empty()
+        };
+        let err = late
+            .check_fits(PlanTarget::Job {
+                workers: 1,
+                nodes: 2,
+            })
+            .unwrap_err();
+        assert_eq!(err, "straggler worker 1 outside this job's 1 workers");
     }
 
     #[test]

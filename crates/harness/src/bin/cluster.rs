@@ -42,9 +42,15 @@
 //! header.
 
 use bs_cluster::{run_cluster, ClusterConfig, JobSpec, PlacementPolicy};
+use bs_faults::{FaultPlan, PlanTarget};
 use bs_harness::experiments::cluster;
 use bs_harness::{metrics_report, report, xray_report, Fidelity, Setup};
 use bs_runtime::SchedulerKind;
+
+fn fail(msg: &str) -> ! {
+    eprintln!("cluster: {msg}");
+    std::process::exit(2);
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -66,6 +72,17 @@ fn main() {
         .unwrap_or(cluster::DEFAULT_SEED);
 
     let fid = Fidelity::from_env();
+    // A plan that cannot run fails before any study does.
+    let fault_plan = faults_on.then(|| {
+        let plan = match faults_file {
+            Some(path) => FaultPlan::from_file(path).unwrap_or_else(|e| fail(&e)),
+            None => cluster::cluster_fault_fixture(),
+        };
+        let machines = cluster::migration_machines(fid);
+        plan.check_fits(PlanTarget::Cluster { machines })
+            .unwrap_or_else(|e| fail(&e));
+        plan
+    });
     println!(
         "cluster study seed: {seed} (co-tenants {seed}/{}, placement base {})",
         seed + 1,
@@ -163,16 +180,7 @@ fn main() {
         }
     }
 
-    if faults_on {
-        let plan = match faults_file {
-            Some(path) => {
-                let text = std::fs::read_to_string(path)
-                    .unwrap_or_else(|e| panic!("cannot read fault plan {path}: {e}"));
-                bs_faults::FaultPlan::from_json(&text)
-                    .unwrap_or_else(|e| panic!("invalid fault plan {path}: {e}"))
-            }
-            None => cluster::cluster_fault_fixture(),
-        };
+    if let Some(plan) = fault_plan {
         let m = cluster::migration_study(fid, &plan);
         println!();
         print!("{}", cluster::render_migration(&m));

@@ -55,6 +55,7 @@
 use std::io::BufRead;
 
 use bs_cluster::PlacementPolicy;
+use bs_faults::{FaultPlan, PlanTarget};
 use bs_harness::experiments::replay;
 use bs_harness::{metrics_report, report, Fidelity};
 use bs_replay::TraceJob;
@@ -234,6 +235,11 @@ fn serve_stdin(jobs: Vec<TraceJob>, opts: ReplayOptions, watch: bool, events_pat
     );
 }
 
+fn fail(msg: &str) -> ! {
+    eprintln!("replay: {msg}");
+    std::process::exit(2);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let flag_value = |flag: &str| {
@@ -254,10 +260,12 @@ fn main() {
     let fid = Fidelity::from_env();
     let mut opts = replay::base_options(fid);
     if let Some(path) = flag_value("--faults") {
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read fault plan {path}: {e}"));
-        let plan = bs_faults::FaultPlan::from_json(&text)
-            .unwrap_or_else(|e| panic!("invalid fault plan {path}: {e}"));
+        let plan = FaultPlan::from_file(&path).unwrap_or_else(|e| fail(&e));
+        let target = PlanTarget::Cluster {
+            machines: opts.machines,
+        };
+        plan.check_fits(target)
+            .unwrap_or_else(|e| fail(&format!("{path}: {e}")));
         println!(
             "faults: applying {path} to every wave ({} machine failures, {} link events, loss {})",
             plan.machine_failures.len(),

@@ -46,10 +46,11 @@
 //!
 //! `--scheduler tuned` auto-tunes (δ, c) with BO before the measured run.
 
+use bs_faults::{FaultPlan, PlanTarget};
 use bs_harness::{tune, Fidelity, Setup};
 use bs_models::DnnModel;
 use bs_net::FabricModel;
-use bs_runtime::{run, run_observed, SchedulerKind};
+use bs_runtime::{run, run_observed, JobState, SchedulerKind};
 use bs_scope::{FlightRecorder, ScopeBus, WatchTable};
 use bs_tune::LiveDrift;
 
@@ -128,6 +129,19 @@ fn main() {
         other => fail(&format!("unknown fabric {other:?}")),
     };
 
+    // The plan is checked against the run before any simulation (the
+    // tuner's included); it applies to the measured run only.
+    let faults = args.0.get("faults").map(|path| {
+        let plan = FaultPlan::from_file(path).unwrap_or_else(|e| fail(&e));
+        let target = PlanTarget::Job {
+            workers: cfg.num_workers,
+            nodes: JobState::fabric_nodes_needed(&cfg),
+        };
+        plan.check_fits(target)
+            .unwrap_or_else(|e| fail(&format!("{path}: {e}")));
+        plan
+    });
+
     let mb = |f: f64| (f * 1e6) as u64;
     let sched_name = args.get("scheduler", "tuned");
     cfg.scheduler = match sched_name.as_str() {
@@ -158,13 +172,7 @@ fn main() {
         other => fail(&format!("unknown scheduler {other:?}")),
     };
 
-    if let Some(path) = args.0.get("faults") {
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| fail(&format!("cannot read fault plan {path}: {e}")));
-        let plan = bs_faults::FaultPlan::from_json(&text)
-            .unwrap_or_else(|e| fail(&format!("{path}: {e}")));
-        cfg.faults = Some(plan);
-    }
+    cfg.faults = faults;
 
     let trace_path = args.0.get("trace").cloned();
     cfg.record_trace = trace_path.is_some();

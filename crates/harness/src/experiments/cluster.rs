@@ -312,6 +312,13 @@ fn outcome_cell(o: &RunOutcome) -> String {
 }
 
 /// Runs the §7 machine-failure reaction comparison behind
+/// Machines of the migration study's cluster: the reference pair's
+/// nodes plus one spare, so the health-aware remap has somewhere to move
+/// a failed machine's nodes. A plan for [`migration_study`] must fit it.
+pub fn migration_machines(fid: Fidelity) -> usize {
+    job_cfg(fid, bytescheduler(), 21).num_workers * 2 + 1
+}
+
 /// `cluster --faults`: the 2-job reference pair packed onto
 /// `2·num_workers` machines plus one spare, with `plan` as the cluster
 /// fault plan, once letting affected jobs ride out the outage
@@ -322,6 +329,7 @@ fn outcome_cell(o: &RunOutcome) -> String {
 /// differs, so the makespan gap prices the §7 checkpoint-restart
 /// decision itself.
 pub fn migration_study(fid: Fidelity, plan: &FaultPlan) -> MigrationStudy {
+    let machines = migration_machines(fid);
     let mut rows = Vec::new();
     let mut savings = Vec::new();
     for (fabric, flabel) in [
@@ -338,9 +346,7 @@ pub fn migration_study(fid: Fidelity, plan: &FaultPlan) -> MigrationStudy {
         {
             let bs_cfg = job_cfg(fid, bytescheduler(), 21);
             let fifo_cfg = job_cfg(fid, SchedulerKind::Baseline, 22);
-            // One spare machine so the health-aware remap has somewhere
-            // to move the failed machine's nodes.
-            let mut c = cluster(bs_cfg.num_workers * 2 + 1, PlacementPolicy::Packed, &bs_cfg);
+            let mut c = cluster(machines, PlacementPolicy::Packed, &bs_cfg);
             c.fabric = fabric;
             c.faults = Some(plan.clone());
             c.reaction = reaction;

@@ -18,7 +18,7 @@
 //! loop hands them to [`DriverHooks::on_machine_edge`].
 
 use bs_faults::{
-    ClusterChange, ClusterFaultEntry, ClusterFaultInjector, FaultPlan, LinkChange, LinkDir,
+    ClusterChange, ClusterFaultEntry, ClusterFaultInjector, LinkChange, LinkDir, PlanTarget,
 };
 use bs_net::{CompletedTransfer, DroppedTransfer, Fabric, NetEvent, NetPort, NodeId, ScopeWindow};
 use bs_scope::{ScopeBus, ScopeEvent};
@@ -182,42 +182,31 @@ pub trait DriverHooks {
 
 impl DriverHooks for () {}
 
-/// Moves `plan`'s job-private link events and flaps onto `injector`,
-/// translated to fabric nodes through `nodes` (whose job id becomes the
-/// entries' owner), and clears them from the plan. The job's own
-/// injector keeps only its loss stream, stragglers and recovery policy.
+/// Moves the job-private link events and flaps of `cfg`'s fault plan
+/// onto `injector`, translated to fabric nodes through `nodes` (whose
+/// job id becomes the entries' owner), and clears them from the plan.
+/// The job's own injector keeps only its loss stream, stragglers and
+/// recovery policy.
 ///
-/// Panics on an invalid plan, as [`JobState::build`] does.
-pub fn hoist_job_links(injector: &mut ClusterFaultInjector, plan: &mut FaultPlan, nodes: &NodeMap) {
-    if !plan.has_links() {
+/// Panics on a plan that does not fit the job, as [`JobState::build`]
+/// does; CLIs check [`bs_faults::FaultPlan::check_fits`] first.
+pub fn hoist_job_links(
+    injector: &mut ClusterFaultInjector,
+    cfg: &mut WorldConfig,
+    nodes: &NodeMap,
+) {
+    let workers = cfg.num_workers;
+    let Some(plan) = cfg.faults.as_mut().filter(|p| p.has_links()) else {
         return;
-    }
-    if let Err(e) = plan.validate() {
+    };
+    let target = PlanTarget::Job {
+        workers,
+        nodes: nodes.len(),
+    };
+    if let Err(e) = plan.check_fits(target) {
         panic!("invalid fault plan: {e}");
     }
-    let job = nodes.job();
-    assert!(
-        !nodes.is_empty(),
-        "job {job} plans link faults but occupies no fabric nodes \
-         (all-reduce collectives are private: they model loss and stragglers only)"
-    );
-    for e in &plan.link_events {
-        assert!(
-            e.node < nodes.len(),
-            "job {job} rescales local node {} but has {}",
-            e.node,
-            nodes.len()
-        );
-    }
-    for f in &plan.flaps {
-        assert!(
-            f.node < nodes.len(),
-            "job {job} flaps local node {} but has {}",
-            f.node,
-            nodes.len()
-        );
-    }
-    injector.add_job_links(job, plan, &|local| nodes.node(local).0);
+    injector.add_job_links(nodes.job(), plan, &|local| nodes.node(local).0);
     plan.link_events.clear();
     plan.flaps.clear();
 }

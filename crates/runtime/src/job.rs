@@ -10,21 +10,29 @@
 //! node indices (worker `w`, shard `s`) to fabric [`NodeId`]s and
 //! namespaces wire tags with the job's id, so transfers from different
 //! jobs are distinguishable on the shared wire.
+//!
+//! Every job-side fact is recorded once, where the job already handles
+//! it: compute spans in each engine's span log, credit stalls in each
+//! scheduler lane's stall series, ring ops `(tag, start, end)` where
+//! [`JobState::advance`] drains the ring, PS aggregation instants where
+//! a push completion grants pulls. Metrics (GPU busy / comm stall), the
+//! scope bus's `IterDone` split, the xray log (compute spans, stall
+//! spans, ring hops) and the span trace (compute and ring spans, flow
+//! arrows, counter tracks) are projections of those records, assembled
+//! at close-out by [`JobState::close_out`].
 
 use bs_comm::{AllReduceConfig, ParamServer, PartitionKey, PsConfig, RingAllReduce, ShardAssign};
 use bs_core::{
     partition_tensor, ByteScheduler, CommKind, CommTask, FifoScheduler, P3Scheduler, Scheduler,
     WorkItem,
 };
-use bs_engine::{EngineEvent, ExternalRole, IterDag, NodeKind, Pass, WorkerEngine};
-use bs_faults::{job_seed, FaultInjector, FaultPlan};
+use bs_engine::{BusyFold, EngineEvent, ExternalRole, IterDag, NodeKind, Pass, WorkerEngine};
+use bs_faults::{job_seed, FaultInjector, FaultPlan, PlanTarget};
 use bs_net::{DroppedTransfer, NetEvent, NetPort, NodeId, WireXrayRecord};
 use bs_scope::{ScopeBus, ScopeEvent};
 use bs_sim::{SimRng, SimTime, Trace};
 use bs_telemetry::MetricSet;
-use bs_xray::{
-    AggEvent, ComputeSpan, PartRecord, RingHopRecord, RingOp, StallSpan, XrayLog, XrayReport,
-};
+use bs_xray::{AggEvent, ComputeSpan, PartRecord, RingOp, StallSpan, XrayLog, XrayReport};
 
 use crate::config::{Arch, SchedulerKind, WorldConfig};
 use crate::plugin::{ArPluginState, PsPluginState};
@@ -149,6 +157,9 @@ enum JobBackend {
         fusion_bytes: u64,
         /// Baseline fusion-cycle launch delay; zero for scheduled runs.
         cycle_delay: SimTime,
+        /// Completed ops in completion order, recorded for the span
+        /// trace and xray (`None` when neither records).
+        ops: Option<Vec<RingOp>>,
     },
 }
 
@@ -169,6 +180,9 @@ pub struct JobNetStats {
 /// One training job's complete simulation state minus the fabric.
 pub struct JobState {
     num_workers: usize,
+    /// Instant the job's compute began (its arrival, or a migrated
+    /// job's resume instant).
+    arrival: SimTime,
     /// PS shard count (0 for all-reduce runs).
     num_servers: usize,
     iters: u64,
@@ -262,10 +276,11 @@ impl JobFaults {
 struct JobScope {
     /// Bus-visible job id.
     job: usize,
-    /// Job start (arrival) instant; anchors the first iteration's wall.
-    start: SimTime,
     /// Buffered events, oldest first.
     pending: Vec<ScopeEvent>,
+    /// Worker 0's GPU occupancy, folded over its span log one iteration
+    /// at a time.
+    busy: BusyFold,
     /// Worker 0's cumulative GPU-busy seconds at the last mark.
     busy_so_far: f64,
     /// Fault-recovery retries counted through the last mark.
@@ -274,13 +289,14 @@ struct JobScope {
 
 /// Per-job causal-tracing state: one [`PartRecord`] per submitted
 /// partition, indexed by its unique token so scheduler grants and fabric
-/// lifecycles can be matched back in O(1).
+/// lifecycles can be matched back in O(1), and the PS aggregation
+/// instants.
+#[derive(Default)]
 struct JobXray {
-    /// Job start (arrival) instant.
-    start: SimTime,
     parts: Vec<PartRecord>,
     /// token → index into `parts`.
     index: std::collections::HashMap<u64, usize>,
+    aggs: Vec<AggEvent>,
 }
 
 impl JobXray {
@@ -483,6 +499,7 @@ impl JobState {
                         ring,
                         fusion_bytes: baseline_fusion_bytes.unwrap_or(0),
                         cycle_delay: SimTime::from_micros(baseline_cycle_delay_us),
+                        ops: (cfg.record_trace || cfg.record_xray).then(Vec::new),
                     },
                     None,
                     Some(ArPluginState::new(cfg.num_workers, n_layers)),
@@ -495,23 +512,15 @@ impl JobState {
             Arch::AllReduce { .. } => 0,
         };
         let mut engines = engines;
-        let mut backend = backend;
         let mut scheds = scheds;
-        // The span trace and xray read one compute-span log per engine.
-        if cfg.record_trace || cfg.record_xray {
+        // The span trace, xray and the GPU-busy metrics read one
+        // compute-span log per engine.
+        if cfg.record_trace || cfg.record_xray || cfg.record_metrics {
             for e in &mut engines {
                 e.enable_spans();
             }
         }
-        if cfg.record_trace {
-            if let JobBackend::Ring { ring, .. } = &mut backend {
-                ring.enable_trace();
-            }
-        }
         if cfg.record_metrics {
-            for e in &mut engines {
-                e.enable_telemetry(arrival);
-            }
             for s in &mut scheds {
                 s.enable_telemetry(arrival);
             }
@@ -520,15 +529,7 @@ impl JobState {
             for s in &mut scheds {
                 s.enable_xray(arrival);
             }
-            match &mut backend {
-                JobBackend::Ps { ps } => ps.enable_xray(),
-                JobBackend::Ring { ring, .. } => ring.enable_xray(),
-            }
-            JobXray {
-                start: arrival,
-                parts: Vec::new(),
-                index: std::collections::HashMap::new(),
-            }
+            JobXray::default()
         });
         let burst = cfg.background.map(|bg| {
             assert!(
@@ -538,26 +539,19 @@ impl JobState {
             BurstSource::new(bg, cfg.seed ^ 0xB6_0000)
         });
         let faults = cfg.faults.as_ref().map(|plan| {
-            if let Err(e) = plan.validate() {
+            let target = PlanTarget::Job {
+                workers: cfg.num_workers,
+                nodes: nodes.len(),
+            };
+            if let Err(e) = plan.check_fits(target) {
                 panic!("invalid fault plan: {e}");
             }
-            assert!(
-                plan.machine_failures.is_empty(),
-                "machine failures are cluster-scope faults; a job-private \
-                 plan cannot take down shared machines"
-            );
             assert!(
                 !plan.has_links(),
                 "link faults are driver-applied: hoist them onto the driver's \
                  timeline (`driver::hoist_job_links`) before building the job"
             );
             for s in &plan.stragglers {
-                assert!(
-                    s.worker < cfg.num_workers,
-                    "straggler worker {} outside this job's {} workers",
-                    s.worker,
-                    cfg.num_workers
-                );
                 engines[s.worker].add_compute_scale(s.from_iter, s.to_iter, s.factor);
             }
             // Each job draws its loss stream from a golden-ratio-split
@@ -567,6 +561,7 @@ impl JobState {
         });
         JobState {
             num_workers: cfg.num_workers,
+            arrival,
             num_servers,
             iters: cfg.iters,
             baseline_graph: !cfg.scheduler.needs_scheduled_engine(),
@@ -591,16 +586,16 @@ impl JobState {
         }
     }
 
-    /// Switches on scope observation for this job. Worker 0's GPU-busy
-    /// telemetry backs the wall/busy/stall split; enabling it here is
-    /// invisible to the run's outputs because `into_result` only reads
-    /// engine telemetry when metrics recording was requested.
-    pub fn enable_scope(&mut self, job: usize, arrival: SimTime) {
-        self.engines[0].enable_telemetry(arrival);
+    /// Switches on scope observation for this job. Worker 0's span log
+    /// backs the wall/busy/stall split; enabling it here is invisible to
+    /// the run's outputs, which read span logs only for the recorders the
+    /// configuration requested.
+    pub fn enable_scope(&mut self, job: usize) {
+        self.engines[0].enable_spans();
         self.scope = Some(Box::new(JobScope {
             job,
-            start: arrival,
             pending: Vec::new(),
+            busy: BusyFold::default(),
             busy_so_far: 0.0,
             retries_seen: 0,
         }));
@@ -803,9 +798,16 @@ impl JobState {
                 queue.push(JobEvent::Engine(w, ev));
             }
         }
-        if let JobBackend::Ring { ring, .. } = &mut self.backend {
+        if let JobBackend::Ring { ring, ops, .. } = &mut self.backend {
             if ring.next_event_time() <= t {
                 for c in ring.advance(t) {
+                    if let Some(ops) = ops {
+                        ops.push(RingOp {
+                            tag: c.tag,
+                            start: c.finished_at.saturating_sub(ring.config().op_time(c.bytes)),
+                            end: c.finished_at,
+                        });
+                    }
                     queue.push(JobEvent::Ring(c));
                 }
             }
@@ -961,13 +963,6 @@ impl JobState {
         match event {
             EngineEvent::ComputeIterDone { iter: _, at } => {
                 if w == 0 {
-                    // Worker 0's cumulative busy time, read before the
-                    // scope borrow below (engine access needs `&self`).
-                    let busy_total = if self.scope.is_some() {
-                        self.engines[0].gpu_busy_secs_until(at).unwrap_or(0.0)
-                    } else {
-                        0.0
-                    };
                     let retries_now = self.faults.as_ref().map_or(0, |f| f.retries);
                     self.marks.push(at);
                     if let Some(sc) = self.scope.as_mut() {
@@ -975,9 +970,10 @@ impl JobState {
                         let prev = if self.marks.len() >= 2 {
                             self.marks[self.marks.len() - 2]
                         } else {
-                            sc.start
+                            self.arrival
                         };
                         let wall_secs = at.saturating_sub(prev).as_secs_f64();
+                        let busy_total = self.engines[0].busy_secs(&mut sc.busy, at);
                         let busy_secs = (busy_total - sc.busy_so_far).max(0.0);
                         sc.busy_so_far = busy_total;
                         let retries = retries_now - sc.retries_seen;
@@ -1199,6 +1195,7 @@ impl JobState {
             ring,
             fusion_bytes,
             cycle_delay,
+            ..
         } = &mut self.backend
         else {
             return;
@@ -1319,7 +1316,15 @@ impl JobState {
                     tensor: tok.tensor,
                     part: tok.part,
                 };
-                let grants = ps.on_push_complete(now, tok.iter, key, w);
+                let grants = ps.on_push_complete(tok.iter, key, w);
+                if let (Some(x), false) = (self.xray.as_mut(), grants.is_empty()) {
+                    x.aggs.push(AggEvent {
+                        iter: tok.iter,
+                        tensor: key.tensor,
+                        part: key.part,
+                        at: now,
+                    });
+                }
                 for g in grants {
                     if self.baseline_graph {
                         // Key-level dependency: the worker pulls the
@@ -1453,19 +1458,16 @@ impl JobState {
         }
     }
 
-    /// Closes the job out into a [`RunResult`]. `net` carries the
-    /// point-to-point statistics the driver attributes to this job (the
-    /// solo driver passes fabric totals; a cluster driver passes per-job
-    /// counters); ring statistics come from the job's private stream.
     /// Flushes every instrumented subsystem into one [`MetricSet`] with
-    /// summaries closed at `now`. Returns `None` when the job was built
-    /// without `record_metrics`. Scheduler metrics get a `worker{w}/sched/`
-    /// prefix (PS: one scheduler per worker) or `sched/` (all-reduce: a
-    /// single master); GPU-occupancy series land as `worker{w}/gpu_busy`
-    /// alongside derived `gpu_busy_secs` / `comm_stall_secs` gauges — the
-    /// stall being the part of the worker's window its GPU sat idle
-    /// waiting on communication (Fig. 1's "network idle" time).
-    pub fn take_metrics(&mut self, now: SimTime) -> Option<MetricSet> {
+    /// summaries closed at `now`; call only when metrics were recorded.
+    /// Scheduler metrics get a `worker{w}/sched/` prefix (PS: one
+    /// scheduler per worker) or `sched/` (all-reduce: a single master).
+    /// Each worker's GPU occupancy lands as a `worker{w}/gpu_busy` series
+    /// beside `gpu_busy_secs` / `comm_stall_secs` gauges — the stall
+    /// being the part of the worker's window its GPU sat idle waiting on
+    /// communication (Fig. 1's "network idle" time). All three are folds
+    /// over the worker's compute-span log.
+    fn take_metrics(&mut self, now: SimTime) -> MetricSet {
         let mut ms = MetricSet::new();
         ms.horizon = now;
         let solo_sched = self.scheds.len() == 1;
@@ -1478,20 +1480,18 @@ impl JobState {
                 }
             }
         }
-        for (w, engine) in self.engines.iter_mut().enumerate() {
-            if let Some(busy) = engine.take_gpu_busy() {
-                let busy_secs = busy.integral_secs(now);
-                let window = busy
-                    .samples()
-                    .first()
-                    .map_or(0.0, |&(t0, _)| now.saturating_sub(t0).as_secs_f64());
-                ms.gauge(format!("worker{w}/gpu_busy_secs"), busy_secs);
-                ms.gauge(
-                    format!("worker{w}/comm_stall_secs"),
-                    (window - busy_secs).max(0.0),
-                );
-                ms.series(format!("worker{w}/gpu_busy"), busy);
-            }
+        let window = now.saturating_sub(self.arrival).as_secs_f64();
+        for (w, engine) in self.engines.iter().enumerate() {
+            let busy_secs = engine.busy_secs(&mut BusyFold::default(), now);
+            ms.gauge(format!("worker{w}/gpu_busy_secs"), busy_secs);
+            ms.gauge(
+                format!("worker{w}/comm_stall_secs"),
+                (window - busy_secs).max(0.0),
+            );
+            ms.series(
+                format!("worker{w}/gpu_busy"),
+                engine.busy_series(self.arrival),
+            );
         }
         if let Some(f) = &self.faults {
             ms.counter("faults/retries", f.retries);
@@ -1499,95 +1499,28 @@ impl JobState {
             ms.counter("faults/dropped_bytes", f.dropped_bytes);
             ms.counter("faults/reclaimed_bytes", f.reclaimed_bytes);
         }
-        if ms.is_empty() {
-            None
-        } else {
-            Some(ms)
-        }
+        ms
     }
 
-    /// Fills the wire-lifecycle fields of this job's partition records
-    /// from fabric xray records. Tags must already be job-local (the
-    /// cluster driver strips the job namespace); co-tenant bursts are
-    /// skipped. Call before [`Self::into_result`] — and before appending
-    /// flow arrows — so the records are complete.
-    pub fn absorb_wire_xray(&mut self, recs: &[WireXrayRecord]) {
-        let Some(x) = self.xray.as_mut() else { return };
-        for &(tag, _src, _dst, submitted, started, released, delivered) in recs {
-            if is_burst_tag(tag) {
-                continue;
-            }
-            if let Some(&i) = x.index.get(&tag) {
-                let p = &mut x.parts[i];
-                p.wire_submit = submitted;
-                p.wire_start = started;
-                p.wire_end = released;
-                p.delivered = delivered;
-                p.wire_seen = true;
-            }
-        }
-    }
-
-    /// Appends causal flow arrows (BP production → wire start, one per
-    /// push partition that reached the wire) to `trace`. The arrows bind
-    /// to the compute and wire spans by track name, so call this with the
-    /// same `prefix` the span appenders used.
-    pub fn append_xray_flows(&self, trace: &mut Trace, prefix: &str) {
-        let Some(x) = &self.xray else { return };
-        for p in &x.parts {
-            if p.pull || !p.wire_seen {
-                continue;
-            }
-            trace.push_flow(
-                format!("t{}.p{}@it{}", p.tensor, p.part, p.iter),
-                format!("{prefix}worker{}/gpu", p.worker),
-                p.produced,
-                format!("{prefix}worker{}/up", p.worker),
-                p.wire_start,
-            );
-        }
-        // Per-chunk ring flows: one arrow per chunk crossing the phase
-        // boundary, binding its last reduce-scatter hop to its first
-        // all-gather hop. Hops are peeked (not drained) in their recorded
-        // Vec order, so arrow order is deterministic by construction —
-        // never a HashMap walk.
-        if let JobBackend::Ring { ring, .. } = &self.backend {
-            for pair in ring.xray_hops().windows(2) {
-                let (rs, ag) = (pair[0], pair[1]);
-                if rs.tag == ag.tag
-                    && rs.chunk == ag.chunk
-                    && rs.phase == bs_comm::RingPhase::ReduceScatter
-                    && ag.phase == bs_comm::RingPhase::AllGather
-                {
-                    trace.push_flow(
-                        format!("b{} chunk{}", rs.tag, rs.chunk),
-                        format!("{prefix}ring/reduce_scatter"),
-                        rs.deliver,
-                        format!("{prefix}ring/all_gather"),
-                        ag.submit,
-                    );
-                }
-            }
-        }
-    }
-
-    /// Drains every xray buffer into one [`XrayLog`], or `None` when the
-    /// job was built without `record_xray`.
+    /// Assembles the xray log from the job's records, or `None` when the
+    /// job was built without `record_xray`. It is the compute-span logs'
+    /// last reader and takes them (so they are freed before the report is
+    /// built); the stall series and ring ops stay where they are.
     fn take_xray_log(&mut self, cfg: &WorldConfig, finished_at: SimTime) -> Option<XrayLog> {
         let x = self.xray.take()?;
         let mut log = XrayLog {
             scheduler: cfg.scheduler.label().to_string(),
-            start: x.start,
+            start: self.arrival,
             end: finished_at,
             warmup: cfg.warmup as usize,
             marks: self.marks.clone(),
             parts: x.parts,
+            aggs: x.aggs,
             ..XrayLog::default()
         };
         for (w, engine) in self.engines.iter_mut().enumerate() {
-            let dag = engine.dag().clone();
             for (iter, node, start, end) in engine.take_spans() {
-                if let NodeKind::Compute { layer, pass } = dag.nodes[node].kind {
+                if let NodeKind::Compute { layer, pass } = engine.dag().nodes[node].kind {
                     log.compute.push(ComputeSpan {
                         worker: w,
                         iter,
@@ -1611,61 +1544,30 @@ impl JobState {
                 }
             }
         }
-        match &mut self.backend {
-            JobBackend::Ps { ps } => {
-                for (iter, tensor, part, at) in ps.take_xray() {
-                    log.aggs.push(AggEvent {
-                        iter,
-                        tensor,
-                        part,
-                        at,
-                    });
-                }
-            }
-            JobBackend::Ring { ring, .. } => {
-                // Hops arrive chunk-major per completed op, so consecutive
-                // equal-tag runs delimit ops: derive the coarse RingOp per
-                // run (start = first hop's submit, end = max deliver) and
-                // keep every hop for the split rs/ag attribution.
-                for hop in ring.take_xray() {
-                    let phase = match hop.phase {
-                        bs_comm::RingPhase::ReduceScatter => bs_xray::RingPhase::ReduceScatter,
-                        bs_comm::RingPhase::AllGather => bs_xray::RingPhase::AllGather,
-                    };
-                    match log.ring_ops.last_mut() {
-                        // `chunk == 0 && hop == 0` opens a fresh op even if
-                        // the batch tag repeats back-to-back.
-                        Some(op) if op.tag == hop.tag && (hop.chunk, hop.hop) != (0, 0) => {
-                            op.start = op.start.min(hop.submit);
-                            op.end = op.end.max(hop.deliver);
-                        }
-                        _ => log.ring_ops.push(RingOp {
-                            tag: hop.tag,
-                            start: hop.submit,
-                            end: hop.deliver,
-                        }),
-                    }
-                    log.ring_hops.push(RingHopRecord {
-                        tag: hop.tag,
-                        chunk: hop.chunk,
-                        hop: hop.hop,
-                        phase,
-                        enqueue: hop.enqueue,
-                        submit: hop.submit,
-                        deliver: hop.deliver,
-                    });
-                }
-            }
+        if let JobBackend::Ring { ops: Some(ops), .. } = &self.backend {
+            log.ring_hops = ops
+                .iter()
+                .flat_map(|op| op.hops(self.num_workers))
+                .collect();
+            log.ring_ops = ops.clone();
         }
         Some(log)
     }
 
+    /// Closes the job out into a [`RunResult`]. `net` carries the
+    /// point-to-point statistics the driver attributes to this job (the
+    /// solo driver passes fabric totals; a cluster driver passes per-job
+    /// counters); ring statistics come from the job's private stream.
+    /// Recorders read here are the job's own; [`Self::close_out`] adds
+    /// the fabric's wire records and the span trace.
     pub fn into_result(
         mut self,
         cfg: &WorldConfig,
         finished_at: SimTime,
         net: JobNetStats,
     ) -> RunResult {
+        // Metrics first: the xray log is the span logs' last reader.
+        let metrics = cfg.record_metrics.then(|| self.take_metrics(finished_at));
         if let Some(reason) = self.faults.as_ref().and_then(|f| f.failed.clone()) {
             // The run aborted before measuring anything; report the
             // outcome (and whatever metrics were recorded) instead of
@@ -1676,19 +1578,12 @@ impl JobState {
                 finished_at,
                 reason,
             );
-            result.metrics = cfg
-                .record_metrics
-                .then(|| self.take_metrics(finished_at))
-                .flatten();
+            result.metrics = metrics;
             return result;
         }
         let xray = self
             .take_xray_log(cfg, finished_at)
             .map(|log| XrayReport::build(&log));
-        let metrics = cfg
-            .record_metrics
-            .then(|| self.take_metrics(finished_at))
-            .flatten();
         let (p2p, coll, comm_events, peak_in_flight) = match &self.backend {
             JobBackend::Ps { .. } => (net.p2p_bytes, 0, net.comm_events, net.peak_in_flight),
             JobBackend::Ring { ring, .. } => (0, ring.bytes_reduced(), ring.ops_reduced(), 0),
@@ -1722,10 +1617,55 @@ impl JobState {
         result
     }
 
-    /// Appends this job's recorded compute spans to `trace`, with track
-    /// names prefixed by `prefix` (e.g. `"job0/"`). The spans are peeked,
-    /// not drained: xray drains the same log when the result is built.
-    pub fn append_compute_trace(&self, trace: &mut Trace, prefix: &str) {
+    /// Closes the job out with every recorder projected: the one teardown
+    /// both the solo run and the cluster call. `wire` is this job's share
+    /// of the fabric's wire log (job-local tags; bursts are skipped) and
+    /// completes the xray partition records. With a `trace`, the job's
+    /// compute and ring spans, flow arrows and metric series (as counter
+    /// tracks) land on it under track names prefixed by `prefix`; the
+    /// fabric's wire spans and `net/` series are the caller's.
+    pub fn close_out(
+        mut self,
+        cfg: &WorldConfig,
+        finished_at: SimTime,
+        net: JobNetStats,
+        wire: Vec<WireXrayRecord>,
+        mut trace: Option<&mut Trace>,
+        prefix: &str,
+    ) -> RunResult {
+        if let Some(x) = self.xray.as_mut() {
+            for &(tag, _src, _dst, submitted, started, released, delivered) in &wire {
+                if is_burst_tag(tag) {
+                    continue;
+                }
+                if let Some(&i) = x.index.get(&tag) {
+                    let p = &mut x.parts[i];
+                    p.wire_submit = submitted;
+                    p.wire_start = started;
+                    p.wire_end = released;
+                    p.delivered = delivered;
+                    p.wire_seen = true;
+                }
+            }
+        }
+        // Freed before the xray report is built.
+        drop(wire);
+        if let Some(trace) = trace.as_deref_mut() {
+            self.append_compute_trace(trace, prefix);
+            self.append_ring_trace(trace, prefix);
+            self.append_xray_flows(trace, prefix);
+        }
+        let result = self.into_result(cfg, finished_at, net);
+        if let (Some(trace), Some(ms)) = (trace, &result.metrics) {
+            for t in ms.counter_tracks() {
+                trace.push_counter(format!("{prefix}{}", t.name), t.samples);
+            }
+        }
+        result
+    }
+
+    /// Appends the compute spans, one per retired GPU op.
+    fn append_compute_trace(&self, trace: &mut Trace, prefix: &str) {
         for (w, engine) in self.engines.iter().enumerate() {
             let dag = engine.dag();
             for &(iter, node, start, end) in engine.spans() {
@@ -1741,32 +1681,66 @@ impl JobState {
         }
     }
 
-    /// Appends this job's recorded ring-collective spans to `trace`: the
-    /// full op on the `ring` track plus its reduce-scatter and all-gather
-    /// halves on phase-colored sub-tracks.
-    pub fn append_ring_trace(&mut self, trace: &mut Trace, prefix: &str) {
-        if let JobBackend::Ring { ring, .. } = &mut self.backend {
-            for (tag, start, rs_end, end) in ring.take_trace() {
-                // Scheduled batches and baseline fused batches both use
-                // opaque batch ids; name them generically.
-                trace.push(
-                    format!("allreduce batch {tag}"),
-                    format!("{prefix}ring"),
-                    start,
-                    end,
-                );
-                trace.push(
-                    format!("reduce_scatter b{tag}"),
-                    format!("{prefix}ring/reduce_scatter"),
-                    start,
-                    rs_end,
-                );
-                trace.push(
-                    format!("all_gather b{tag}"),
-                    format!("{prefix}ring/all_gather"),
-                    rs_end,
-                    end,
-                );
+    /// Appends each ring op: the full op on the `ring` track plus its
+    /// reduce-scatter and all-gather halves on phase-colored sub-tracks.
+    fn append_ring_trace(&self, trace: &mut Trace, prefix: &str) {
+        let JobBackend::Ring { ops: Some(ops), .. } = &self.backend else {
+            return;
+        };
+        for op in ops {
+            let (tag, rs_end) = (op.tag, op.phase_boundary(self.num_workers));
+            // Scheduled batches and baseline fused batches both use
+            // opaque batch ids; name them generically.
+            trace.push(
+                format!("allreduce batch {tag}"),
+                format!("{prefix}ring"),
+                op.start,
+                op.end,
+            );
+            trace.push(
+                format!("reduce_scatter b{tag}"),
+                format!("{prefix}ring/reduce_scatter"),
+                op.start,
+                rs_end,
+            );
+            trace.push(
+                format!("all_gather b{tag}"),
+                format!("{prefix}ring/all_gather"),
+                rs_end,
+                op.end,
+            );
+        }
+    }
+
+    /// Appends causal flow arrows (xray only): BP production → wire
+    /// start, one per push partition that reached the wire, and one per
+    /// ring chunk across the op's reduce-scatter → all-gather boundary.
+    fn append_xray_flows(&self, trace: &mut Trace, prefix: &str) {
+        let Some(x) = &self.xray else { return };
+        for p in &x.parts {
+            if p.pull || !p.wire_seen {
+                continue;
+            }
+            trace.push_flow(
+                format!("t{}.p{}@it{}", p.tensor, p.part, p.iter),
+                format!("{prefix}worker{}/gpu", p.worker),
+                p.produced,
+                format!("{prefix}worker{}/up", p.worker),
+                p.wire_start,
+            );
+        }
+        if let JobBackend::Ring { ops: Some(ops), .. } = &self.backend {
+            for op in ops {
+                let at = op.phase_boundary(self.num_workers);
+                for chunk in 0..self.num_workers {
+                    trace.push_flow(
+                        format!("b{} chunk{chunk}", op.tag),
+                        format!("{prefix}ring/reduce_scatter"),
+                        at,
+                        format!("{prefix}ring/all_gather"),
+                        at,
+                    );
+                }
             }
         }
     }

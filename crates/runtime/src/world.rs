@@ -8,7 +8,7 @@
 //! the fabric's `net/` metrics inside the job's result).
 
 use bs_faults::ClusterFaultInjector;
-use bs_net::{Fabric, WireXrayRecord};
+use bs_net::Fabric;
 use bs_scope::ScopeBus;
 use bs_sim::{SimTime, Trace};
 
@@ -50,13 +50,11 @@ pub fn run_observed(cfg: &WorldConfig, mut scope: Option<&mut ScopeBus>) -> RunR
     let nodes = NodeMap::identity(nodes_needed);
     let mut injector = ClusterFaultInjector::new();
     let mut job_cfg = cfg.clone();
-    if let Some(plan) = job_cfg.faults.as_mut() {
-        hoist_job_links(&mut injector, plan, &nodes);
-    }
+    hoist_job_links(&mut injector, &mut job_cfg, &nodes);
     injector.seal();
     let mut state = JobState::build(&job_cfg, nodes);
     if let Some(bus) = scope.as_deref_mut() {
-        state.enable_scope(0, SimTime::ZERO);
+        state.enable_scope(0);
         fabric.tap().enable_scope(SimTime::ZERO, bus.window());
     }
     let mut tenants = [Tenant::train(state, job_cfg, SimTime::ZERO)];
@@ -78,58 +76,37 @@ pub fn run_observed(cfg: &WorldConfig, mut scope: Option<&mut ScopeBus>) -> RunR
     into_result(state, fabric, now, cfg)
 }
 
-fn into_result(
-    mut job: JobState,
-    mut fabric: Fabric,
-    now: SimTime,
-    cfg: &WorldConfig,
-) -> RunResult {
-    // Xray and the span trace read one wire log. Wire lifecycles must
-    // land in the partition records before the trace is assembled: flow
-    // arrows point at wire-start instants.
-    let trace = {
-        let wire = fabric.tap().take_wire_log();
-        if cfg.record_xray {
-            job.absorb_wire_xray(&wire);
+fn into_result(job: JobState, mut fabric: Fabric, now: SimTime, cfg: &WorldConfig) -> RunResult {
+    // Xray and the span trace read one wire log.
+    let wire = fabric.tap().take_wire_log();
+    let mut trace = cfg.record_trace.then(Trace::new);
+    if let Some(trace) = trace.as_mut() {
+        for rec in &wire {
+            wire_span_into_trace(trace, rec, "");
         }
-        cfg.record_trace.then(|| assemble_trace(&mut job, &wire))
-    };
+    }
     let net = JobNetStats {
         p2p_bytes: fabric.bytes_delivered(),
         comm_events: fabric.transfers_delivered(),
         peak_in_flight: fabric.peak_in_flight(),
         peak_port_utilisation: fabric.peak_port_utilisation(now),
     };
-    let fabric_metrics = fabric.tap().take_metrics(now);
-    let mut result = job.into_result(cfg, now, net);
-    result.trace = trace;
-    if let Some(fm) = fabric_metrics {
+    let mut result = job.close_out(cfg, now, net, wire, trace.as_mut(), "");
+    if let Some(fm) = fabric.tap().take_metrics(now) {
+        // With both recorders on, the fabric's series double as Perfetto
+        // counter tracks beside the job's.
+        if let Some(trace) = trace.as_mut() {
+            for t in fm.counter_tracks() {
+                trace.push_counter(format!("net/{}", t.name), t.samples);
+            }
+        }
         result
             .metrics
             .get_or_insert_with(bs_telemetry::MetricSet::new)
             .absorb("net/", fm);
     }
-    // With both recorders on, the run's series double as Perfetto
-    // counter tracks alongside the span trace.
-    if let (Some(trace), Some(ms)) = (&mut result.trace, &result.metrics) {
-        for t in ms.counter_tracks() {
-            trace.push_counter(t.name, t.samples);
-        }
-    }
+    result.trace = trace;
     result
-}
-
-/// Collects the recorded spans from every subsystem into one trace with
-/// human-readable track and span names; `wire` is the fabric's wire log.
-fn assemble_trace(job: &mut JobState, wire: &[WireXrayRecord]) -> Trace {
-    let mut trace = Trace::new();
-    job.append_compute_trace(&mut trace, "");
-    for rec in wire {
-        wire_span_into_trace(&mut trace, rec, "");
-    }
-    job.append_ring_trace(&mut trace, "");
-    job.append_xray_flows(&mut trace, "");
-    trace
 }
 
 #[cfg(test)]

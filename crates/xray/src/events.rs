@@ -5,9 +5,11 @@
 //! delivered chain, with the aggregation and dependency-release edges
 //! recoverable from the surrounding [`XrayLog`] (compute spans, PS
 //! aggregation events, ring ops, scheduler stall intervals). The log is
-//! recording-only: subsystems append to their own buffers behind
-//! `Option<…>` fields and the runtime assembles one `XrayLog` per job at
-//! teardown.
+//! recording-only and assembled by the runtime once per job at teardown
+//! from the job's own records: the engines' compute-span logs, the
+//! schedulers' stall series, and the aggregation and ring-op records the
+//! job keeps itself. Per-hop ring records are a projection of each
+//! [`RingOp`] ([`RingOp::hops`]).
 
 use bs_sim::SimTime;
 
@@ -146,9 +148,53 @@ pub struct RingOp {
     pub end: SimTime,
 }
 
-/// Which half of the ring algorithm a hop belongs to (mirrors
-/// `bs_comm::RingPhase`; this crate stays independent of `bs-comm`, so
-/// the runtime converts at log-assembly time).
+impl RingOp {
+    /// Ring step boundary `t_k = start + D·k/S` over `S = 2(ranks−1)`
+    /// equal steps, in integer nanoseconds: monotone, `t_0 == start` and
+    /// `t_S == end` exactly.
+    fn step(&self, k: u64, ranks: usize) -> SimTime {
+        let steps = 2 * (ranks as u64 - 1);
+        let d = self.end.as_nanos().saturating_sub(self.start.as_nanos());
+        let off = (d as u128 * k as u128 / steps as u128) as u64;
+        SimTime::from_nanos(self.start.as_nanos() + off)
+    }
+
+    /// The instant reduce-scatter hands over to all-gather: step `n−1`
+    /// of a ring of `ranks` ranks.
+    pub fn phase_boundary(&self, ranks: usize) -> SimTime {
+        self.step(ranks as u64 - 1, ranks)
+    }
+
+    /// The op's per-chunk hop records on a ring of `ranks` ranks,
+    /// chunk-major: at step `k` every chunk moves one hop concurrently,
+    /// so chunk `c`'s hop `h` occupies the step window `[t_h, t_{h+1}]`
+    /// and the first `n−1` hops reduce-scatter.
+    pub fn hops(&self, ranks: usize) -> impl Iterator<Item = RingHopRecord> + '_ {
+        let n = ranks as u32;
+        (0..n).flat_map(move |chunk| {
+            (0..2 * (n - 1)).map(move |hop| {
+                let submit = self.step(hop as u64, ranks);
+                RingHopRecord {
+                    tag: self.tag,
+                    chunk,
+                    hop,
+                    phase: if hop < n - 1 {
+                        RingPhase::ReduceScatter
+                    } else {
+                        RingPhase::AllGather
+                    },
+                    // The chunk is ready the instant its previous hop
+                    // delivers (the op start for hop 0).
+                    enqueue: submit,
+                    submit,
+                    deliver: self.step(hop as u64 + 1, ranks),
+                }
+            })
+        })
+    }
+}
+
+/// Which half of the ring algorithm a hop belongs to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RingPhase {
     /// First `n−1` steps: chunks are combined around the ring.
@@ -204,8 +250,68 @@ pub struct XrayLog {
     pub aggs: Vec<AggEvent>,
     /// All ring all-reduce ops.
     pub ring_ops: Vec<RingOp>,
-    /// Per-chunk per-hop lifecycle records, when the ring backend
-    /// recorded them (empty logs fall back to coarse [`RingOp`]
-    /// attribution — the whole op lands in the aggregation bucket).
+    /// Per-chunk per-hop lifecycle records (the [`RingOp::hops`] of every
+    /// op; an empty list falls back to coarse [`RingOp`] attribution —
+    /// the whole op lands in the aggregation bucket).
     pub ring_hops: Vec<RingHopRecord>,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn hops_tile_the_op_span_exactly() {
+        let (start, end) = (SimTime::ZERO, SimTime::from_micros(6_100));
+        let op = RingOp { tag: 7, start, end };
+        let n = 4u32;
+        let steps = 2 * (n - 1);
+        let hops: Vec<_> = op.hops(n as usize).collect();
+        assert_eq!(hops.len(), (n * steps) as usize);
+        for chunk in 0..n {
+            let mine: Vec<_> = hops.iter().filter(|h| h.chunk == chunk).collect();
+            assert_eq!(mine.len(), steps as usize);
+            assert_eq!(mine[0].enqueue, start);
+            assert_eq!(mine[0].submit, start);
+            assert_eq!(mine.last().unwrap().deliver, end);
+            for w in mine.windows(2) {
+                assert_eq!(w[0].deliver, w[1].submit, "hop windows abut");
+                assert_eq!(w[1].enqueue, w[0].deliver, "enqueue chains hops");
+            }
+            for h in &mine {
+                let expect = if h.hop < n - 1 {
+                    RingPhase::ReduceScatter
+                } else {
+                    RingPhase::AllGather
+                };
+                assert_eq!(h.phase, expect);
+            }
+        }
+        // The phase boundary is the last reduce-scatter hop's deliver.
+        let rs_end = hops
+            .iter()
+            .filter(|h| h.phase == RingPhase::ReduceScatter)
+            .map(|h| h.deliver)
+            .max()
+            .unwrap();
+        assert_eq!(op.phase_boundary(n as usize), rs_end);
+        assert!(start < rs_end && rs_end < end);
+    }
+
+    #[test]
+    fn step_boundaries_are_exact_under_integer_division() {
+        // A duration not divisible by the step count must still produce
+        // t_0 == start and t_S == end with monotone boundaries.
+        let op = RingOp {
+            tag: 0,
+            start: SimTime::from_nanos(13),
+            end: SimTime::from_nanos(1_000_000_007),
+        };
+        let ranks = 4;
+        assert_eq!(op.step(0, ranks), op.start);
+        assert_eq!(op.step(6, ranks), op.end);
+        for k in 0..6 {
+            assert!(op.step(k, ranks) <= op.step(k + 1, ranks));
+        }
+    }
 }

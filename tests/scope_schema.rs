@@ -11,10 +11,11 @@
 //! 3. Per-seed byte-determinism: the same config records the same
 //!    `events.jsonl` bytes on both fabric disciplines, and a different
 //!    seed records different bytes.
-//! 4. The online NIC-utilisation rollup agrees with the offline
-//!    telemetry: summed `net_window` utilisation seconds equal the
-//!    time-weighted integral of bs-telemetry's per-direction
-//!    utilisation series (property-tested over seeds and jitter).
+//! 4. The online rollups agree with the offline telemetry: summed
+//!    `net_window` utilisation seconds equal the time-weighted integral
+//!    of bs-telemetry's per-direction utilisation series, and summed
+//!    `iter_done` busy seconds equal worker 0's `gpu_busy_secs`, with
+//!    busy + stall = wall (property-tested over seeds and jitter).
 //! 5. A cluster run observed on the bus completes, and its event stream
 //!    and result do not depend on `ClusterConfig::threads`.
 
@@ -349,6 +350,27 @@ proptest! {
         prop_assert!(
             (windowed - telemetry).abs() <= 1e-9 * telemetry.max(1.0),
             "windows sum to {windowed}, telemetry integrates to {telemetry}"
+        );
+        // The job side agrees the same way: worker 0's per-iteration
+        // busy seconds sum to its GPU-busy total, and each iteration's
+        // busy and stall split its wall time.
+        let (mut wall, mut busy, mut stall) = (0.0f64, 0.0f64, 0.0f64);
+        for e in log.events().iter() {
+            if let ScopeEvent::IterDone { wall_secs, busy_secs, stall_secs, .. } = e {
+                wall += wall_secs;
+                busy += busy_secs;
+                stall += stall_secs;
+            }
+        }
+        let gpu_busy = ms.get_gauge("worker0/gpu_busy_secs").expect("gpu busy gauge");
+        prop_assert!(busy > 0.0, "worker 0 must compute");
+        prop_assert!(
+            (busy - gpu_busy).abs() <= 1e-9 * gpu_busy,
+            "iter_done busy sums to {busy}, worker0/gpu_busy_secs is {gpu_busy}"
+        );
+        prop_assert!(
+            (busy + stall - wall).abs() <= 1e-9 * wall,
+            "busy {busy} + stall {stall} != wall {wall}"
         );
     }
 }
