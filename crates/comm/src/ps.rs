@@ -15,9 +15,8 @@
 //! the partition's aggregation instant, and the runtime records it there
 //! for xray.
 
-use std::collections::HashMap;
-
 use bs_net::NodeId;
+use bs_sim::FastMap;
 use serde::Serialize;
 
 /// Identifies one partition of one tensor.
@@ -86,9 +85,9 @@ pub struct PullGrant {
 pub struct ParamServer {
     cfg: PsConfig,
     /// Pushes received per (iteration, key).
-    arrived: HashMap<(u64, PartitionKey), u32>,
+    arrived: FastMap<(u64, PartitionKey), u32>,
     /// Shard of each key under `PerPartition`, assigned on first sight.
-    partition_shard: HashMap<PartitionKey, usize>,
+    partition_shard: FastMap<PartitionKey, usize>,
     /// Next shard for the global per-partition round-robin.
     next_shard: usize,
 }
@@ -100,8 +99,8 @@ impl ParamServer {
         assert!(cfg.num_servers > 0, "need at least one server");
         ParamServer {
             cfg,
-            arrived: HashMap::new(),
-            partition_shard: HashMap::new(),
+            arrived: FastMap::default(),
+            partition_shard: FastMap::default(),
             next_shard: 0,
         }
     }

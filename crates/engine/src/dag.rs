@@ -39,6 +39,25 @@ pub enum ExternalRole {
     ProxyFinish(usize),
 }
 
+impl ExternalRole {
+    /// Number of role kinds: [`Self::slot`] ranges over
+    /// `0..KINDS * num_layers`.
+    pub(crate) const KINDS: usize = 5;
+
+    /// Dense index of the role in a template of `num_layers` layers
+    /// (kind-major, then layer), or `None` for a layer out of range.
+    pub(crate) fn slot(self, num_layers: usize) -> Option<usize> {
+        let (kind, layer) = match self {
+            ExternalRole::Push(i) => (0, i),
+            ExternalRole::Pull(i) => (1, i),
+            ExternalRole::AllReduce(i) => (2, i),
+            ExternalRole::ProxyReady(i) => (3, i),
+            ExternalRole::ProxyFinish(i) => (4, i),
+        };
+        (layer < num_layers).then_some(kind * num_layers + layer)
+    }
+}
+
 /// Roles of nodes that complete instantly once their dependencies do.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
 pub enum InstantRole {

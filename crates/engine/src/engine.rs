@@ -7,7 +7,7 @@
 //! metrics and the scope bus are all folds over that one log.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BinaryHeap};
 
 use bs_models::DnnModel;
 use bs_sim::{SimRng, SimTime};
@@ -66,8 +66,8 @@ pub struct WorkerEngine {
     dag: IterDag,
     /// Reverse adjacency of the template: node → (dependent, delta).
     dependents: Vec<Vec<(usize, u32)>>,
-    /// Role → template index for `complete_external`.
-    role_index: HashMap<ExternalRole, usize>,
+    /// [`ExternalRole::slot`] → template index for `complete_external`.
+    role_index: Vec<Option<usize>>,
     /// Forward/backward durations per layer.
     fp: Vec<SimTime>,
     bp: Vec<SimTime>,
@@ -132,10 +132,11 @@ impl WorkerEngine {
                 dependents[dep].push((idx, delta));
             }
         }
-        let mut role_index = HashMap::new();
+        let mut role_index = vec![None; ExternalRole::KINDS * dag.num_layers];
         for (idx, node) in dag.nodes.iter().enumerate() {
             if let NodeKind::External(role) = node.kind {
-                let prev = role_index.insert(role, idx);
+                let slot = role.slot(dag.num_layers).expect("template role in range");
+                let prev = role_index[slot].replace(idx);
                 assert!(prev.is_none(), "duplicate external role {role:?}");
             }
         }
@@ -292,9 +293,9 @@ impl WorkerEngine {
             // Communication of the final iterations gates nothing.
             return;
         }
-        let node = *self
-            .role_index
-            .get(&role)
+        let node = role
+            .slot(self.dag.num_layers)
+            .and_then(|s| self.role_index[s])
             .unwrap_or_else(|| panic!("role {role:?} not in template"));
         let Some(state) = self.iters.get(&iter) else {
             // The iteration already retired in full (possible only for

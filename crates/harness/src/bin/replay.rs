@@ -275,8 +275,8 @@ fn main() {
         opts.faults = Some(plan);
     }
 
+    let jobs = replay::load_trace_file(&trace_path).unwrap_or_else(|e| fail(&e));
     if args.iter().any(|a| a == "--serve-stdin") {
-        let jobs = replay::load_trace_file(&trace_path).expect("trace loads");
         serve_stdin(jobs, opts, watch, events_file.as_deref());
         return;
     }
@@ -286,13 +286,12 @@ fn main() {
         opts.wave, opts.arrival_scale, opts.iters_cap, opts.seed
     );
 
-    let s = replay::run_experiment(fid, &trace_path, n_queries);
+    let s = replay::run_experiment(&jobs, &trace_path, &opts, n_queries);
     print!("{}", replay::render(&s));
     report::write_json("replay", &s);
 
     // Determinism: the same trace under the same options must serialize
     // to byte-identical reports.
-    let jobs = replay::load_trace_file(&trace_path).expect("trace loads");
     let a = serde_json::to_string(&replay_trace(&jobs, &opts)).expect("report serializes");
     let b = serde_json::to_string(&replay_trace(&jobs, &opts)).expect("report serializes");
     assert_eq!(a, b, "same trace + seed must give a byte-identical report");

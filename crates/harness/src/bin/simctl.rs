@@ -121,6 +121,12 @@ fn main() {
     let mut cfg = setup.config(model, gpus, gbps, SchedulerKind::Baseline);
     cfg.iters = args.num("iters", Fidelity::full().iters);
     cfg.warmup = args.num("warmup", Fidelity::full().warmup);
+    if cfg.warmup + 2 > cfg.iters {
+        fail(&format!(
+            "--iters {} with --warmup {}: need at least two measured iterations after warmup",
+            cfg.iters, cfg.warmup
+        ));
+    }
     cfg.seed = args.num("seed", 1);
     cfg.jitter = args.num("jitter", 0.01);
     cfg.fabric = match args.get("fabric", "fifo").as_str() {

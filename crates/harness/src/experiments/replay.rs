@@ -194,12 +194,17 @@ pub fn serve_study(
     }
 }
 
-/// Runs both halves over a trace file.
-pub fn run_experiment(fid: Fidelity, trace_path: &str, n_queries: usize) -> ReplayStudy {
-    let jobs = load_trace_file(trace_path).expect("trace loads");
-    let opts = base_options(fid);
-    let rows = jct_study(&jobs, &opts);
-    let serve = serve_study(&jobs, &opts, n_queries, 4);
+/// Runs both halves over the jobs of the trace file at `trace_path`
+/// under `opts` (for the binary: [`base_options`] plus any fault plan
+/// it was given).
+pub fn run_experiment(
+    jobs: &[TraceJob],
+    trace_path: &str,
+    opts: &ReplayOptions,
+    n_queries: usize,
+) -> ReplayStudy {
+    let rows = jct_study(jobs, opts);
+    let serve = serve_study(jobs, opts, n_queries, 4);
     ReplayStudy {
         trace: trace_path.to_string(),
         jobs: rows[0].jobs,
@@ -274,7 +279,8 @@ mod tests {
 
     #[test]
     fn study_runs_and_service_reuses_results() {
-        let s = run_experiment(Fidelity::quick(), DEFAULT_TRACE, 16);
+        let jobs = load_trace_file(DEFAULT_TRACE).expect("committed trace loads");
+        let s = run_experiment(&jobs, DEFAULT_TRACE, &base_options(Fidelity::quick()), 16);
         assert_eq!(s.rows.len(), 2);
         for r in &s.rows {
             assert!(r.jct.p50 <= r.jct.p95 && r.jct.p95 <= r.jct.p99);

@@ -1,7 +1,8 @@
-//! Fault-plan input never panics a CLI: a plan that does not fit the
-//! run, or a file that cannot be read or parsed, is reported with a
-//! message and exit code 2 instead of a backtrace (exit code 101). Every
-//! case here fails before any simulation runs.
+//! Bad input never panics a CLI: a fault plan that does not fit the
+//! run, a plan or trace file that cannot be read or parsed, or a run too
+//! short to measure is reported with a message and exit code 2 instead
+//! of a backtrace (exit code 101). Every case here fails before any
+//! simulation runs.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -77,5 +78,26 @@ fn cluster_and_replay_report_bad_plan_files() {
         );
         assert_rejected(bin, &["--faults", &broken], &broken);
         assert_rejected(bin, &["--faults", &far], "link event on node 500");
+    }
+}
+
+#[test]
+fn simctl_reports_runs_too_short_to_measure() {
+    let args: Vec<&str> = "--gpus 16 --iters 2 --warmup 1 --scheduler baseline"
+        .split(' ')
+        .collect();
+    assert_rejected(
+        env!("CARGO_BIN_EXE_simctl"),
+        &args,
+        "need at least two measured iterations after warmup",
+    );
+}
+
+#[test]
+fn replay_reports_unreadable_traces() {
+    let replay = env!("CARGO_BIN_EXE_replay");
+    for extra in [&[][..], &["--serve-stdin"][..]] {
+        let args = [&["--trace", "/nonexistent.json"][..], extra].concat();
+        assert_rejected(replay, &args, "replay: cannot read trace /nonexistent.json");
     }
 }

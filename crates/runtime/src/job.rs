@@ -35,6 +35,7 @@ use bs_telemetry::MetricSet;
 use bs_xray::{AggEvent, ComputeSpan, PartRecord, RingOp, StallSpan, XrayLog, XrayReport};
 
 use crate::config::{Arch, SchedulerKind, WorldConfig};
+use crate::partlog::PartLog;
 use crate::plugin::{ArPluginState, PsPluginState};
 use crate::result::{RunOutcome, RunResult};
 use crate::token::Token;
@@ -287,33 +288,12 @@ struct JobScope {
     retries_seen: u64,
 }
 
-/// Per-job causal-tracing state: one [`PartRecord`] per submitted
-/// partition, indexed by its unique token so scheduler grants and fabric
-/// lifecycles can be matched back in O(1), and the PS aggregation
+/// Per-job causal-tracing state: the append-only partition log (joined
+/// into [`PartRecord`]s once, at teardown) and the PS aggregation
 /// instants.
-#[derive(Default)]
 struct JobXray {
-    parts: Vec<PartRecord>,
-    /// token → index into `parts`.
-    index: std::collections::HashMap<u64, usize>,
+    log: PartLog,
     aggs: Vec<AggEvent>,
-}
-
-impl JobXray {
-    fn note_enqueue(&mut self, token: u64, lane: usize, pull: bool, bytes: u64, now: SimTime) {
-        let tok = Token::unpack(token);
-        let rec = PartRecord::enqueued_at(
-            token, tok.iter, tok.worker, tok.tensor, tok.part, lane, pull, bytes, now,
-        );
-        self.index.insert(token, self.parts.len());
-        self.parts.push(rec);
-    }
-
-    fn note_granted(&mut self, token: u64, now: SimTime) {
-        if let Some(&i) = self.index.get(&token) {
-            self.parts[i].granted = now;
-        }
-    }
 }
 
 impl JobState {
@@ -529,7 +509,18 @@ impl JobState {
             for s in &mut scheds {
                 s.enable_xray(arrival);
             }
-            JobXray::default()
+            // An enqueue and a grant per partition transfer: each
+            // iteration every worker pushes and pulls every partition
+            // (PS), or the master reduces each once (ring).
+            let parts: usize = partitions.iter().map(Vec::len).sum();
+            let per_iter = match cfg.arch {
+                Arch::Ps { .. } => 2 * cfg.num_workers * parts,
+                Arch::AllReduce { .. } => parts,
+            };
+            JobXray {
+                log: PartLog::with_capacity(2 * per_iter * cfg.iters as usize),
+                aggs: Vec::new(),
+            }
         });
         let burst = cfg.background.map(|bg| {
             assert!(
@@ -1032,8 +1023,8 @@ impl JobState {
             .pack();
             if let Some(x) = self.xray.as_mut() {
                 // BP produced the gradient this instant; the runtime
-                // enqueues it in the same instant (produced == enqueued).
-                x.note_enqueue(token, CommKind::Push.lane(), false, bytes, now);
+                // enqueues it in the same instant.
+                x.log.enqueued(token, now);
             }
             self.scheds[w].submit(
                 now,
@@ -1081,7 +1072,7 @@ impl JobState {
                 }
                 .pack();
                 if let Some(x) = self.xray.as_mut() {
-                    x.note_enqueue(token, 0, false, bytes, now);
+                    x.log.enqueued(token, now);
                 }
                 self.scheds[0].submit(
                     now,
@@ -1104,7 +1095,7 @@ impl JobState {
         self.scheds[s].poll_into(now, &mut items);
         for item in items.drain(..) {
             if let Some(x) = self.xray.as_mut() {
-                x.note_granted(item.token, now);
+                x.log.granted(item.token, now);
             }
             match &mut self.backend {
                 JobBackend::Ps { ps } => {
@@ -1146,7 +1137,7 @@ impl JobState {
         let submitted = !items.is_empty();
         for item in items.drain(..) {
             if let Some(x) = self.xray.as_mut() {
-                x.note_granted(item.token, now);
+                x.log.granted(item.token, now);
             }
             self.ar_release_queue.push_back((item.token, item.bytes));
         }
@@ -1225,9 +1216,9 @@ impl JobState {
         .pack();
         let bytes = self.partitions[tensor][part as usize];
         if let Some(x) = self.xray.as_mut() {
-            // For a pull, "produced" is the grant instant that made it
-            // legal — which is exactly when the runtime enqueues it.
-            x.note_enqueue(token, CommKind::Pull.lane(), true, bytes, now);
+            // A pull is enqueued at the aggregation grant that made it
+            // legal.
+            x.log.enqueued(token, now);
         }
         self.scheds[worker].submit(
             now,
@@ -1502,11 +1493,27 @@ impl JobState {
         ms
     }
 
-    /// Assembles the xray log from the job's records, or `None` when the
-    /// job was built without `record_xray`. It is the compute-span logs'
-    /// last reader and takes them (so they are freed before the report is
-    /// built); the stall series and ring ops stay where they are.
-    fn take_xray_log(&mut self, cfg: &WorldConfig, finished_at: SimTime) -> Option<XrayLog> {
+    /// Joins the partition log with `wire`, this job's share of the
+    /// fabric's wire log (no records when the job was built without
+    /// `record_xray`). The log is taken; the aggregation instants stay.
+    fn join_parts(&mut self, wire: &[WireXrayRecord]) -> Vec<PartRecord> {
+        match self.xray.as_mut() {
+            Some(x) => std::mem::take(&mut x.log).into_records(&self.partitions, wire),
+            None => Vec::new(),
+        }
+    }
+
+    /// Assembles the xray log from the joined partition records and the
+    /// job's other records, or `None` when the job was built without
+    /// `record_xray`. It is the compute-span logs' last reader and takes
+    /// them (so they are freed before the report is built); the stall
+    /// series and ring ops stay where they are.
+    fn take_xray_log(
+        &mut self,
+        cfg: &WorldConfig,
+        finished_at: SimTime,
+        parts: Vec<PartRecord>,
+    ) -> Option<XrayLog> {
         let x = self.xray.take()?;
         let mut log = XrayLog {
             scheduler: cfg.scheduler.label().to_string(),
@@ -1514,7 +1521,7 @@ impl JobState {
             end: finished_at,
             warmup: cfg.warmup as usize,
             marks: self.marks.clone(),
-            parts: x.parts,
+            parts,
             aggs: x.aggs,
             ..XrayLog::default()
         };
@@ -1566,6 +1573,18 @@ impl JobState {
         finished_at: SimTime,
         net: JobNetStats,
     ) -> RunResult {
+        let parts = self.join_parts(&[]);
+        self.result(cfg, finished_at, net, parts)
+    }
+
+    /// [`Self::into_result`] over partition records already joined.
+    fn result(
+        mut self,
+        cfg: &WorldConfig,
+        finished_at: SimTime,
+        net: JobNetStats,
+        parts: Vec<PartRecord>,
+    ) -> RunResult {
         // Metrics first: the xray log is the span logs' last reader.
         let metrics = cfg.record_metrics.then(|| self.take_metrics(finished_at));
         if let Some(reason) = self.faults.as_ref().and_then(|f| f.failed.clone()) {
@@ -1582,7 +1601,7 @@ impl JobState {
             return result;
         }
         let xray = self
-            .take_xray_log(cfg, finished_at)
+            .take_xray_log(cfg, finished_at, parts)
             .map(|log| XrayReport::build(&log));
         let (p2p, coll, comm_events, peak_in_flight) = match &self.backend {
             JobBackend::Ps { .. } => (net.p2p_bytes, 0, net.comm_events, net.peak_in_flight),
@@ -1633,29 +1652,15 @@ impl JobState {
         mut trace: Option<&mut Trace>,
         prefix: &str,
     ) -> RunResult {
-        if let Some(x) = self.xray.as_mut() {
-            for &(tag, _src, _dst, submitted, started, released, delivered) in &wire {
-                if is_burst_tag(tag) {
-                    continue;
-                }
-                if let Some(&i) = x.index.get(&tag) {
-                    let p = &mut x.parts[i];
-                    p.wire_submit = submitted;
-                    p.wire_start = started;
-                    p.wire_end = released;
-                    p.delivered = delivered;
-                    p.wire_seen = true;
-                }
-            }
-        }
+        let parts = self.join_parts(&wire);
         // Freed before the xray report is built.
         drop(wire);
         if let Some(trace) = trace.as_deref_mut() {
             self.append_compute_trace(trace, prefix);
             self.append_ring_trace(trace, prefix);
-            self.append_xray_flows(trace, prefix);
+            self.append_xray_flows(trace, prefix, &parts);
         }
-        let result = self.into_result(cfg, finished_at, net);
+        let result = self.result(cfg, finished_at, net, parts);
         if let (Some(trace), Some(ms)) = (trace, &result.metrics) {
             for t in ms.counter_tracks() {
                 trace.push_counter(format!("{prefix}{}", t.name), t.samples);
@@ -1713,18 +1718,21 @@ impl JobState {
     }
 
     /// Appends causal flow arrows (xray only): BP production → wire
-    /// start, one per push partition that reached the wire, and one per
-    /// ring chunk across the op's reduce-scatter → all-gather boundary.
-    fn append_xray_flows(&self, trace: &mut Trace, prefix: &str) {
-        let Some(x) = &self.xray else { return };
-        for p in &x.parts {
+    /// start, one per push partition (of the joined `parts`) that reached
+    /// the wire, and one per ring chunk across the op's reduce-scatter →
+    /// all-gather boundary.
+    fn append_xray_flows(&self, trace: &mut Trace, prefix: &str, parts: &[PartRecord]) {
+        if self.xray.is_none() {
+            return;
+        }
+        for p in parts {
             if p.pull || !p.wire_seen {
                 continue;
             }
             trace.push_flow(
                 format!("t{}.p{}@it{}", p.tensor, p.part, p.iter),
                 format!("{prefix}worker{}/gpu", p.worker),
-                p.produced,
+                p.enqueued,
                 format!("{prefix}worker{}/up", p.worker),
                 p.wire_start,
             );

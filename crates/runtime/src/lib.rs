@@ -17,6 +17,7 @@
 pub mod config;
 pub mod driver;
 pub mod job;
+pub mod partlog;
 pub mod plugin;
 pub mod result;
 pub mod token;
@@ -26,5 +27,6 @@ pub mod world;
 pub use config::{Arch, BackgroundLoad, SchedulerKind, WorldConfig};
 pub use driver::{DriverHooks, Tenant};
 pub use job::{JobEvent, JobNetStats, JobState, NodeMap};
+pub use partlog::PartLog;
 pub use result::{RunOutcome, RunResult};
 pub use world::{run, run_observed};

@@ -51,26 +51,36 @@ impl Token {
             | self.part as u64
     }
 
-    /// Unpacks from a `u64`.
+    /// Unpacks from a `u64`. Panics on a kind field no token packs.
     pub fn unpack(v: u64) -> Token {
+        Token::try_unpack(v).unwrap_or_else(|| {
+            panic!(
+                "corrupt token: kind bits {}",
+                (v >> (TENSOR_BITS + PART_BITS)) & ((1 << KIND_BITS) - 1)
+            )
+        })
+    }
+
+    /// Unpacks from a `u64`, or `None` on a kind field no token packs.
+    pub fn try_unpack(v: u64) -> Option<Token> {
         let part = (v & ((1 << PART_BITS) - 1)) as u32;
         let tensor = ((v >> PART_BITS) & ((1 << TENSOR_BITS) - 1)) as u32;
         let kind = match (v >> (TENSOR_BITS + PART_BITS)) & ((1 << KIND_BITS) - 1) {
             0 => CommKind::Push,
             1 => CommKind::Pull,
             2 => CommKind::AllReduce,
-            k => panic!("corrupt token: kind bits {k}"),
+            _ => return None,
         };
         let worker =
             ((v >> (KIND_BITS + TENSOR_BITS + PART_BITS)) & ((1 << WORKER_BITS) - 1)) as usize;
         let iter = v >> (WORKER_BITS + KIND_BITS + TENSOR_BITS + PART_BITS);
-        Token {
+        Some(Token {
             iter,
             worker,
             kind,
             tensor,
             part,
-        }
+        })
     }
 }
 

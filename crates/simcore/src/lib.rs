@@ -14,6 +14,8 @@
 //!   Box–Muller normals) and online statistics (Welford mean/variance,
 //!   percentiles), used for workload jitter and for the measurement side of
 //!   the harness.
+//! * [`FastMap`] — a `HashMap` with a small deterministic hasher for the
+//!   integer keys on the per-transfer path.
 //!
 //! The simulation style used across the workspace is *pull-based
 //! co-simulation*: each subsystem (network, engine, parameter server, …) is a
@@ -21,6 +23,7 @@
 //! the runtime driver advances whichever subsystem owns the earliest event.
 //! [`EventQueue`] is the building block those subsystems use internally.
 
+pub mod hash;
 pub mod pool;
 pub mod queue;
 pub mod rng;
@@ -28,6 +31,7 @@ pub mod stats;
 pub mod time;
 pub mod trace;
 
+pub use hash::{FastHasher, FastMap};
 pub use pool::WorkerPool;
 pub use queue::EventQueue;
 pub use rng::SimRng;

@@ -12,9 +12,9 @@
 //! residual bucket, only an explicit `Barrier` category for time the
 //! recorded events cannot explain (straggler barriers, warm-up skew).
 
-use std::collections::HashMap;
+use std::cell::OnceCell;
 
-use bs_sim::SimTime;
+use bs_sim::{FastMap, SimTime};
 
 use crate::events::{PartRecord, XrayLog};
 
@@ -184,66 +184,89 @@ pub fn analyze(log: &XrayLog) -> Vec<IterBreakdown> {
     out
 }
 
-/// Pre-built lookup tables over the log.
-struct Index {
-    /// Per worker: compute-op indices sorted by (end, start).
-    compute_by_end: HashMap<usize, Vec<usize>>,
-    /// Per worker: pull part indices sorted by delivered.
-    pulls_by_delivered: HashMap<usize, Vec<usize>>,
-    /// Per worker: push part indices sorted by delivered.
-    pushes_by_delivered: HashMap<usize, Vec<usize>>,
-    /// (worker, iter, tensor, part) → push part index.
-    push_by_key: HashMap<(usize, u64, u32, u32), usize>,
-    /// (worker, lane) → stall intervals sorted by start.
-    stalls: HashMap<(usize, usize), Vec<(SimTime, SimTime)>>,
+/// Lookup tables over the log. The critical-path walk stays on the
+/// worker it starts from: a compute op, the transfer whose delivery
+/// unblocked it and the push behind that transfer's aggregation all
+/// belong to one worker. So each worker's tables are built on its first
+/// lookup, and a walk pays for the workers it visits only.
+struct Index<'a> {
+    log: &'a XrayLog,
+    /// Per worker rank: its tables, once looked up.
+    workers: Vec<OnceCell<WorkerIndex>>,
     /// Ring-op indices sorted by end.
     rings_by_end: Vec<usize>,
     /// (batch tag, op end) → reduce-scatter/all-gather boundary, derived
     /// from the per-hop records (absent when only coarse ops were
     /// recorded). Keyed by op end as well so a re-used tag cannot smear
     /// one op's boundary onto another.
-    ring_rs_end: HashMap<(u64, SimTime), SimTime>,
+    ring_rs_end: FastMap<(u64, SimTime), SimTime>,
 }
 
-impl Index {
-    fn build(log: &XrayLog) -> Index {
-        let mut compute_by_end: HashMap<usize, Vec<usize>> = HashMap::new();
-        for (i, c) in log.compute.iter().enumerate() {
-            compute_by_end.entry(c.worker).or_default().push(i);
-        }
-        for v in compute_by_end.values_mut() {
-            v.sort_by_key(|&i| (log.compute[i].end, log.compute[i].start));
-        }
-        let mut pulls_by_delivered: HashMap<usize, Vec<usize>> = HashMap::new();
-        let mut pushes_by_delivered: HashMap<usize, Vec<usize>> = HashMap::new();
-        let mut push_by_key = HashMap::new();
+/// One worker's lookup tables. Rows are filled in record order and
+/// every sort is stable, so equal keys keep record order.
+#[derive(Default)]
+struct WorkerIndex {
+    /// Compute-op indices sorted by (end, start).
+    compute_by_end: Vec<usize>,
+    /// Pull part indices sorted by delivered.
+    pulls_by_delivered: Vec<usize>,
+    /// Push part indices sorted by delivered.
+    pushes_by_delivered: Vec<usize>,
+    /// (iter, tensor, part) → push part index; a repeated key keeps its
+    /// last record.
+    push_by_key: FastMap<(u64, u32, u32), usize>,
+    /// Per lane: stall intervals sorted by start.
+    stalls: Vec<Vec<(SimTime, SimTime)>>,
+}
+
+impl WorkerIndex {
+    fn build(log: &XrayLog, worker: usize) -> WorkerIndex {
+        let mut compute_by_end: Vec<usize> = (0..log.compute.len())
+            .filter(|&i| log.compute[i].worker == worker)
+            .collect();
+        compute_by_end.sort_by_key(|&i| (log.compute[i].end, log.compute[i].start));
+        let mut w = WorkerIndex {
+            compute_by_end,
+            ..WorkerIndex::default()
+        };
         for (i, p) in log.parts.iter().enumerate() {
-            if !p.wire_seen {
+            if p.worker != worker || !p.wire_seen {
                 continue;
             }
             if p.pull {
-                pulls_by_delivered.entry(p.worker).or_default().push(i);
+                w.pulls_by_delivered.push(i);
             } else {
-                pushes_by_delivered.entry(p.worker).or_default().push(i);
-                push_by_key.insert((p.worker, p.iter, p.tensor, p.part), i);
+                w.pushes_by_delivered.push(i);
+                w.push_by_key.insert((p.iter, p.tensor, p.part), i);
             }
         }
-        for v in pulls_by_delivered
-            .values_mut()
-            .chain(pushes_by_delivered.values_mut())
-        {
-            v.sort_by_key(|&i| log.parts[i].delivered);
+        w.pulls_by_delivered
+            .sort_by_key(|&i| log.parts[i].delivered);
+        w.pushes_by_delivered
+            .sort_by_key(|&i| log.parts[i].delivered);
+        for s in log.stalls.iter().filter(|s| s.worker == worker) {
+            if w.stalls.len() <= s.lane {
+                w.stalls.resize_with(s.lane + 1, Vec::new);
+            }
+            w.stalls[s.lane].push((s.start, s.end));
         }
-        let mut stalls: HashMap<(usize, usize), Vec<(SimTime, SimTime)>> = HashMap::new();
-        for s in &log.stalls {
-            stalls
-                .entry((s.worker, s.lane))
-                .or_default()
-                .push((s.start, s.end));
-        }
-        for v in stalls.values_mut() {
+        for v in &mut w.stalls {
             v.sort();
         }
+        w
+    }
+}
+
+impl<'a> Index<'a> {
+    fn build(log: &'a XrayLog) -> Index<'a> {
+        let workers = log
+            .compute
+            .iter()
+            .map(|c| c.worker)
+            .chain(log.parts.iter().map(|p| p.worker))
+            .chain(log.stalls.iter().map(|s| s.worker))
+            .max()
+            .map_or(0, |w| w + 1);
         let mut rings_by_end: Vec<usize> = (0..log.ring_ops.len()).collect();
         rings_by_end.sort_by_key(|&i| log.ring_ops[i].end);
         // The phase boundary of an op is its latest reduce-scatter hop
@@ -251,7 +274,7 @@ impl Index {
         // up to the op end is all-gather. Hops arrive grouped per op, so
         // one pass per run of equal tags recovers each op's end and
         // boundary.
-        let mut ring_rs_end: HashMap<(u64, SimTime), SimTime> = HashMap::new();
+        let mut ring_rs_end = FastMap::default();
         let mut i = 0;
         while i < log.ring_hops.len() {
             let tag = log.ring_hops[i].tag;
@@ -275,40 +298,39 @@ impl Index {
             i = j;
         }
         Index {
-            compute_by_end,
-            pulls_by_delivered,
-            pushes_by_delivered,
-            push_by_key,
-            stalls,
+            log,
+            workers: (0..workers).map(|_| OnceCell::new()).collect(),
             rings_by_end,
             ring_rs_end,
         }
     }
 
+    /// `worker`'s tables (`None` for a rank with no records).
+    fn worker(&self, worker: usize) -> Option<&WorkerIndex> {
+        let cell = self.workers.get(worker)?;
+        Some(cell.get_or_init(|| WorkerIndex::build(self.log, worker)))
+    }
+
     /// The compute op on `worker` ending exactly at `at`, excluding
     /// `not` (so a zero-duration op cannot be its own predecessor).
     /// Ties pick the latest-starting op.
-    fn compute_ending_at(
-        &self,
-        log: &XrayLog,
-        worker: usize,
-        at: SimTime,
-        not: Option<usize>,
-    ) -> Option<usize> {
-        let v = self.compute_by_end.get(&worker)?;
-        let hi = v.partition_point(|&i| log.compute[i].end <= at);
+    fn compute_ending_at(&self, worker: usize, at: SimTime, not: Option<usize>) -> Option<usize> {
+        let compute = &self.log.compute;
+        let v = &self.worker(worker)?.compute_by_end;
+        let hi = v.partition_point(|&i| compute[i].end <= at);
         v[..hi]
             .iter()
             .rev()
-            .take_while(|&&i| log.compute[i].end == at)
+            .take_while(|&&i| compute[i].end == at)
             .find(|&&i| Some(i) != not)
             .copied()
     }
 
     /// The latest compute op on `worker` ending at or before `at`.
-    fn compute_before(&self, log: &XrayLog, worker: usize, at: SimTime) -> Option<usize> {
-        let v = self.compute_by_end.get(&worker)?;
-        let hi = v.partition_point(|&i| log.compute[i].end <= at);
+    fn compute_before(&self, worker: usize, at: SimTime) -> Option<usize> {
+        let compute = &self.log.compute;
+        let v = &self.worker(worker)?.compute_by_end;
+        let hi = v.partition_point(|&i| compute[i].end <= at);
         if hi == 0 {
             None
         } else {
@@ -316,25 +338,30 @@ impl Index {
         }
     }
 
-    /// A part on `worker` delivered exactly at `at`, preferring tensor
-    /// `hint` (the layer of the op it unblocked).
+    /// A pull (or push) on `worker` delivered exactly at `at`, preferring
+    /// tensor `hint` (the layer of the op it unblocked).
     fn part_delivered_at(
         &self,
-        log: &XrayLog,
-        table: &HashMap<usize, Vec<usize>>,
+        pull: bool,
         worker: usize,
         at: SimTime,
         hint: u32,
     ) -> Option<usize> {
-        let v = table.get(&worker)?;
-        let hi = v.partition_point(|&i| log.parts[i].delivered <= at);
+        let parts = &self.log.parts;
+        let w = self.worker(worker)?;
+        let v = if pull {
+            &w.pulls_by_delivered
+        } else {
+            &w.pushes_by_delivered
+        };
+        let hi = v.partition_point(|&i| parts[i].delivered <= at);
         let matching = v[..hi]
             .iter()
             .rev()
-            .take_while(|&&i| log.parts[i].delivered == at);
+            .take_while(|&&i| parts[i].delivered == at);
         let mut fallback = None;
         for &i in matching {
-            if log.parts[i].tensor == hint {
+            if parts[i].tensor == hint {
                 return Some(i);
             }
             fallback.get_or_insert(i);
@@ -342,16 +369,29 @@ impl Index {
         fallback
     }
 
+    /// The push of `(iter, tensor, part)` on `worker`, if it reached the
+    /// wire.
+    fn push_of(&self, worker: usize, iter: u64, tensor: u32, part: u32) -> Option<usize> {
+        self.worker(worker)?
+            .push_by_key
+            .get(&(iter, tensor, part))
+            .copied()
+    }
+
+    /// `worker`'s stall intervals on `lane`, sorted by start.
+    fn stalls(&self, worker: usize, lane: usize) -> Option<&[(SimTime, SimTime)]> {
+        Some(self.worker(worker)?.stalls.get(lane)?)
+    }
+
     /// A ring op ending exactly at `at`.
-    fn ring_ending_at(&self, log: &XrayLog, at: SimTime) -> Option<usize> {
-        let hi = self
-            .rings_by_end
-            .partition_point(|&i| log.ring_ops[i].end <= at);
+    fn ring_ending_at(&self, at: SimTime) -> Option<usize> {
+        let ops = &self.log.ring_ops;
+        let hi = self.rings_by_end.partition_point(|&i| ops[i].end <= at);
         if hi == 0 {
             return None;
         }
         let i = self.rings_by_end[hi - 1];
-        (log.ring_ops[i].end == at).then_some(i)
+        (ops[i].end == at).then_some(i)
     }
 }
 
@@ -360,7 +400,7 @@ impl Index {
 /// segments tile `[w_start, w_end]` exactly.
 struct Walker<'a> {
     log: &'a XrayLog,
-    idx: &'a Index,
+    idx: &'a Index<'a>,
     w_start: SimTime,
     cursor: SimTime,
     segs: Vec<Segment>,
@@ -393,7 +433,7 @@ impl<'a> Walker<'a> {
     /// recorded stall intervals.
     fn emit_sched_wait(&mut self, worker: usize, lane: usize, enqueued: SimTime, tensor: u32) {
         let t = Some(tensor);
-        if let Some(stalls) = self.idx.stalls.get(&(worker, lane)) {
+        if let Some(stalls) = self.idx.stalls(worker, lane) {
             for &(s_start, s_end) in stalls.iter().rev() {
                 if self.done || s_end <= enqueued {
                     break;
@@ -437,8 +477,7 @@ impl<'a> Walker<'a> {
             // worker's own push of the same partition: attribute the gap
             // between the push's delivery and the pull grant to
             // aggregation (stragglers + server-side combine).
-            let key = (p.worker, p.iter, p.tensor, p.part);
-            if let Some(&push_idx) = self.idx.push_by_key.get(&key) {
+            if let Some(push_idx) = self.idx.push_of(p.worker, p.iter, p.tensor, p.part) {
                 let push = self.log.parts[push_idx];
                 self.emit(Category::Aggregation, push.delivered, Some(p.tensor));
                 if self.done {
@@ -460,8 +499,7 @@ impl<'a> Walker<'a> {
     /// retire instant — the engine emits the gradient the moment the
     /// layer's backward op retires).
     fn compute_producer(&self, p: &PartRecord) -> Option<usize> {
-        self.idx
-            .compute_ending_at(self.log, p.worker, p.produced, None)
+        self.idx.compute_ending_at(p.worker, p.enqueued, None)
     }
 }
 
@@ -482,7 +520,7 @@ fn analyze_window(
     };
 
     // Anchor: the compute op that retired the iteration on worker 0.
-    let mut cur = idx.compute_ending_at(log, 0, w_end, None);
+    let mut cur = idx.compute_ending_at(0, w_end, None);
     let max_steps = 4 * (log.compute.len() + log.parts.len() + log.ring_ops.len()) + 64;
     let mut steps = 0usize;
     while !walker.done {
@@ -500,25 +538,21 @@ fn analyze_window(
         // Predecessor preference: an abutting compute op, then the
         // transfer delivery that unblocked this op, then a ring op, then
         // an unattributed gap back to the previous compute op.
-        if let Some(prev) = idx.compute_ending_at(log, op.worker, at, Some(op_idx)) {
+        if let Some(prev) = idx.compute_ending_at(op.worker, at, Some(op_idx)) {
             cur = Some(prev);
             continue;
         }
-        if let Some(p) =
-            idx.part_delivered_at(log, &idx.pulls_by_delivered, op.worker, at, op.layer)
-        {
+        if let Some(p) = idx.part_delivered_at(true, op.worker, at, op.layer) {
             cur = walker.walk_part(p);
             if cur.is_some() || walker.done {
                 continue;
             }
-        } else if let Some(p) =
-            idx.part_delivered_at(log, &idx.pushes_by_delivered, op.worker, at, op.layer)
-        {
+        } else if let Some(p) = idx.part_delivered_at(false, op.worker, at, op.layer) {
             cur = walker.walk_part(p);
             if cur.is_some() || walker.done {
                 continue;
             }
-        } else if let Some(r) = idx.ring_ending_at(log, at) {
+        } else if let Some(r) = idx.ring_ending_at(at) {
             let ring = log.ring_ops[r];
             // With per-hop records the op splits at the phase boundary;
             // both emissions together cover exactly the span the single
@@ -533,7 +567,7 @@ fn analyze_window(
             if walker.done {
                 break;
             }
-            cur = idx.compute_before(log, op.worker, walker.cursor);
+            cur = idx.compute_before(op.worker, walker.cursor);
             if let Some(prev) = cur {
                 walker.emit(Category::Barrier, log.compute[prev].end, None);
                 continue;
@@ -542,7 +576,7 @@ fn analyze_window(
         }
         // Part chain ended without a producing compute op, or nothing
         // explains this instant: bridge to the previous compute op.
-        cur = idx.compute_before(log, op.worker, walker.cursor);
+        cur = idx.compute_before(op.worker, walker.cursor);
         match cur {
             Some(prev) if log.compute[prev].end < walker.cursor => {
                 walker.emit(Category::Barrier, log.compute[prev].end, None);
@@ -629,14 +663,14 @@ mod tests {
     /// pull (wire) → dependent compute. Categories must tile the window.
     #[test]
     fn ps_chain_attributes_each_stage() {
-        let mut push = PartRecord::enqueued_at(1, 0, 0, 2, 0, 0, false, 1000, us(10));
+        let mut push = PartRecord::enqueued_at(0, 0, 2, 0, 0, false, 1000, us(10));
         push.granted = us(18);
         push.wire_submit = us(18);
         push.wire_start = us(20);
         push.wire_end = us(38);
         push.delivered = us(40);
         push.wire_seen = true;
-        let mut pull = PartRecord::enqueued_at(2, 0, 0, 2, 0, 1, true, 1000, us(45));
+        let mut pull = PartRecord::enqueued_at(0, 0, 2, 0, 1, true, 1000, us(45));
         pull.granted = us(50);
         pull.wire_submit = us(50);
         pull.wire_start = us(50);

@@ -33,14 +33,12 @@ pub struct ComputeSpan {
 /// The lifecycle of one CommTask partition on one worker.
 ///
 /// Times are filled in as the partition moves through the stack:
-/// `produced`/`enqueued`/`granted` by the runtime at the scheduler
-/// boundary, the `wire_*` fields by the fabric once the transfer is
-/// released (matched back by the partition's unique token). A record
-/// whose transfer never completed keeps `wire_seen == false`.
+/// `enqueued`/`granted` by the runtime at the scheduler boundary, the
+/// `wire_*` fields by the fabric once the transfer is released (matched
+/// back by the partition's unique token). A record whose transfer never
+/// completed keeps `wire_seen == false`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PartRecord {
-    /// The packed subtask token (job-local, no job-namespace bits).
-    pub token: u64,
     /// Training iteration.
     pub iter: u64,
     /// Worker rank.
@@ -55,10 +53,9 @@ pub struct PartRecord {
     pub pull: bool,
     /// Payload bytes.
     pub bytes: u64,
-    /// When BP produced the gradient (== `enqueued` for pushes; for
-    /// pulls, the grant instant that made the pull possible).
-    pub produced: SimTime,
-    /// When the runtime submitted the item to the scheduler.
+    /// When the runtime submitted the item to the scheduler: for a push,
+    /// the instant BP produced the gradient; for a pull, the aggregation
+    /// grant that made it possible.
     pub enqueued: SimTime,
     /// When the scheduler released the item (credit granted).
     pub granted: SimTime,
@@ -78,7 +75,6 @@ impl PartRecord {
     /// A fresh record at the enqueue instant; wire fields unset.
     #[allow(clippy::too_many_arguments)]
     pub fn enqueued_at(
-        token: u64,
         iter: u64,
         worker: usize,
         tensor: u32,
@@ -89,7 +85,6 @@ impl PartRecord {
         now: SimTime,
     ) -> PartRecord {
         PartRecord {
-            token,
             iter,
             worker,
             tensor,
@@ -97,7 +92,6 @@ impl PartRecord {
             lane,
             pull,
             bytes,
-            produced: now,
             enqueued: now,
             granted: now,
             wire_submit: now,

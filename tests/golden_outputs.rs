@@ -1,8 +1,12 @@
 //! Golden digests of the recorder outputs that no other fixture covers:
 //! the Chrome trace (`Trace::to_chrome_json`) of a PS run, a ring run and
 //! a 2-job cluster with trace, xray and metrics all on, the full result
-//! serialisation of each training job (metrics and xray report), and the
-//! `events.jsonl` flight-recorder stream of an observed faulted PS run.
+//! serialisation of each training job (metrics and xray report), the
+//! `events.jsonl` flight-recorder stream and the result of an observed
+//! faulted PS run (its loss forces retransmits, so the fabric's wire log
+//! holds one tag several times), and the trace and results of a cluster
+//! run whose machine failure checkpoints and migrates a job (the resumed
+//! job re-runs iterations under tags the wire log already holds).
 //!
 //! Each artefact is pinned by its byte length, its row counts (Chrome
 //! events by phase, JSON-lines rows) and a 64-bit FNV-1a digest, so a
@@ -20,9 +24,9 @@
 #[allow(dead_code)]
 mod common;
 
-use bs_cluster::{run_cluster, ClusterConfig, JobSpec, PlacementPolicy};
+use bs_cluster::{run_cluster, ClusterConfig, FaultReaction, JobSpec, PlacementPolicy};
 use bs_engine::EngineConfig;
-use bs_faults::FaultPlan;
+use bs_faults::{FaultPlan, MachineFailure};
 use bs_net::{FabricModel, NetConfig, Transport};
 use bs_runtime::{run, run_observed, Arch, RunResult, SchedulerKind, WorldConfig};
 use bs_scope::{FlightRecorder, ScopeBus};
@@ -136,10 +140,41 @@ fn cluster_run() -> bs_cluster::ClusterResult {
     )
 }
 
+/// Two golden PS jobs packed on 5 machines; machine 1 (a node of the
+/// first job) fails mid-run and restores later, so the first job is
+/// checkpointed and migrated onto the spare machine and re-runs its lost
+/// iterations there.
+fn migrate_cluster_run() -> bs_cluster::ClusterResult {
+    let a = common::scenario(FabricModel::SerialFifo);
+    let mut b = common::scenario(FabricModel::SerialFifo);
+    b.seed = 11;
+    let mut cluster = ClusterConfig::new(5, a.net);
+    cluster.placement = PlacementPolicy::Packed;
+    cluster.record_trace = true;
+    cluster.record_xray = true;
+    cluster.record_metrics = true;
+    cluster.reaction = FaultReaction::CheckpointMigrate;
+    cluster.faults = Some(FaultPlan {
+        machine_failures: vec![MachineFailure {
+            machine: 1,
+            at_us: 60_000,
+            restore_us: Some(2_000_000),
+        }],
+        ..FaultPlan::empty()
+    });
+    let r = run_cluster(
+        &cluster,
+        &[JobSpec::train("job0", a), JobSpec::train("job1", b)],
+    );
+    assert!(!r.migrations.is_empty(), "the failure must migrate a job");
+    r
+}
+
 /// The golden PS scenario under the committed fault fixture (re-timed to
 /// land inside the short run, with enough loss to retransmit), observed
-/// on a bus with drift detection and a flight recorder.
-fn faulted_events() -> String {
+/// on a bus with drift detection and a flight recorder: its result and
+/// its `events.jsonl` stream.
+fn faulted_run() -> (RunResult, String) {
     let mut cfg = common::scenario(FabricModel::SerialFifo);
     let text = std::fs::read_to_string(
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/fault_plan.json"),
@@ -160,15 +195,16 @@ fn faulted_events() -> String {
     bus.subscribe(Box::new(LiveDrift::new(cfg.warmup)));
     let (rec, handle) = FlightRecorder::new();
     bus.subscribe(Box::new(rec));
-    run_observed(&cfg, Some(&mut bus));
-    handle.to_jsonl()
+    let r = run_observed(&cfg, Some(&mut bus));
+    (r, handle.to_jsonl())
 }
 
 fn render() -> String {
     let ps = ps_run();
     let ring = ring_run();
     let cluster = cluster_run();
-    let events = faulted_events();
+    let (faulted, events) = faulted_run();
+    let migrate = migrate_cluster_run();
     let mut pins = vec![
         pin_trace("ps_trace", ps.trace.as_ref().expect("trace recorded")),
         pin_result("ps_result", &ps),
@@ -187,6 +223,17 @@ fn render() -> String {
         &events,
         vec![("rows", events.lines().count() as u64)],
     ));
+    pins.push(pin_result("faulted_ps_result", &faulted));
+    pins.push(pin_trace(
+        "migrate_cluster_trace",
+        migrate.trace.as_ref().expect("trace recorded"),
+    ));
+    for j in &migrate.jobs {
+        pins.push(pin_result(
+            &format!("migrate_cluster_{}_result", j.name),
+            &j.result,
+        ));
+    }
     serde_json::to_string_pretty(&Value::Array(pins)).expect("render pins") + "\n"
 }
 
