@@ -9,13 +9,15 @@
 //! [`ClusterResult`] assembly.
 
 use bs_faults::{ClusterChange, ClusterFaultEntry, ClusterFaultInjector, FaultPlan, PlanTarget};
-use bs_net::{CompletedTransfer, Fabric, NetPort, NodeId, WireXrayRecord};
+use bs_net::{CompletedTransfer, Fabric, NetPort, NodeId, WireXrayRecord, CONTENTION_JOB_LIMIT};
 use bs_scope::{ScopeBus, ScopeEvent};
 use bs_tune::RestartCost;
 
 use crate::contention::ContentionMatrix;
-use bs_runtime::driver::{self, hoist_job_links, push_fault_event, route_drop};
-use bs_runtime::job::{inner_tag, job_of_tag, wire_span_into_trace, MAX_JOBS};
+use bs_runtime::driver::{
+    self, hoist_job_links, push_fault_event, route_drop, wire_owner, WireTags,
+};
+use bs_runtime::job::wire_span_into_trace;
 use bs_runtime::traffic::BurstSource;
 use bs_runtime::{DriverHooks, JobNetStats, JobState, NodeMap, RunOutcome, Tenant};
 use bs_sim::{SimTime, Trace};
@@ -63,11 +65,12 @@ impl DriverHooks for ClusterHooks {
         now: SimTime,
         timeline: &[ClusterFaultEntry],
         tenants: &mut [Tenant],
+        wires: &mut WireTags,
         fabric: &mut P,
     ) {
         match change {
             ClusterChange::MachineDown { machine } => {
-                self.on_machine_down(machine, now, timeline, tenants, fabric)
+                self.on_machine_down(machine, now, timeline, tenants, wires, fabric)
             }
             ClusterChange::MachineUp { machine } => {
                 self.healthy[machine] = true;
@@ -137,6 +140,7 @@ impl ClusterHooks {
         now: SimTime,
         timeline: &[ClusterFaultEntry],
         tenants: &mut [Tenant],
+        wires: &mut WireTags,
         fabric: &mut P,
     ) {
         self.healthy[machine] = false;
@@ -159,10 +163,10 @@ impl ClusterHooks {
             }
         }
         for d in fabric.kill_port(now, NodeId(machine)) {
-            if affected.contains(&job_of_tag(d.tag)) {
+            if affected.contains(&wire_owner(d.tag)) {
                 continue;
             }
-            route_drop(tenants, d, now, fabric);
+            route_drop(tenants, wires, d, now, fabric);
         }
         for j in affected {
             self.checkpoint_migrate(j, machine, now, timeline, tenants, fabric);
@@ -186,7 +190,7 @@ impl ClusterHooks {
         // The job's entire fabric footprint is torn down — queued and
         // in-flight transfers on *every* port, not just the dead one.
         // Ports stay up for co-tenants.
-        fabric.cancel_where(now, &mut |tag| job_of_tag(tag) == j);
+        fabric.cancel_where(now, &mut |tag| wire_owner(tag) == j);
         let Tenant::Train { state, cfg, .. } = &mut tenants[j] else {
             unreachable!("only training jobs migrate")
         };
@@ -299,10 +303,6 @@ pub fn run_cluster_observed(
     mut scope: Option<&mut ScopeBus>,
 ) -> ClusterResult {
     assert!(!specs.is_empty(), "a cluster run needs at least one job");
-    assert!(
-        specs.len() <= MAX_JOBS,
-        "at most {MAX_JOBS} jobs per fabric (tag namespace)"
-    );
     let placements = cluster.placement.place(cluster.machines, specs);
     // The cluster-scope fault timeline: the cluster plan's link changes
     // and machine failures, plus every tenant's hoisted job-private link
@@ -326,9 +326,13 @@ pub fn run_cluster_observed(
         tap.enable_telemetry(SimTime::ZERO);
     }
     if cluster.record_contention {
-        // The tag namespace is the job extractor: bits 58.. of every
-        // fabric tag name the owning job.
-        tap.enable_contention(SimTime::ZERO, job_of_tag);
+        assert!(
+            specs.len() <= CONTENTION_JOB_LIMIT,
+            "contention recording tracks at most {CONTENTION_JOB_LIMIT} jobs per run; \
+             this run has {}",
+            specs.len()
+        );
+        tap.enable_contention(SimTime::ZERO, wire_owner);
     }
 
     let mut tenants: Vec<Tenant> = specs
@@ -378,6 +382,7 @@ pub fn run_cluster_observed(
                 pairs: *pairs,
                 seed_at: *arrival,
                 seeded: false,
+                submits: Vec::new(),
             },
         })
         .collect();
@@ -410,7 +415,7 @@ pub fn run_cluster_observed(
     };
     injector.seal();
     let faults = (!injector.is_empty()).then_some(&mut injector);
-    let makespan = driver::drive(
+    let (makespan, wires) = driver::drive(
         &mut tenants,
         &mut fabric,
         faults,
@@ -432,13 +437,11 @@ pub fn run_cluster_observed(
         ..
     } = hooks;
     // Xray and the span trace read one wire log: each training job
-    // gets its own records with the namespace bits stripped, and the
-    // trace gets every record's wire span under its job's prefix.
+    // gets its own records under job-local tags, and the trace gets
+    // every record's wire span under its job's prefix.
     let mut trace = cluster.record_trace.then(Trace::new);
     let mut per_job: Vec<Vec<WireXrayRecord>> = vec![Vec::new(); tenants.len()];
-    for mut rec in fabric.tap().take_wire_log() {
-        let j = job_of_tag(rec.0);
-        rec.0 = inner_tag(rec.0);
+    for (j, rec) in wires.resolve_log(fabric.tap().take_wire_log()) {
         if let Some(trace) = trace.as_mut() {
             wire_span_into_trace(trace, &rec, &format!("job{j}/"));
         }
@@ -1212,5 +1215,78 @@ mod tests {
         assert!(late.finished_at > arrival);
         assert_eq!(late.jct, late.finished_at - arrival);
         assert!(r.makespan >= late.finished_at.max(r.jobs[0].finished_at));
+    }
+
+    /// A 1-worker, 1-shard PS job on a two-layer model small enough to
+    /// run a thousand iterations in a debug build.
+    fn tiny_ps(iters: u64, seed: u64) -> WorldConfig {
+        use bs_models::{GpuSpec, ModelBuilder, SampleUnit};
+        let (fwd, bwd) = (SimTime::from_micros(50), SimTime::from_micros(100));
+        let model = ModelBuilder::new("tiny", GpuSpec::custom(1e12, 2.0), 8, SampleUnit::Images)
+            .explicit("l0", 100_000, fwd, bwd)
+            .explicit("l1", 100_000, fwd, bwd)
+            .build();
+        let mut c = WorldConfig::new(
+            model,
+            1,
+            Arch::ps(1),
+            NetConfig::gbps(10.0, Transport::tcp()),
+            EngineConfig::mxnet_ps(),
+            SchedulerKind::Baseline,
+        );
+        c.iters = iters;
+        c.warmup = 1;
+        c.seed = seed;
+        c
+    }
+
+    #[test]
+    fn ps_cluster_runs_past_1024_iterations() {
+        // Tokens of iteration 1024 on set bit 58 and up: nothing may
+        // read a tenant out of those bits.
+        let mut cluster = ClusterConfig::new(2, NetConfig::gbps(10.0, Transport::tcp()));
+        cluster.placement = PlacementPolicy::Packed;
+        let specs = vec![
+            JobSpec::train("a", tiny_ps(1030, 1)),
+            JobSpec::train("b", tiny_ps(1030, 2)),
+        ];
+        let r = run_cluster(&cluster, &specs);
+        for j in &r.jobs {
+            assert_eq!(j.result.outcome, RunOutcome::Completed);
+            assert_eq!(j.result.iter_times.len(), 1028);
+            assert_eq!(j.result.p2p_bytes, 1030 * 2 * 200_000);
+        }
+    }
+
+    #[test]
+    fn forty_tenants_share_one_fabric() {
+        let mut cluster = ClusterConfig::new(8, NetConfig::gbps(10.0, Transport::tcp()));
+        cluster.record_trace = true;
+        let specs: Vec<JobSpec> = (0..40)
+            .map(|j| JobSpec::train(format!("j{j}"), tiny_ps(3, j)))
+            .collect();
+        let r = run_cluster(&cluster, &specs);
+        assert_eq!(r.jobs.len(), 40);
+        for j in &r.jobs {
+            assert_eq!(j.result.p2p_bytes, 3 * 2 * 200_000);
+        }
+        // Every job's wire spans land under its own track prefix, named
+        // by its job-local tags.
+        let trace = r.trace.expect("trace").to_chrome_json();
+        assert!(trace.contains("push t1.p0@it2"));
+        assert!(trace.contains("job39/worker0/down"));
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "contention recording tracks at most 64 jobs per run; this run has 65"
+    )]
+    fn contention_recording_rejects_more_jobs_than_its_mask_holds() {
+        let mut cluster = ClusterConfig::new(8, NetConfig::gbps(10.0, Transport::tcp()));
+        cluster.record_contention = true;
+        let specs: Vec<JobSpec> = (0..65)
+            .map(|j| JobSpec::train(format!("j{j}"), tiny_ps(3, j)))
+            .collect();
+        run_cluster(&cluster, &specs);
     }
 }

@@ -207,13 +207,15 @@ fn serve_stdin(jobs: Vec<TraceJob>, opts: ReplayOptions, watch: bool, events_pat
     let mut svc = ReplayService::new(jobs, opts, 32);
     eprintln!("serve-stdin: one JSON query object or array per line; EOF ends the service");
     let stdin = std::io::stdin();
-    for line in stdin.lock().lines() {
-        let line = line.expect("stdin is readable");
-        let text = line.trim();
-        if text.is_empty() {
+    for line in stdin.lock().split(b'\n') {
+        let line = line.unwrap_or_else(|e| fail(&format!("cannot read stdin: {e}")));
+        let batch = std::str::from_utf8(&line)
+            .map_err(|e| format!("line is not UTF-8: {e}"))
+            .map(str::trim);
+        if batch.as_ref().is_ok_and(|text| text.is_empty()) {
             continue;
         }
-        match parse_batch(text) {
+        match batch.and_then(parse_batch) {
             Ok(queries) => {
                 let answers = svc.submit_batch_observed(&queries, Some(&mut bus));
                 println!("{}", answer_line(&answers, &svc));

@@ -50,6 +50,7 @@ use bs_faults::{FaultPlan, PlanTarget};
 use bs_harness::{tune, Fidelity, Setup};
 use bs_models::DnnModel;
 use bs_net::FabricModel;
+use bs_runtime::token::ITER_LIMIT;
 use bs_runtime::{run, run_observed, JobState, SchedulerKind};
 use bs_scope::{FlightRecorder, ScopeBus, WatchTable};
 use bs_tune::LiveDrift;
@@ -116,6 +117,9 @@ fn main() {
         other => fail(&format!("unknown setup {other:?}")),
     };
     let gpus: u64 = args.num("gpus", 32);
+    setup
+        .check_gpus(gpus)
+        .unwrap_or_else(|e| fail(&format!("--gpus {gpus}: {e}")));
     let gbps: f64 = args.num("gbps", 100.0);
 
     let mut cfg = setup.config(model, gpus, gbps, SchedulerKind::Baseline);
@@ -125,6 +129,12 @@ fn main() {
         fail(&format!(
             "--iters {} with --warmup {}: need at least two measured iterations after warmup",
             cfg.iters, cfg.warmup
+        ));
+    }
+    if cfg.iters > ITER_LIMIT {
+        fail(&format!(
+            "--iters {}: a run trains at most {ITER_LIMIT} iterations",
+            cfg.iters
         ));
     }
     cfg.seed = args.num("seed", 1);

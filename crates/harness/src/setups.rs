@@ -78,14 +78,33 @@ impl Setup {
         }
     }
 
+    /// Checks that `gpus` fits this setup: a PS run needs whole 8-GPU
+    /// machines, a ring at least two ranks.
+    pub fn check_gpus(self, gpus: u64) -> Result<(), String> {
+        if self.is_ps() && (gpus == 0 || !gpus.is_multiple_of(GPUS_PER_MACHINE)) {
+            Err(format!(
+                "{} runs need whole machines: {gpus} GPUs is not a positive multiple of \
+                 {GPUS_PER_MACHINE}",
+                self.label()
+            ))
+        } else if !self.is_ps() && gpus < 2 {
+            Err(format!(
+                "{} runs need at least 2 GPUs for a ring, got {gpus}",
+                self.label()
+            ))
+        } else {
+            Ok(())
+        }
+    }
+
     /// Workers needed for a GPU count: PS counts 8-GPU machines,
-    /// all-reduce counts single-GPU ranks (§6.1).
+    /// all-reduce counts single-GPU ranks (§6.1). Panics on a count
+    /// [`Self::check_gpus`] rejects.
     pub fn workers_for_gpus(self, gpus: u64) -> usize {
+        if let Err(e) = self.check_gpus(gpus) {
+            panic!("{e}");
+        }
         if self.is_ps() {
-            assert!(
-                gpus.is_multiple_of(GPUS_PER_MACHINE),
-                "PS runs need whole machines (multiples of {GPUS_PER_MACHINE} GPUs)"
-            );
             (gpus / GPUS_PER_MACHINE) as usize
         } else {
             gpus as usize

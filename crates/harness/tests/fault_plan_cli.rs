@@ -1,11 +1,15 @@
 //! Bad input never panics a CLI: a fault plan that does not fit the
-//! run, a plan or trace file that cannot be read or parsed, or a run too
-//! short to measure is reported with a message and exit code 2 instead
-//! of a backtrace (exit code 101). Every case here fails before any
-//! simulation runs.
+//! run, a plan or trace file that cannot be read or parsed (nested past
+//! the parser's depth cap included), a run too short to measure or
+//! longer than a token can count, or a GPU count the setup cannot place
+//! is reported with a message and exit code 2 instead of a backtrace
+//! (exit code 101) or a stack overflow (134). A bad `--serve-stdin` line
+//! gets an error document and the service answers the next line. Every
+//! case here fails before any simulation runs.
 
+use std::io::Write;
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn fixture(name: &str) -> String {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures");
@@ -64,6 +68,55 @@ fn simctl_reports_plans_that_do_not_fit_the_run() {
 }
 
 #[test]
+fn simctl_reports_plans_nested_past_the_depth_cap() {
+    let deep = plan_file("deep.json", &"[".repeat(200_000));
+    let args = [
+        "--gpus", "8", "--iters", "4", "--warmup", "1", "--faults", &deep,
+    ];
+    assert_rejected(
+        env!("CARGO_BIN_EXE_simctl"),
+        &args,
+        "nesting deeper than 128 levels",
+    );
+}
+
+#[test]
+fn replay_service_answers_hostile_lines_with_error_documents() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_replay"))
+        .args([
+            "--trace",
+            &fixture("traces/philly_day.json"),
+            "--serve-stdin",
+        ])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("replay starts");
+    let mut input = "[".repeat(200_000).into_bytes();
+    input.extend_from_slice(b"\n\xff\xfe\n{\"threads\": 2}\n");
+    child
+        .stdin
+        .take()
+        .expect("piped stdin")
+        .write_all(&input)
+        .expect("write queries");
+    let out = child.wait_with_output().expect("replay exits");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), 3, "{stdout}");
+    for (line, needle) in lines.iter().zip([
+        "nesting deeper than 128 levels",
+        "line is not UTF-8",
+        "unknown query field",
+    ]) {
+        assert!(line.starts_with("{\"error\":"), "{line}");
+        assert!(line.contains(needle), "expected {needle:?} in {line}");
+    }
+}
+
+#[test]
 fn cluster_and_replay_report_bad_plan_files() {
     let broken = plan_file("broken.json", "{\"schema_version\": ");
     let far = plan_file("far_link_cluster.json", FAR_LINK);
@@ -91,6 +144,42 @@ fn simctl_reports_runs_too_short_to_measure() {
         &args,
         "need at least two measured iterations after warmup",
     );
+}
+
+#[test]
+fn simctl_reports_runs_past_the_iteration_budget() {
+    let args: Vec<&str> = "--gpus 8 --iters 32769 --warmup 1 --scheduler baseline"
+        .split(' ')
+        .collect();
+    assert_rejected(
+        env!("CARGO_BIN_EXE_simctl"),
+        &args,
+        "--iters 32769: a run trains at most 32768 iterations",
+    );
+}
+
+#[test]
+fn simctl_reports_gpu_counts_that_do_not_fit_the_setup() {
+    let simctl = env!("CARGO_BIN_EXE_simctl");
+    for (setup, gpus, needle) in [
+        ("mxnet-ps-tcp", "2", "not a positive multiple of 8"),
+        ("mxnet-ps-rdma", "0", "not a positive multiple of 8"),
+        ("pytorch-nccl-tcp", "1", "need at least 2 GPUs for a ring"),
+    ] {
+        let args = [
+            "--setup",
+            setup,
+            "--gpus",
+            gpus,
+            "--iters",
+            "4",
+            "--warmup",
+            "1",
+            "--scheduler",
+            "baseline",
+        ];
+        assert_rejected(simctl, &args, needle);
+    }
 }
 
 #[test]

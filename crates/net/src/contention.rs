@@ -1,11 +1,13 @@
 //! Link-contention recording: *which jobs* are active on each NIC
 //! direction, and whose bytes occupied the wire when.
 //!
-//! The cluster driver multiplexes co-located jobs onto one fabric by
-//! packing a job index into the high bits of every transfer tag
-//! (`bs-runtime`'s tag namespace). This crate cannot depend on the
-//! runtime, so the recorder takes the extraction function as a plain
-//! `fn(u64) -> usize` at enable time and stays job-layout-agnostic.
+//! The driver loop (`bs-runtime`) owns the wire-tag format: every tag it
+//! submits names the tenant that submitted the transfer. This crate
+//! cannot depend on the runtime, so the recorder takes the extraction
+//! function as a plain `fn(u64) -> usize` at enable time and stays
+//! tag-layout-agnostic. The active set is a 64-bit mask, so a run that
+//! records contention holds at most [`CONTENTION_JOB_LIMIT`] jobs; the
+//! cluster driver checks that before it enables the recorder.
 //!
 //! Two complementary views are recorded per NIC direction (uplinks are
 //! ports `0..n`, downlinks `n..2n`):
@@ -24,6 +26,10 @@
 
 use bs_sim::SimTime;
 use bs_telemetry::SetSeries;
+
+/// Most jobs one contention recording can track: job `j` is bit `j` of
+/// a 64-bit active-set mask.
+pub const CONTENTION_JOB_LIMIT: usize = 64;
 
 /// One completed wire occupancy on one NIC direction:
 /// `(port, job, bytes, start, end)`.
@@ -56,7 +62,7 @@ pub struct ContentionRecorder {
 impl ContentionRecorder {
     /// A recorder for a fabric of `nodes` NICs, starting at `now` with
     /// every direction idle. `job_of` maps a transfer tag to its job
-    /// index (must be `< 64`; the active set is a bitmask).
+    /// index, which must be below [`CONTENTION_JOB_LIMIT`].
     pub fn new(now: SimTime, nodes: usize, job_of: fn(u64) -> usize) -> ContentionRecorder {
         let mut idle = SetSeries::new();
         idle.record(now, 0);
@@ -78,7 +84,10 @@ impl ContentionRecorder {
 
     fn job(&self, tag: u64) -> usize {
         let j = (self.job_of)(tag);
-        debug_assert!(j < 64, "job index {j} does not fit the bitmask");
+        assert!(
+            j < CONTENTION_JOB_LIMIT,
+            "job index {j} does not fit the {CONTENTION_JOB_LIMIT}-job active-set mask"
+        );
         j
     }
 

@@ -28,7 +28,7 @@ pub mod scope;
 pub mod tap;
 pub mod transport;
 
-pub use contention::{ContentionLog, ContentionRecorder, OccupancySpan};
+pub use contention::{ContentionLog, ContentionRecorder, OccupancySpan, CONTENTION_JOB_LIMIT};
 pub use fabric::{Fabric, FabricModel};
 pub use fluid::FluidNetwork;
 pub use network::{CompletedTransfer, DroppedTransfer, NetEvent, Network, NodeId, TransferId};

@@ -161,6 +161,11 @@ impl Tap {
         }
     }
 
+    /// True while the wire lifecycle log records.
+    pub fn logs_wire(&self) -> bool {
+        self.wire.is_some()
+    }
+
     /// Drains the wire lifecycle log, in wire-end order (release order
     /// on the FIFO fabric, drain order on the fluid one).
     pub fn take_wire_log(&mut self) -> Vec<WireXrayRecord> {
@@ -169,7 +174,7 @@ impl Tap {
 
     /// Starts recording per-NIC-direction active-job sets and occupancy
     /// spans; `job_of` maps a transfer tag to its job index (the cluster
-    /// driver passes the tag-namespace extractor).
+    /// driver passes the driver loop's wire-tag owner).
     pub fn enable_contention(&mut self, now: SimTime, job_of: fn(u64) -> usize) {
         if self.contention.is_none() {
             self.contention = Some(Box::new(ContentionRecorder::new(now, self.nodes, job_of)));

@@ -13,7 +13,7 @@
 //!   and an iteration count derived from recorded duration.
 //! * **Replay** ([`replay`]) — feeds that stream through
 //!   [`bs_cluster::run_cluster`] as FCFS waves of staggered arrivals
-//!   (the driver's tag namespace caps tenants per run), reporting full
+//!   (one cluster run per wave), reporting full
 //!   JCT distributions — p50/p95/p99/max via nearest-rank percentiles —
 //!   split into queueing delay and run time. Byte-deterministic: one
 //!   seed reproduces the whole replay.

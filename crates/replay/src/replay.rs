@@ -1,13 +1,12 @@
 //! Wave-scheduled trace replay through the shared-fabric cluster
 //! simulator.
 //!
-//! The cluster driver multiplexes at most [`MAX_JOBS`] tenants per run
-//! (the tag namespace reserves 5 job-id bits), so a thousand-job trace
-//! cannot ride one `run_cluster` call. The replay layer instead admits
-//! jobs FCFS in **waves**: arrival-sorted batches of at most
-//! [`ReplayOptions::wave`] jobs, each wave simulated as one cluster run
-//! whose epoch is `max(previous wave's absolute finish, first arrival in
-//! the wave)`. A job arriving mid-wave keeps its stagger (its in-run
+//! The replay layer admits jobs FCFS in **waves**: arrival-sorted
+//! batches of at most [`ReplayOptions::wave`] jobs, each wave simulated
+//! as one cluster run whose epoch is `max(previous wave's absolute
+//! finish, first arrival in the wave)`. The wave size is a model knob,
+//! not a simulator limit: the driver runs any number of tenants on one
+//! fabric. A job arriving mid-wave keeps its stagger (its in-run
 //! arrival offset is `arrival − epoch`); a job arriving before its wave's
 //! epoch queues, and that admission wait is reported separately:
 //!
@@ -30,7 +29,6 @@ use bs_cluster::{
 use bs_engine::EngineConfig;
 use bs_faults::FaultPlan;
 use bs_net::{FabricModel, NetConfig, Transport};
-use bs_runtime::job::MAX_JOBS;
 use bs_runtime::{Arch, SchedulerKind, WorldConfig};
 use bs_scope::{ScopeBus, ScopeEvent};
 use bs_sim::SimTime;
@@ -46,7 +44,8 @@ pub struct ReplayOptions {
     pub bandwidth_gbps: f64,
     /// Machines in the cluster (each an 8-GPU box with one duplex NIC).
     pub machines: usize,
-    /// Jobs admitted per wave, clamped to `[1, MAX_JOBS]`.
+    /// Jobs admitted per wave (at least 1), each wave one `run_cluster`
+    /// call.
     pub wave: usize,
     /// Trace-seconds → simulated-seconds compression. Public traces
     /// span weeks; at `1e-3` a day of arrivals lands in ~86 simulated
@@ -223,7 +222,7 @@ pub fn replay_trace_observed(
     mut scope: Option<&mut ScopeBus>,
 ) -> (ReplayReport, Vec<ReplayWave>) {
     assert!(!jobs.is_empty(), "cannot replay an empty trace");
-    let wave_size = opts.wave.clamp(1, MAX_JOBS);
+    let wave_size = opts.wave.max(1);
 
     // Admission order: arrival, then trace position for ties.
     let mut order: Vec<usize> = (0..jobs.len()).collect();

@@ -8,8 +8,15 @@
 //! event across the fault timeline, every tenant and the fabric, (3)
 //! applies the fault entries due then, (4) advances each tenant's own
 //! sources (co-tenant bursts, GPU ops, private ring streams) in tenant
-//! order, and (5) advances the fabric last, demultiplexing its events by
-//! the job-id bits of each transfer tag.
+//! order, and (5) advances the fabric last, routing each of its events to
+//! the tenant that submitted the transfer.
+//!
+//! Tenants never call the fabric: they buffer [`Submit`] effects under
+//! job-local tags, which the loop applies after each `handle` or
+//! `advance` call, in emission order. The loop alone owns the wire-tag
+//! format ([`WireTags`]). Fabric events, killed transfers and the
+//! close-out wire log translate back through it, so tenants and
+//! recorders only ever see job-local tags.
 //!
 //! Link faults are driver-applied on both paths: a job's private link
 //! events and flaps are hoisted onto a [`ClusterFaultInjector`] with
@@ -20,13 +27,86 @@
 use bs_faults::{
     ClusterChange, ClusterFaultEntry, ClusterFaultInjector, LinkChange, LinkDir, PlanTarget,
 };
-use bs_net::{CompletedTransfer, DroppedTransfer, Fabric, NetEvent, NetPort, NodeId, ScopeWindow};
+use bs_net::{
+    CompletedTransfer, DroppedTransfer, Fabric, NetEvent, NetPort, NodeId, ScopeWindow,
+    WireXrayRecord,
+};
 use bs_scope::{ScopeBus, ScopeEvent};
 use bs_sim::SimTime;
 
 use crate::config::WorldConfig;
-use crate::job::{inner_tag, job_of_tag, JobEvent, JobState, NodeMap};
-use crate::traffic::{BurstSource, BG_TAG};
+use crate::job::{JobEvent, JobState, NodeMap, Submit};
+use crate::traffic::BurstSource;
+
+/// Low bits of a wire tag that name its tenant; the rest index [`WireTags`].
+const OWNER_BITS: u32 = 24;
+const OWNER_MASK: u64 = (1 << OWNER_BITS) - 1;
+
+/// The tenant that submitted the transfer travelling under `wire`: a
+/// plain `fn`, as the contention recorder's job extractor needs.
+pub fn wire_owner(wire: u64) -> usize {
+    (wire & OWNER_MASK) as usize
+}
+
+/// The driver's wire-tag table: a transfer of tenant `j` travels under
+/// wire tag `n << 24 | j`, and slot `n` holds its job-local tag. While
+/// the fabric keeps a wire log, which close-out translates, the table is
+/// append-only; otherwise finished transfers' slots are reused.
+#[derive(Debug)]
+pub struct WireTags {
+    inner: Vec<u64>,
+    /// Slots free for reuse; `None` when the table is append-only.
+    free: Option<Vec<usize>>,
+}
+
+impl WireTags {
+    /// Submits every transfer `tenant` (tenant number `j`) buffered
+    /// since the last call, in emission order.
+    fn apply<P: NetPort>(&mut self, tenant: &mut Tenant, j: usize, now: SimTime, fabric: &mut P) {
+        let submits = match tenant {
+            Tenant::Train { state, .. } => &mut state.submits,
+            Tenant::Burst { submits, .. } => submits,
+        };
+        for s in submits.drain(..) {
+            let slot = match self.free.as_mut().and_then(Vec::pop) {
+                Some(slot) => slot,
+                None => {
+                    self.inner.push(0);
+                    self.inner.len() - 1
+                }
+            };
+            self.inner[slot] = s.tag;
+            let wire = (slot as u64) << OWNER_BITS | j as u64;
+            fabric.submit(now, s.src, s.dst, s.bytes, wire);
+        }
+    }
+
+    /// Replaces wire tag `tag` with its job-local tag; returns the owner.
+    fn resolve(&self, tag: &mut u64) -> usize {
+        let j = wire_owner(*tag);
+        *tag = self.inner[(*tag >> OWNER_BITS) as usize];
+        j
+    }
+
+    /// [`Self::resolve`] for a transfer's last event: frees its slot.
+    fn retire(&mut self, tag: &mut u64) -> usize {
+        if let Some(free) = self.free.as_mut() {
+            free.push((*tag >> OWNER_BITS) as usize);
+        }
+        self.resolve(tag)
+    }
+
+    /// Translates a fabric wire log back to job-local tags, in log
+    /// order, pairing each record with its owning tenant: the one
+    /// translation solo and cluster close-out share.
+    pub fn resolve_log(
+        &self,
+        log: Vec<WireXrayRecord>,
+    ) -> impl Iterator<Item = (usize, WireXrayRecord)> + '_ {
+        log.into_iter()
+            .map(|mut rec| (self.resolve(&mut rec.0), rec))
+    }
+}
 
 /// One tenant's live state.
 #[allow(clippy::large_enum_variant)]
@@ -56,6 +136,8 @@ pub enum Tenant {
         seed_at: SimTime,
         /// True once the first bursts went out.
         seeded: bool,
+        /// Bursts emitted since the driver last applied them.
+        submits: Vec<Submit>,
     },
 }
 
@@ -88,53 +170,38 @@ impl Tenant {
         }
     }
 
-    fn advance<P: NetPort>(&mut self, t: SimTime, fabric: &mut P, out: &mut Vec<JobEvent>) {
+    fn advance(&mut self, t: SimTime, out: &mut Vec<JobEvent>) {
         match self {
-            Tenant::Train { state, .. } => state.advance(t, fabric, out),
+            Tenant::Train { state, .. } => state.step(t, out),
             Tenant::Burst {
                 src,
                 nodes,
                 pairs,
                 seed_at,
                 seeded,
+                submits,
             } => {
                 if !*seeded && *seed_at <= t {
                     // First activation: one burst per pair in each
                     // direction, mirroring the single-job co-tenant model.
                     for w in 0..*pairs {
-                        let worker = nodes.node(w);
-                        let server = nodes.node(*pairs + w);
-                        src.seed(t, fabric, nodes, server, worker, BG_TAG | (2 * w as u64));
-                        src.seed(
-                            t,
-                            fabric,
-                            nodes,
-                            worker,
-                            server,
-                            BG_TAG | (2 * w as u64 + 1),
-                        );
+                        src.seed_pair(w, nodes.node(w), nodes.node(*pairs + w), submits);
                     }
                     *seeded = true;
                 }
-                src.fire_due(t, fabric, nodes);
+                src.fire_due(t, submits);
             }
         }
     }
 
-    fn handle<P: NetPort>(
-        &mut self,
-        ev: JobEvent,
-        now: SimTime,
-        fabric: &mut P,
-        out: &mut Vec<JobEvent>,
-    ) {
+    fn handle(&mut self, ev: JobEvent, now: SimTime, out: &mut Vec<JobEvent>) {
         match self {
-            Tenant::Train { state, .. } => state.handle(ev, now, fabric, out),
+            Tenant::Train { state, .. } => state.react(ev, now, out),
             Tenant::Burst { src, .. } => {
                 // A burst tenant only ever sees its own wire milestones:
                 // re-arm on delivery, ignore releases.
                 if let JobEvent::Net(NetEvent::Delivered(c)) = ev {
-                    src.on_delivered(now, &c);
+                    src.requeue(now, c.src, c.dst, c.tag);
                 }
             }
         }
@@ -160,22 +227,24 @@ impl Tenant {
 /// unit type adds nothing: a solo run has no per-tenant accounting and
 /// no machines to fail.
 pub trait DriverHooks {
-    /// Tenant `job` had `c` delivered (tag already stripped).
+    /// Tenant `job` had `c` delivered (under its job-local tag).
     fn on_delivered(&mut self, job: usize, c: &CompletedTransfer) {
         let _ = (job, c);
     }
 
     /// A `MachineDown`/`MachineUp` entry of the fault timeline is due.
-    /// `timeline` is the whole sealed timeline (it never rewinds).
+    /// `timeline` is the whole sealed timeline (it never rewinds); killed
+    /// transfers route back through `wires` ([`route_drop`]).
     fn on_machine_edge<P: NetPort>(
         &mut self,
         change: ClusterChange,
         now: SimTime,
         timeline: &[ClusterFaultEntry],
         tenants: &mut [Tenant],
+        wires: &mut WireTags,
         fabric: &mut P,
     ) {
-        let _ = (now, timeline, tenants, fabric);
+        let _ = (now, timeline, tenants, wires, fabric);
         unreachable!("{change:?} fell due but this driver has no machines to fail");
     }
 }
@@ -212,18 +281,21 @@ pub fn hoist_job_links(
 }
 
 /// Routes a transfer the driver killed on the fabric into its owning
-/// tenant: a training job's recovery machinery, or a burst tenant's
-/// re-arm queue.
+/// tenant — a training job's recovery machinery, or a burst tenant's
+/// re-arm queue — and submits whatever the tenant sends in response.
 pub fn route_drop<P: NetPort>(
     tenants: &mut [Tenant],
-    d: DroppedTransfer,
+    wires: &mut WireTags,
+    mut d: DroppedTransfer,
     now: SimTime,
     fabric: &mut P,
 ) {
-    match &mut tenants[job_of_tag(d.tag)] {
-        Tenant::Train { state, .. } => state.route_fabric_drop(d, now, fabric),
-        Tenant::Burst { src, .. } => src.requeue(now, d.src, d.dst, inner_tag(d.tag)),
+    let j = wires.retire(&mut d.tag);
+    match &mut tenants[j] {
+        Tenant::Train { state, .. } => state.route_fabric_drop(d, now),
+        Tenant::Burst { src, .. } => src.requeue(now, d.src, d.dst, d.tag),
     }
+    wires.apply(&mut tenants[j], j, now, fabric);
 }
 
 /// Buffers a `FaultFired` event on the affected tenants' scope streams:
@@ -280,6 +352,7 @@ fn apply_link<P: NetPort>(
     change: LinkChange,
     now: SimTime,
     tenants: &mut [Tenant],
+    wires: &mut WireTags,
     fabric: &mut P,
 ) {
     if entry.owner.is_some() && tenants.iter().all(Tenant::done) {
@@ -300,7 +373,7 @@ fn apply_link<P: NetPort>(
         }
         LinkChange::FlapDown { node } => {
             for d in fabric.kill_port(now, NodeId(node)) {
-                route_drop(tenants, d, now, fabric);
+                route_drop(tenants, wires, d, now, fabric);
             }
         }
         LinkChange::FlapUp { node } => fabric.revive_port(now, NodeId(node)),
@@ -308,10 +381,11 @@ fn apply_link<P: NetPort>(
 }
 
 /// Runs `tenants` on `fabric` until every training tenant is done and
-/// returns that instant. `faults` is the sealed fault timeline (`None`
-/// when nothing can fire). Training tenants' co-tenant bursts start with
-/// the simulation. Monomorphises the loop over the concrete fabric, so
-/// per-event fabric calls inline instead of dispatching through the enum.
+/// returns that instant, with the wire tags close-out translates by.
+/// `faults` is the sealed fault timeline (`None` when nothing can fire).
+/// Training tenants' co-tenant bursts start with the simulation.
+/// Monomorphises the loop over the concrete fabric, so per-event fabric
+/// calls inline instead of dispatching through the enum.
 ///
 /// Panics with every tenant's progress if the run deadlocks.
 pub fn drive<H: DriverHooks>(
@@ -320,23 +394,34 @@ pub fn drive<H: DriverHooks>(
     faults: Option<&mut ClusterFaultInjector>,
     hooks: &mut H,
     scope: Option<&mut ScopeBus>,
-) -> SimTime {
-    match fabric {
-        Fabric::Fifo(n) => drive_on(tenants, n, faults, hooks, scope),
-        Fabric::Fluid(n) => drive_on(tenants, n, faults, hooks, scope),
-    }
+) -> (SimTime, WireTags) {
+    assert!(
+        tenants.len() as u64 <= OWNER_MASK,
+        "more tenants than wire tags name"
+    );
+    let mut wires = WireTags {
+        inner: Vec::new(),
+        free: (!fabric.tap().logs_wire()).then(Vec::new),
+    };
+    let end = match fabric {
+        Fabric::Fifo(n) => drive_on(tenants, n, &mut wires, faults, hooks, scope),
+        Fabric::Fluid(n) => drive_on(tenants, n, &mut wires, faults, hooks, scope),
+    };
+    (end, wires)
 }
 
 fn drive_on<P: NetPort, H: DriverHooks>(
     tenants: &mut [Tenant],
     fabric: &mut P,
+    wires: &mut WireTags,
     mut faults: Option<&mut ClusterFaultInjector>,
     hooks: &mut H,
     mut scope: Option<&mut ScopeBus>,
 ) -> SimTime {
-    for tenant in tenants.iter_mut() {
+    for (j, tenant) in tenants.iter_mut().enumerate() {
         if let Tenant::Train { state, .. } = tenant {
-            state.seed_background(SimTime::ZERO, fabric);
+            state.emit_background();
+            wires.apply(tenant, j, SimTime::ZERO, fabric);
         }
     }
     let mut now = SimTime::ZERO;
@@ -362,8 +447,9 @@ fn drive_on<P: NetPort, H: DriverHooks>(
         // appended in emission order, so each tenant sees LIFO cascades.
         while let Some(ev) = queue.pop() {
             let j = owners.pop().expect("queued event without owner");
-            tenants[j].handle(ev, now, fabric, &mut queue);
+            tenants[j].handle(ev, now, &mut queue);
             owners.resize(queue.len(), j);
+            wires.apply(&mut tenants[j], j, now, fabric);
             if let Some(bus) = scope.as_deref_mut() {
                 tenants[j].publish_scope(bus);
             }
@@ -401,38 +487,33 @@ fn drive_on<P: NetPort, H: DriverHooks>(
         if let Some(inj) = faults.as_deref_mut() {
             while let Some(entry) = inj.pop_due(now) {
                 match entry.change {
-                    ClusterChange::Link(change) => apply_link(&entry, change, now, tenants, fabric),
-                    machine => hooks.on_machine_edge(machine, now, inj.timeline(), tenants, fabric),
+                    ClusterChange::Link(c) => apply_link(&entry, c, now, tenants, wires, fabric),
+                    m => hooks.on_machine_edge(m, now, inj.timeline(), tenants, wires, fabric),
                 }
             }
         }
         for (j, tenant) in tenants.iter_mut().enumerate() {
-            tenant.advance(t, fabric, &mut queue);
+            tenant.advance(t, &mut queue);
             owners.resize(queue.len(), j);
+            wires.apply(tenant, j, t, fabric);
             if let Some(bus) = scope.as_deref_mut() {
                 tenant.publish_scope(bus);
             }
         }
         if fabric.wants_advance(t) {
             fabric.advance_into(t, &mut net_events);
-            for ev in net_events.drain(..) {
-                // Demultiplex by the tag's job-id bits; tenants see their
-                // own tag namespace (stripped tags), so their handlers are
-                // oblivious to co-tenancy.
-                let (j, stripped) = match ev {
-                    NetEvent::Released(mut c) => {
-                        let j = job_of_tag(c.tag);
-                        c.tag = inner_tag(c.tag);
-                        (j, NetEvent::Released(c))
-                    }
-                    NetEvent::Delivered(mut c) => {
-                        let j = job_of_tag(c.tag);
-                        c.tag = inner_tag(c.tag);
-                        hooks.on_delivered(j, &c);
-                        (j, NetEvent::Delivered(c))
+            for mut ev in net_events.drain(..) {
+                // Route to the submitting tenant under its job-local tag,
+                // so tenants' handlers are oblivious to co-tenancy.
+                let j = match &mut ev {
+                    NetEvent::Released(c) => wires.resolve(&mut c.tag),
+                    NetEvent::Delivered(c) => {
+                        let j = wires.retire(&mut c.tag);
+                        hooks.on_delivered(j, c);
+                        j
                     }
                 };
-                queue.push(JobEvent::Net(stripped));
+                queue.push(JobEvent::Net(ev));
                 owners.push(j);
             }
         }

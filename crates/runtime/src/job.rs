@@ -2,14 +2,15 @@
 //! comm backend and plugins, decoupled from fabric ownership.
 //!
 //! *N* jobs multiplex one fabric under one clock, so the per-job state
-//! lives here in [`JobState`] and the fabric is passed in by the one
-//! driver loop ([`crate::driver`]) — with a single tenant for
-//! [`crate::world::run`], with a placed fleet for `bs-cluster`. The
-//! driver also applies link faults; a job keeps only its loss stream,
-//! stragglers and recovery state. A [`NodeMap`] translates job-local
-//! node indices (worker `w`, shard `s`) to fabric [`NodeId`]s and
-//! namespaces wire tags with the job's id, so transfers from different
-//! jobs are distinguishable on the shared wire.
+//! lives here in [`JobState`], and the one driver loop
+//! ([`crate::driver`]) owns the fabric — with a single tenant for
+//! [`crate::world::run`], with a placed fleet for `bs-cluster`. A job
+//! never calls the fabric: it buffers each transfer it wants as a
+//! [`Submit`] effect under its job-local tag, and the driver applies the
+//! effects and gives each transfer its wire tag. The driver also applies
+//! link faults; a job keeps only its loss stream, stragglers and
+//! recovery state. A [`NodeMap`] translates job-local node indices
+//! (worker `w`, shard `s`) to fabric [`NodeId`]s.
 //!
 //! Every job-side fact is recorded once, where the job already handles
 //! it: compute spans in each engine's span log, credit stalls in each
@@ -39,48 +40,27 @@ use crate::partlog::PartLog;
 use crate::plugin::{ArPluginState, PsPluginState};
 use crate::result::{RunOutcome, RunResult};
 use crate::token::Token;
-use crate::traffic::{is_burst_tag, BurstSource, BG_TAG};
+use crate::traffic::{is_burst_tag, BurstSource};
 
-/// Bit position of the job-id field inside wire tags.
-pub const JOB_SHIFT: u32 = 58;
-/// Width of the job-id field. 5 bits ⇒ up to 32 jobs per fabric.
-pub const JOB_BITS: u32 = 5;
-/// Mask selecting the job-id field.
-pub const JOB_MASK: u64 = ((1 << JOB_BITS) - 1) << JOB_SHIFT;
-/// Most jobs a single fabric can multiplex.
-pub const MAX_JOBS: usize = 1 << JOB_BITS;
-
-/// Extracts the job id from a wire tag.
-pub fn job_of_tag(tag: u64) -> usize {
-    ((tag & JOB_MASK) >> JOB_SHIFT) as usize
-}
-
-/// Strips the job-id field, leaving the job-local tag.
-pub fn inner_tag(tag: u64) -> u64 {
-    tag & !JOB_MASK
-}
-
-/// Maps a job's local node indices onto fabric nodes and namespaces its
-/// wire tags.
+/// Maps a job's local node indices onto fabric nodes.
 ///
 /// Job-local node numbering follows the single-job convention: workers
 /// are `0..num_workers`, PS shards are `num_workers..num_workers +
-/// num_servers`. Job 0 with an identity map produces tags bit-identical
-/// to a solo [`crate::world::run`] — the equivalence the cluster's
-/// degenerate-case tests pin.
+/// num_servers`. Job 0 with an identity map is a solo
+/// [`crate::world::run`] — the equivalence the cluster's degenerate-case
+/// tests pin.
 #[derive(Clone, Debug)]
 pub struct NodeMap {
     nodes: Vec<NodeId>,
-    job_bits: u64,
+    job: usize,
 }
 
 impl NodeMap {
-    /// Identity map for a solo job occupying fabric nodes `0..n` with
-    /// job id 0 (tags pass through unchanged).
+    /// Identity map for a solo job occupying fabric nodes `0..n` as job 0.
     pub fn identity(n: usize) -> NodeMap {
         NodeMap {
             nodes: (0..n).map(NodeId).collect(),
-            job_bits: 0,
+            job: 0,
         }
     }
 
@@ -88,18 +68,11 @@ impl NodeMap {
     /// placement must be injective — two of a job's nodes sharing a
     /// machine would mean loopback traffic the fabric does not model.
     pub fn new(job: usize, nodes: Vec<NodeId>) -> NodeMap {
-        assert!(
-            job < MAX_JOBS,
-            "job id {job} exceeds the {MAX_JOBS}-job tag budget"
-        );
         let mut seen = std::collections::HashSet::new();
         for n in &nodes {
             assert!(seen.insert(n.0), "node {n:?} assigned twice within one job");
         }
-        NodeMap {
-            nodes,
-            job_bits: (job as u64) << JOB_SHIFT,
-        }
+        NodeMap { nodes, job }
     }
 
     /// Number of fabric nodes this job occupies.
@@ -123,24 +96,32 @@ impl NodeMap {
         &self.nodes
     }
 
-    /// Namespaces a job-local tag for the wire.
-    pub fn tag(&self, inner: u64) -> u64 {
-        debug_assert_eq!(inner & JOB_MASK, 0, "inner tag overflows into job bits");
-        inner | self.job_bits
-    }
-
-    /// The job id this map namespaces tags under.
+    /// The job's index among its fabric's tenants.
     pub fn job(&self) -> usize {
-        (self.job_bits >> JOB_SHIFT) as usize
+        self.job
     }
+}
+
+/// A transfer a job asks the fabric for, under its job-local tag. Jobs
+/// buffer these effects; the driver applies them in emission order and
+/// owns the wire tag each transfer travels under.
+#[derive(Clone, Copy, Debug)]
+pub struct Submit {
+    /// Sending fabric node.
+    pub src: NodeId,
+    /// Receiving fabric node.
+    pub dst: NodeId,
+    /// Payload bytes.
+    pub bytes: u64,
+    /// Job-local tag: a packed [`Token`] or a co-tenant burst tag.
+    pub tag: u64,
 }
 
 /// Internal event routed between a job's subsystems during one timestamp.
 pub enum JobEvent {
     /// An engine event from worker `usize`.
     Engine(usize, EngineEvent),
-    /// A point-to-point fabric milestone (tag already stripped to the
-    /// job-local form).
+    /// A point-to-point fabric milestone, under the job-local tag.
     Net(NetEvent),
     /// A completed collective on the job's private ring stream.
     Ring(bs_comm::CompletedOp),
@@ -202,8 +183,10 @@ pub struct JobState {
     ar_plug: Option<ArPluginState>,
     /// Co-tenant traffic source (PS only).
     burst: Option<BurstSource>,
-    /// Job-local → fabric node translation and tag namespace.
+    /// Job-local → fabric node translation.
     nodes: NodeMap,
+    /// Transfers emitted since the driver last applied them.
+    pub(crate) submits: Vec<Submit>,
     /// Worker 0's compute-iteration completion times.
     marks: Vec<SimTime>,
     /// Scheduled all-reduce: partitions released by the master scheduler,
@@ -566,6 +549,7 @@ impl JobState {
             ar_plug,
             burst,
             nodes,
+            submits: Vec::new(),
             marks: Vec::new(),
             ar_release_queue: std::collections::VecDeque::new(),
             ar_sched_batches: std::collections::HashMap::new(),
@@ -601,32 +585,45 @@ impl JobState {
         }
     }
 
-    /// Submits the co-tenant's initial bursts: one per worker NIC in each
-    /// direction, looped on delivery (see [`Self::handle`]).
-    pub fn seed_background<P: NetPort>(&mut self, now: SimTime, fabric: &mut P) {
+    /// Emits the co-tenant's initial bursts: one per worker NIC in each
+    /// direction, looped on delivery (see [`Self::react`]).
+    pub fn emit_background(&mut self) {
         let Some(burst) = &mut self.burst else { return };
         let num_servers = self.num_servers;
         for w in 0..self.num_workers {
             let server = self.nodes.node(self.num_workers + (w % num_servers));
-            let worker = self.nodes.node(w);
-            // Downlink contender (fights the worker's pulls)...
-            burst.seed(
-                now,
-                fabric,
-                &self.nodes,
-                server,
-                worker,
-                BG_TAG | (2 * w as u64),
-            );
-            // ...and an uplink contender (fights its pushes).
-            burst.seed(
-                now,
-                fabric,
-                &self.nodes,
-                worker,
-                server,
-                BG_TAG | (2 * w as u64 + 1),
-            );
+            burst.seed_pair(w, self.nodes.node(w), server, &mut self.submits);
+        }
+    }
+
+    /// [`Self::emit_background`], submitted to `fabric` at once.
+    pub fn seed_background<P: NetPort>(&mut self, now: SimTime, fabric: &mut P) {
+        self.emit_background();
+        self.apply_submits(now, fabric);
+    }
+
+    /// [`Self::step`], submitted to `fabric` at once.
+    pub fn advance<P: NetPort>(&mut self, t: SimTime, fabric: &mut P, queue: &mut Vec<JobEvent>) {
+        self.step(t, queue);
+        self.apply_submits(t, fabric);
+    }
+
+    /// [`Self::react`], submitted to `fabric` at once.
+    pub fn handle<P: NetPort>(
+        &mut self,
+        ev: JobEvent,
+        now: SimTime,
+        fabric: &mut P,
+        out: &mut Vec<JobEvent>,
+    ) {
+        self.react(ev, now, out);
+        self.apply_submits(now, fabric);
+    }
+
+    /// The adapters' fabric path: submits under job-local tags.
+    fn apply_submits<P: NetPort>(&mut self, now: SimTime, fabric: &mut P) {
+        for s in self.submits.drain(..) {
+            fabric.submit(now, s.src, s.dst, s.bytes, s.tag);
         }
     }
 
@@ -676,19 +673,9 @@ impl JobState {
     /// bursts simply re-arm (the tenant tries again next cycle); the
     /// job's own partitions reclaim their credit — the wire never
     /// released them, so it is still out under either credit-timing
-    /// discipline — and enter retransmit backoff. The tag must belong to
-    /// this job; its job bits are stripped here.
-    pub fn route_fabric_drop<P: NetPort>(
-        &mut self,
-        d: DroppedTransfer,
-        now: SimTime,
-        fabric: &mut P,
-    ) {
-        debug_assert_eq!(
-            job_of_tag(d.tag),
-            self.nodes.job(),
-            "drop routed to wrong job"
-        );
+    /// discipline — and enter retransmit backoff. `d` carries its
+    /// job-local tag; resubmissions become submits.
+    pub fn route_fabric_drop(&mut self, d: DroppedTransfer, now: SimTime) {
         if self.faults.is_none() {
             // A faultless tenant can still lose transfers to cluster-scope
             // outages; give it recovery state with the default policy.
@@ -697,22 +684,21 @@ impl JobState {
                 job_seed(0, self.nodes.job()),
             )));
         }
-        let tag = inner_tag(d.tag);
-        if is_burst_tag(tag) {
+        if is_burst_tag(d.tag) {
             if let Some(b) = self.burst.as_mut() {
-                b.requeue(now, d.src, d.dst, tag);
+                b.requeue(now, d.src, d.dst, d.tag);
             }
             return;
         }
-        let tok = Token::unpack(tag);
+        let tok = Token::unpack(d.tag);
         {
             let f = self.faults.as_mut().expect("kill without fault state");
             f.dropped_bytes += d.bytes;
             f.reclaimed_bytes += d.bytes;
         }
         self.scheds[tok.worker].reclaim(now, tok.kind.lane(), d.bytes);
-        self.drain_sched(tok.worker, now, fabric);
-        self.schedule_retransmit(tag, d.bytes, true, now);
+        self.drain_sched(tok.worker, now);
+        self.schedule_retransmit(d.tag, d.bytes, true, now);
     }
 
     /// Buffers a scope event on this job's stream (no-op when the job is
@@ -727,19 +713,6 @@ impl JobState {
     /// This job's node map.
     pub fn nodes(&self) -> &NodeMap {
         &self.nodes
-    }
-
-    /// Replaces this job's node map (migration). The new map must cover
-    /// the same job-local node count and keep the same job id — only the
-    /// fabric placement changes.
-    pub fn remap_nodes(&mut self, nodes: NodeMap) {
-        assert_eq!(
-            nodes.len(),
-            self.nodes.len(),
-            "migration changes node count"
-        );
-        assert_eq!(nodes.job(), self.nodes.job(), "migration changes job id");
-        self.nodes = nodes;
     }
 
     /// Earliest instant this job does anything on its own: a GPU op ends,
@@ -766,16 +739,16 @@ impl JobState {
         t
     }
 
-    /// Advances the job's own subsystems to `t`: fires due co-tenant
-    /// bursts, retires GPU ops, and advances the private ring stream.
-    /// Emitted events are pushed onto `queue` for the driver's cascade
-    /// loop. Fabric advancement stays with the driver.
-    pub fn advance<P: NetPort>(&mut self, t: SimTime, fabric: &mut P, queue: &mut Vec<JobEvent>) {
+    /// Advances the job's own subsystems to `t`: fires due retransmits
+    /// and co-tenant bursts (as submits), retires GPU ops, and advances
+    /// the private ring stream. Emitted events are pushed onto `queue`
+    /// for the driver's cascade loop.
+    pub fn step(&mut self, t: SimTime, queue: &mut Vec<JobEvent>) {
         if self.faults.is_some() {
-            self.fire_due_retransmits(t, fabric);
+            self.fire_due_retransmits(t);
         }
         if let Some(b) = &mut self.burst {
-            b.fire_due(t, fabric, &self.nodes);
+            b.fire_due(t, &mut self.submits);
         }
         for w in 0..self.engines.len() {
             let e = &mut self.engines[w];
@@ -806,22 +779,17 @@ impl JobState {
     }
 
     /// Routes one event through the job's plugins, schedulers and
-    /// engines. Net events must carry job-local (stripped) tags.
-    pub fn handle<P: NetPort>(
-        &mut self,
-        ev: JobEvent,
-        now: SimTime,
-        fabric: &mut P,
-        out: &mut Vec<JobEvent>,
-    ) {
+    /// engines; granted transfers become submits. Net events carry
+    /// job-local tags.
+    pub fn react(&mut self, ev: JobEvent, now: SimTime, out: &mut Vec<JobEvent>) {
         // A failed run is over: stop routing events so the driver's
         // `done()` check ends the loop without scheduling more work.
         if self.failed().is_some() {
             return;
         }
         match ev {
-            JobEvent::Engine(w, event) => self.handle_engine(w, event, now, fabric),
-            JobEvent::Net(c) => self.handle_net(c, now, fabric, out),
+            JobEvent::Engine(w, event) => self.handle_engine(w, event, now),
+            JobEvent::Net(c) => self.handle_net(c, now, out),
             JobEvent::Ring(c) => self.handle_ring(c, now, out),
         }
     }
@@ -830,7 +798,7 @@ impl JobState {
     /// The driver applies link changes due at `t` before any tenant
     /// advances, so a retransmit firing at the same instant sees the
     /// post-change fabric.
-    fn fire_due_retransmits<P: NetPort>(&mut self, t: SimTime, fabric: &mut P) {
+    fn fire_due_retransmits(&mut self, t: SimTime) {
         loop {
             let Some(f) = self.faults.as_mut() else {
                 return;
@@ -849,14 +817,14 @@ impl JobState {
                 .pending
                 .remove(&seq)
                 .expect("timer without pending partition");
-            self.resubmit_lost(lost, t, fabric);
+            self.resubmit_lost(lost, t);
         }
     }
 
     /// A delivered transfer was picked by the Bernoulli loss stream: the
     /// payload is gone before any completion bookkeeping ran. Return the
     /// credit the lane still holds for it and book the retransmit.
-    fn on_delivery_lost<P: NetPort>(&mut self, tag: u64, bytes: u64, now: SimTime, fabric: &mut P) {
+    fn on_delivery_lost(&mut self, tag: u64, bytes: u64, now: SimTime) {
         let tok = Token::unpack(tag);
         self.faults
             .as_mut()
@@ -868,7 +836,7 @@ impl JobState {
         if !self.scheds[tok.worker].credit_on_release() {
             self.scheds[tok.worker].reclaim(now, tok.kind.lane(), bytes);
             self.faults.as_mut().unwrap().reclaimed_bytes += bytes;
-            self.drain_sched(tok.worker, now, fabric);
+            self.drain_sched(tok.worker, now);
         }
         self.schedule_retransmit(tag, bytes, false, now);
     }
@@ -927,7 +895,7 @@ impl JobState {
     /// A backoff timer fired: re-drive the lost partition through its
     /// scheduler — same token, same priority, so recovery rides the
     /// normal grant path and shows up as an extra wire span.
-    fn resubmit_lost<P: NetPort>(&mut self, lost: LostPart, now: SimTime, fabric: &mut P) {
+    fn resubmit_lost(&mut self, lost: LostPart, now: SimTime) {
         let tok = Token::unpack(lost.token);
         let item = WorkItem {
             lane: tok.kind.lane(),
@@ -938,19 +906,13 @@ impl JobState {
         match self.backend {
             JobBackend::Ps { .. } => {
                 self.scheds[tok.worker].submit(now, item);
-                self.drain_sched(tok.worker, now, fabric);
+                self.drain_sched(tok.worker, now);
             }
             JobBackend::Ring { .. } => unreachable!("ring losses retry on the collective stream"),
         }
     }
 
-    fn handle_engine<P: NetPort>(
-        &mut self,
-        w: usize,
-        event: EngineEvent,
-        now: SimTime,
-        fabric: &mut P,
-    ) {
+    fn handle_engine(&mut self, w: usize, event: EngineEvent, now: SimTime) {
         match event {
             EngineEvent::ComputeIterDone { iter: _, at } => {
                 if w == 0 {
@@ -986,7 +948,7 @@ impl JobState {
                 ExternalRole::ProxyReady(i) | ExternalRole::Push(i)
                     if matches!(self.backend, JobBackend::Ps { .. }) =>
                 {
-                    self.on_grad_ready_ps(w, i, iter, now, fabric);
+                    self.on_grad_ready_ps(w, i, iter, now);
                 }
                 ExternalRole::ProxyReady(i) | ExternalRole::AllReduce(i) => {
                     self.on_grad_ready_ar(i, iter, now);
@@ -999,14 +961,7 @@ impl JobState {
 
     /// Worker `w`'s gradient for tensor `i` is ready: submit its push
     /// subtasks to the worker's scheduler.
-    fn on_grad_ready_ps<P: NetPort>(
-        &mut self,
-        w: usize,
-        i: usize,
-        iter: u64,
-        now: SimTime,
-        fabric: &mut P,
-    ) {
+    fn on_grad_ready_ps(&mut self, w: usize, i: usize, iter: u64, now: SimTime) {
         let parts = self.partitions[i].len() as u32;
         self.ps_plug
             .as_mut()
@@ -1036,7 +991,7 @@ impl JobState {
                 },
             );
         }
-        self.drain_sched(w, now, fabric);
+        self.drain_sched(w, now);
     }
 
     /// A worker reported tensor `i` ready for all-reduce. When the last
@@ -1088,8 +1043,12 @@ impl JobState {
         }
     }
 
-    /// Hands everything the scheduler releases to the wire.
-    fn drain_sched<P: NetPort>(&mut self, s: usize, now: SimTime, fabric: &mut P) {
+    /// Hands everything worker `s`'s scheduler releases to the wire (PS
+    /// jobs only).
+    fn drain_sched(&mut self, s: usize, now: SimTime) {
+        let JobBackend::Ps { ps } = &mut self.backend else {
+            unreachable!("fabric grant on a ring job")
+        };
         let mut items = std::mem::take(&mut self.sched_scratch);
         debug_assert!(items.is_empty());
         self.scheds[s].poll_into(now, &mut items);
@@ -1097,39 +1056,32 @@ impl JobState {
             if let Some(x) = self.xray.as_mut() {
                 x.log.granted(item.token, now);
             }
-            match &mut self.backend {
-                JobBackend::Ps { ps } => {
-                    let tok = Token::unpack(item.token);
-                    let key = PartitionKey {
-                        tensor: tok.tensor,
-                        part: tok.part,
-                    };
-                    let shard = self.nodes.node(ps.shard_of(key).0);
-                    let worker = self.nodes.node(tok.worker);
-                    let tag = self.nodes.tag(item.token);
-                    match tok.kind {
-                        CommKind::Push => {
-                            fabric.submit(now, worker, shard, item.bytes, tag);
-                        }
-                        CommKind::Pull => {
-                            fabric.submit(now, shard, worker, item.bytes, tag);
-                        }
-                        CommKind::AllReduce => unreachable!("all-reduce token on PS backend"),
-                    }
-                }
-                JobBackend::Ring { .. } => {
-                    // Released partitions pass through Horovod-style
-                    // fusion before reaching the ring (§5: ByteScheduler
-                    // wraps Horovod's DistributedOptimizer).
-                    self.ar_release_queue.push_back((item.token, item.bytes));
-                }
-            }
+            let tok = Token::unpack(item.token);
+            let key = PartitionKey {
+                tensor: tok.tensor,
+                part: tok.part,
+            };
+            let shard = self.nodes.node(ps.shard_of(key).0);
+            let worker = self.nodes.node(tok.worker);
+            let (src, dst) = match tok.kind {
+                CommKind::Push => (worker, shard),
+                CommKind::Pull => (shard, worker),
+                CommKind::AllReduce => unreachable!("all-reduce token on PS backend"),
+            };
+            self.submits.push(Submit {
+                src,
+                dst,
+                bytes: item.bytes,
+                tag: item.token,
+            });
         }
         self.sched_scratch = items;
     }
 
-    /// Ring variant of [`Self::drain_sched`]: releases go to the fusion
-    /// queue and a fused collective may launch.
+    /// Ring variant of [`Self::drain_sched`]: released partitions pass
+    /// through Horovod-style fusion before reaching the ring (§5:
+    /// ByteScheduler wraps Horovod's DistributedOptimizer), and a fused
+    /// collective may launch.
     fn drain_sched_ring(&mut self, now: SimTime) {
         let mut items = std::mem::take(&mut self.sched_scratch);
         debug_assert!(items.is_empty());
@@ -1231,37 +1183,23 @@ impl JobState {
         );
     }
 
-    fn handle_net<P: NetPort>(
-        &mut self,
-        ev: NetEvent,
-        now: SimTime,
-        fabric: &mut P,
-        out: &mut Vec<JobEvent>,
-    ) {
-        // Co-tenant bursts loop forever: when one delivers, schedule the
-        // next after the configured gap. Releases are ignored.
-        if let NetEvent::Delivered(c) = ev {
-            if is_burst_tag(c.tag) {
-                self.burst
-                    .as_mut()
-                    .expect("bg transfer without config")
-                    .on_delivered(now, &c);
-                return;
-            }
-        }
-        if let NetEvent::Released(c) = ev {
-            if is_burst_tag(c.tag) {
-                return;
-            }
-        }
+    fn handle_net(&mut self, ev: NetEvent, now: SimTime, out: &mut Vec<JobEvent>) {
         let c = match ev {
+            // Co-tenant bursts loop forever: when one delivers, schedule
+            // the next after the configured gap. Releases are ignored.
+            NetEvent::Delivered(c) if is_burst_tag(c.tag) => {
+                let burst = self.burst.as_mut().expect("bg transfer without config");
+                burst.requeue(now, c.src, c.dst, c.tag);
+                return;
+            }
+            NetEvent::Released(c) if is_burst_tag(c.tag) => return,
             NetEvent::Released(c) => {
                 // Wire accepted the message: release-gated schedulers
                 // (P3's stop-and-wait) get their credit back now.
                 let tok = Token::unpack(c.tag);
                 if self.scheds[tok.worker].credit_on_release() {
                     self.scheds[tok.worker].complete(now, tok.kind.lane(), c.bytes);
-                    self.drain_sched(tok.worker, now, fabric);
+                    self.drain_sched(tok.worker, now);
                 }
                 return;
             }
@@ -1271,7 +1209,7 @@ impl JobState {
             // One Bernoulli draw per candidate delivery, in delivery
             // order — the loss stream's determinism contract.
             if f.injector.has_loss() && f.injector.should_drop() {
-                self.on_delivery_lost(c.tag, c.bytes, now, fabric);
+                self.on_delivery_lost(c.tag, c.bytes, now);
                 return;
             }
             // Delivered for real: close the partition's retry ledger.
@@ -1286,7 +1224,7 @@ impl JobState {
             CommKind::Push => {
                 if credit_on_delivery {
                     self.scheds[w].complete(now, CommKind::Push.lane(), c.bytes);
-                    self.drain_sched(w, now, fabric);
+                    self.drain_sched(w, now);
                 }
                 let all_pushed = self
                     .ps_plug
@@ -1329,20 +1267,20 @@ impl JobState {
                             for p in 0..self.partitions[i].len() {
                                 self.submit_pull(g.worker, i, tok.iter, p as u32, now);
                             }
-                            self.drain_sched(g.worker, now, fabric);
+                            self.drain_sched(g.worker, now);
                         }
                     } else {
                         // Partition-level dependency: partial pull after
                         // partial push (Theorem 1 condition 3).
                         self.submit_pull(g.worker, i, tok.iter, g.key.part, now);
-                        self.drain_sched(g.worker, now, fabric);
+                        self.drain_sched(g.worker, now);
                     }
                 }
             }
             CommKind::Pull => {
                 if credit_on_delivery {
                     self.scheds[w].complete(now, CommKind::Pull.lane(), c.bytes);
-                    self.drain_sched(w, now, fabric);
+                    self.drain_sched(w, now);
                 }
                 let all_pulled = self
                     .ps_plug

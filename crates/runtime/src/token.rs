@@ -5,7 +5,10 @@
 //! Layout (MSB→LSB): 16-bit iteration, 8-bit worker, 2-bit kind, 14-bit
 //! tensor, 24-bit partition — comfortably above every experiment in the
 //! repository (≤ 64 workers, ≤ 54 tensors, ≤ 7 000 partitions of the
-//! largest tensor at the smallest δ swept).
+//! largest tensor at the smallest δ swept). The iteration field's top
+//! bit is bit 63, the co-tenant burst marker
+//! ([`BG_TAG`](crate::traffic::BG_TAG)), so tokens name iterations below
+//! [`ITER_LIMIT`] only.
 
 use bs_core::CommKind;
 
@@ -25,6 +28,10 @@ pub struct Token {
     pub part: u32,
 }
 
+/// Iterations a token can name: `0..ITER_LIMIT` (2^15). A run may train
+/// at most this many iterations.
+pub const ITER_LIMIT: u64 = 1 << (ITER_BITS - 1);
+
 const ITER_BITS: u32 = 16;
 const WORKER_BITS: u32 = 8;
 const KIND_BITS: u32 = 2;
@@ -35,7 +42,7 @@ impl Token {
     /// Packs into a `u64`. Panics if any field exceeds its bit budget —
     /// better a loud failure than a silently-corrupted experiment.
     pub fn pack(self) -> u64 {
-        assert!(self.iter < (1 << ITER_BITS), "iteration overflow");
+        assert!(self.iter < ITER_LIMIT, "iteration overflow");
         assert!(self.worker < (1 << WORKER_BITS), "worker overflow");
         assert!(self.tensor < (1 << TENSOR_BITS), "tensor overflow");
         assert!(self.part < (1 << PART_BITS), "partition overflow");
@@ -93,7 +100,7 @@ mod tests {
         for (iter, worker, kind, tensor, part) in [
             (0u64, 0usize, CommKind::Push, 0u32, 0u32),
             (499, 63, CommKind::Pull, 53, 6_866),
-            (65_535, 255, CommKind::AllReduce, 16_383, 16_777_215),
+            (32_767, 255, CommKind::AllReduce, 16_383, 16_777_215),
         ] {
             let t = Token {
                 iter,
@@ -121,6 +128,19 @@ mod tests {
         let mut c = a;
         c.part = 5;
         assert_ne!(a.pack(), c.pack());
+    }
+
+    #[test]
+    #[should_panic(expected = "iteration overflow")]
+    fn iterations_stay_clear_of_the_burst_bit() {
+        Token {
+            iter: ITER_LIMIT,
+            worker: 0,
+            kind: CommKind::Push,
+            tensor: 0,
+            part: 0,
+        }
+        .pack();
     }
 
     #[test]

@@ -10,14 +10,15 @@
 
 use std::collections::BTreeSet;
 
-use bs_net::{CompletedTransfer, NetPort, NodeId};
+use bs_net::NodeId;
 use bs_sim::{SimRng, SimTime};
 
 use crate::config::BackgroundLoad;
-use crate::job::NodeMap;
+use crate::job::Submit;
 
-/// Tag bit marking a co-tenant (background) transfer; real subtask
-/// tokens never set it (iterations stay far below 2^15).
+/// Tag bit marking a co-tenant (background) transfer; subtask tokens
+/// never set it ([`Token::pack`](crate::token::Token::pack) rejects
+/// iterations from 2^15 on).
 pub const BG_TAG: u64 = 1 << 63;
 
 /// True when `tag` identifies a co-tenant burst rather than a scheduled
@@ -28,14 +29,14 @@ pub fn is_burst_tag(tag: u64) -> bool {
 
 /// A looping co-tenant burst generator over a fixed set of NIC pairs.
 ///
-/// Timers and tags are kept in *job-local* (inner) terms; fabric node ids
-/// are recorded as delivered (they are already fabric-global), and tags
-/// are namespaced through the job's [`NodeMap`] on every submission so
-/// multiple burst sources can share one fabric.
+/// Timers and tags are kept in *job-local* terms; fabric node ids are
+/// recorded as delivered (they are already fabric-global). Like a job,
+/// the source never calls the fabric: each burst is a [`Submit`] effect
+/// the driver applies under a wire tag of its own.
 #[derive(Clone, Debug)]
 pub struct BurstSource {
     load: BackgroundLoad,
-    /// Pending re-submissions: `(when, src, dst, inner tag)`.
+    /// Pending re-submissions: `(when, src, dst, job-local tag)`.
     timers: BTreeSet<(SimTime, usize, usize, u64)>,
     /// Gap jitter (real tenants are not phase-locked; without jitter,
     /// deterministic bursts can starve a connection forever on the FIFO
@@ -53,24 +54,23 @@ impl BurstSource {
         }
     }
 
-    /// The configured load.
-    pub fn load(&self) -> BackgroundLoad {
-        self.load
+    /// Emits the initial bursts of pair `w` into `out`: one from
+    /// `server` to `worker` (tag `BG_TAG | 2w`, fighting the worker's
+    /// pulls) and one back (tag `BG_TAG | 2w + 1`, fighting its pushes).
+    pub fn seed_pair(&self, w: usize, worker: NodeId, server: NodeId, out: &mut Vec<Submit>) {
+        let tag = BG_TAG | (2 * w as u64);
+        self.emit(server, worker, tag, out);
+        self.emit(worker, server, tag + 1, out);
     }
 
-    /// Submits one initial burst on a fabric pair. `inner_tag` must have
-    /// [`BG_TAG`] set so the delivery routes back to this source.
-    pub fn seed<P: NetPort>(
-        &mut self,
-        now: SimTime,
-        fabric: &mut P,
-        nodes: &NodeMap,
-        src: NodeId,
-        dst: NodeId,
-        inner_tag: u64,
-    ) {
-        debug_assert!(is_burst_tag(inner_tag), "burst tags must set BG_TAG");
-        fabric.submit(now, src, dst, self.load.burst_bytes, nodes.tag(inner_tag));
+    fn emit(&self, src: NodeId, dst: NodeId, tag: u64, out: &mut Vec<Submit>) {
+        let bytes = self.load.burst_bytes;
+        out.push(Submit {
+            src,
+            dst,
+            bytes,
+            tag,
+        });
     }
 
     /// Earliest pending re-submission, or `MAX` when none.
@@ -81,45 +81,27 @@ impl BurstSource {
             .unwrap_or(SimTime::MAX)
     }
 
-    /// Submits every burst due at or before `t`.
-    pub fn fire_due<P: NetPort>(&mut self, t: SimTime, fabric: &mut P, nodes: &NodeMap) {
+    /// Emits every burst due at or before `t` into `out`.
+    pub fn fire_due(&mut self, t: SimTime, out: &mut Vec<Submit>) {
         while let Some(&(bt, src, dst, tag)) = self.timers.first() {
             if bt > t {
                 break;
             }
             self.timers.pop_first();
-            fabric.submit(
-                t,
-                NodeId(src),
-                NodeId(dst),
-                self.load.burst_bytes,
-                nodes.tag(tag),
-            );
+            self.emit(NodeId(src), NodeId(dst), tag, out);
         }
     }
 
-    /// A burst delivered: schedule the next one on the same pair after a
-    /// jittered gap — uniform in `[0.5g, 1.5g]` plus up to 50 µs even at
-    /// `g = 0`, so the co-tenant's cycle drifts relative to the job's, as
-    /// real cross traffic does. `c.tag` must already be stripped to the
-    /// inner tag.
-    pub fn on_delivered(&mut self, now: SimTime, c: &CompletedTransfer) {
-        self.requeue(now, c.src, c.dst, c.tag);
-    }
-
-    /// Schedules the next burst on a pair after the jittered gap. Also
-    /// the re-arm path when a link flap kills an in-flight burst: the
-    /// co-tenant's traffic generator does not stop because one burst was
-    /// lost, it just tries again next cycle.
-    pub fn requeue(&mut self, now: SimTime, src: NodeId, dst: NodeId, inner_tag: u64) {
+    /// A burst on a pair delivered (or was killed by a link flap: the
+    /// co-tenant does not stop because one burst was lost): schedule the
+    /// next one after a jittered gap — uniform in `[0.5g, 1.5g]` plus up
+    /// to 50 µs even at `g = 0`, so the co-tenant's cycle drifts relative
+    /// to the job's, as real cross traffic does.
+    pub fn requeue(&mut self, now: SimTime, src: NodeId, dst: NodeId, tag: u64) {
         let g = self.load.gap_us as f64;
         let gap = self.rng.uniform(0.5 * g, 1.5 * g + 50.0);
-        self.timers.insert((
-            now + SimTime::from_micros(gap as u64),
-            src.0,
-            dst.0,
-            inner_tag,
-        ));
+        self.timers
+            .insert((now + SimTime::from_micros(gap as u64), src.0, dst.0, tag));
     }
 
     /// Pending re-submission timers (for debug diagnostics).

@@ -13,7 +13,7 @@ use bs_scope::ScopeBus;
 use bs_sim::{SimTime, Trace};
 
 use crate::config::{Arch, WorldConfig};
-use crate::driver::{self, hoist_job_links, Tenant};
+use crate::driver::{self, hoist_job_links, Tenant, WireTags};
 use crate::job::{wire_span_into_trace, JobNetStats, JobState, NodeMap};
 use crate::result::RunResult;
 
@@ -59,7 +59,7 @@ pub fn run_observed(cfg: &WorldConfig, mut scope: Option<&mut ScopeBus>) -> RunR
     }
     let mut tenants = [Tenant::train(state, job_cfg, SimTime::ZERO)];
     let faults = (!injector.is_empty()).then_some(&mut injector);
-    let now = driver::drive(
+    let (now, wires) = driver::drive(
         &mut tenants,
         &mut fabric,
         faults,
@@ -73,12 +73,21 @@ pub fn run_observed(cfg: &WorldConfig, mut scope: Option<&mut ScopeBus>) -> RunR
     let [Tenant::Train { state, .. }] = tenants else {
         unreachable!("a solo run has one training tenant")
     };
-    into_result(state, fabric, now, cfg)
+    into_result(state, fabric, &wires, now, cfg)
 }
 
-fn into_result(job: JobState, mut fabric: Fabric, now: SimTime, cfg: &WorldConfig) -> RunResult {
-    // Xray and the span trace read one wire log.
-    let wire = fabric.tap().take_wire_log();
+fn into_result(
+    job: JobState,
+    mut fabric: Fabric,
+    wires: &WireTags,
+    now: SimTime,
+    cfg: &WorldConfig,
+) -> RunResult {
+    // Xray and the span trace read one wire log, under job-local tags.
+    let wire: Vec<_> = wires
+        .resolve_log(fabric.tap().take_wire_log())
+        .map(|(_, rec)| rec)
+        .collect();
     let mut trace = cfg.record_trace.then(Trace::new);
     if let Some(trace) = trace.as_mut() {
         for rec in &wire {
@@ -361,6 +370,30 @@ mod tests {
         };
         let r = run(&c);
         assert!(r.speed > 0.0);
+    }
+
+    #[test]
+    fn ps_runs_past_1024_iterations() {
+        // Tokens of iteration 1024 on set bit 58 and up: nothing may
+        // read a tenant out of those bits.
+        let (fwd, bwd) = (SimTime::from_micros(50), SimTime::from_micros(100));
+        let model = ModelBuilder::new("tiny", GpuSpec::custom(1e12, 2.0), 8, SampleUnit::Images)
+            .explicit("l0", 100_000, fwd, bwd)
+            .explicit("l1", 100_000, fwd, bwd)
+            .build();
+        let mut c = cfg(
+            model,
+            2,
+            Arch::ps(2),
+            EngineConfig::mxnet_ps(),
+            SchedulerKind::Baseline,
+        );
+        c.iters = 1030;
+        c.warmup = 1;
+        let r = run(&c);
+        assert_eq!(r.outcome, crate::RunOutcome::Completed);
+        assert_eq!(r.iter_times.len(), 1028);
+        assert_eq!(r.p2p_bytes, 1030 * 2 * 2 * 200_000);
     }
 
     #[test]
