@@ -36,7 +36,7 @@ use bs_bench::baseline::{
     cluster_4job_macro, cluster_mixed_macro, macro_scenarios, obj, replay_service_macro,
     run_cluster_macro, run_macro, run_replay_macro, speedups,
 };
-use bs_net::{FluidNetwork, NetConfig, Network, NodeId, Transport};
+use bs_net::{FluidNetwork, NetConfig, NetPort, Network, NodeId, Transport};
 use bs_sim::SimTime;
 use serde::Value;
 

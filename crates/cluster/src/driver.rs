@@ -33,8 +33,6 @@ use crate::spec::{ClusterConfig, FaultReaction, JobSpec};
 struct ClusterHooks {
     job_bytes: Vec<u64>,
     job_events: Vec<u64>,
-    up_bytes: Vec<u64>,
-    down_bytes: Vec<u64>,
     /// `[j][m] = (up, down)` delivered bytes, metrics mode only.
     job_nic_bytes: Option<Vec<Vec<(u64, u64)>>>,
     /// Machine health as of the driver clock, flipped by machine edges.
@@ -51,8 +49,6 @@ impl DriverHooks for ClusterHooks {
     fn on_delivered(&mut self, j: usize, c: &CompletedTransfer) {
         self.job_bytes[j] += c.bytes;
         self.job_events[j] += 1;
-        self.up_bytes[c.src.0] += c.bytes;
-        self.down_bytes[c.dst.0] += c.bytes;
         if let Some(share) = self.job_nic_bytes.as_mut() {
             share[j][c.src.0].0 += c.bytes;
             share[j][c.dst.0].1 += c.bytes;
@@ -170,6 +166,7 @@ impl ClusterHooks {
         }
         for j in affected {
             self.checkpoint_migrate(j, machine, now, timeline, tenants, fabric);
+            wires.apply(&mut tenants[j], j, now, fabric);
         }
     }
 
@@ -177,7 +174,9 @@ impl ClusterHooks {
     /// prices the restart with the §7 cost model, remaps its nodes onto
     /// healthy machines (deferring to a future restore when the healthy
     /// pool is too small) and rebuilds its state to resume there — or
-    /// fails the job closed when no placement will ever exist.
+    /// fails the job closed when no placement will ever exist. The
+    /// rebuilt job buffers its co-tenant bursts, to restart at once on
+    /// its new nodes.
     fn checkpoint_migrate<P: NetPort>(
         &mut self,
         j: usize,
@@ -227,6 +226,7 @@ impl ClusterHooks {
         cfg2.iters = cfg.iters - ckpt;
         cfg2.warmup = cfg.warmup.min(cfg2.iters - 2);
         let mut next = JobState::build_at(&cfg2, NodeMap::new(j, new_nodes.clone()), resume_at);
+        next.emit_background();
         if self.scope_on {
             next.enable_scope(j);
         }
@@ -396,14 +396,12 @@ pub fn run_cluster_observed(
         }
     }
 
-    // Per-job traffic attribution and per-machine byte counters. The
-    // per-(job, machine) share matrix is recording-only, like every other
-    // telemetry path.
+    // Per-job traffic attribution; per-machine totals are the fabric
+    // tap's. The per-(job, machine) share matrix is recording-only, like
+    // every other telemetry path.
     let mut hooks = ClusterHooks {
         job_bytes: vec![0u64; tenants.len()],
         job_events: vec![0u64; tenants.len()],
-        up_bytes: vec![0u64; cluster.machines],
-        down_bytes: vec![0u64; cluster.machines],
         job_nic_bytes: cluster
             .record_metrics
             .then(|| vec![vec![(0u64, 0u64); cluster.machines]; tenants.len()]),
@@ -430,8 +428,6 @@ pub fn run_cluster_observed(
     let ClusterHooks {
         job_bytes,
         job_events,
-        up_bytes,
-        down_bytes,
         job_nic_bytes,
         migrations,
         ..
@@ -453,6 +449,8 @@ pub fn run_cluster_observed(
     let peak_in_flight = fabric.peak_in_flight();
     let peak_port_utilisation = fabric.peak_port_utilisation(makespan);
     let fabric_events = fabric.transfers_delivered();
+    let tap = fabric.tap();
+    let machine_bytes: Vec<(u64, u64)> = (0..cluster.machines).map(|m| tap.node_bytes(m)).collect();
 
     // Cluster-level metrics: the shared fabric's telemetry plus each
     // tenant's share of every NIC's delivered traffic.
@@ -477,11 +475,9 @@ pub fn run_cluster_observed(
                             0.0
                         }
                     };
-                    ms.gauge(format!("job{j}/nic{m}/up_share"), frac(up, up_bytes[m]));
-                    ms.gauge(
-                        format!("job{j}/nic{m}/down_share"),
-                        frac(down, down_bytes[m]),
-                    );
+                    let (up_total, down_total) = machine_bytes[m];
+                    ms.gauge(format!("job{j}/nic{m}/up_share"), frac(up, up_total));
+                    ms.gauge(format!("job{j}/nic{m}/down_share"), frac(down, down_total));
                 }
             }
         }
@@ -562,19 +558,20 @@ pub fn run_cluster_observed(
 
     let throughputs: Vec<f64> = outcomes.iter().map(|o| 1.0 / o.jct.as_secs_f64()).collect();
     let capacity = cluster.net.bytes_per_sec() * makespan.as_secs_f64();
-    let link_utilisation = (0..cluster.machines)
-        .map(|m| LinkUtil {
+    let util = |bytes: u64| {
+        if capacity > 0.0 {
+            bytes as f64 / capacity
+        } else {
+            0.0
+        }
+    };
+    let link_utilisation = machine_bytes
+        .iter()
+        .enumerate()
+        .map(|(m, &(up, down))| LinkUtil {
             machine: m,
-            up: if capacity > 0.0 {
-                up_bytes[m] as f64 / capacity
-            } else {
-                0.0
-            },
-            down: if capacity > 0.0 {
-                down_bytes[m] as f64 / capacity
-            } else {
-                0.0
-            },
+            up: util(up),
+            down: util(down),
         })
         .collect();
 
@@ -1015,6 +1012,30 @@ mod tests {
             "outage must cost real time: {} vs solo {}",
             j.finished_at,
             solo.finished_at
+        );
+    }
+
+    #[test]
+    fn migrated_job_keeps_its_co_tenant_load() {
+        let mut cluster = ClusterConfig::new(5, NetConfig::gbps(10.0, Transport::tcp()));
+        cluster.placement = PlacementPolicy::Packed;
+        cluster.faults = Some(failure_plan(150_000, None));
+        cluster.record_trace = true;
+        let mut cfg = job_cfg(bs(), 7);
+        cfg.background = Some(BackgroundLoad {
+            burst_bytes: 1 << 20,
+            gap_us: 500,
+        });
+        let r = run_cluster(&cluster, &[JobSpec::train("victim", cfg)]);
+        assert_eq!(r.migrations.len(), 1, "one failure, one migration");
+        let resumed = r.migrations[0].resumed_at;
+        let trace = r.trace.expect("trace recorded");
+        assert!(
+            trace
+                .spans
+                .iter()
+                .any(|s| s.name == "co-tenant burst" && s.start > resumed),
+            "the co-tenant load must survive the migration (resumed at {resumed})"
         );
     }
 

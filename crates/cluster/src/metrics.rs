@@ -196,12 +196,6 @@ impl ClusterResult {
         }
         self.jobs.iter().map(|j| j.jct.as_secs_f64()).sum::<f64>() / self.jobs.len() as f64
     }
-
-    /// The full JCT distribution across training jobs (seconds) — tail
-    /// percentiles, not just the mean.
-    pub fn jct_summary(&self) -> DistSummary {
-        DistSummary::from_unsorted(self.jobs.iter().map(|j| j.jct.as_secs_f64()).collect())
-    }
 }
 
 #[cfg(test)]

@@ -45,14 +45,15 @@
 //!  "truncate": 8}
 //! ```
 //!
-//! Malformed lines answer `{"error": ...}` and keep the service alive.
+//! Malformed lines, and lines longer than 1 MiB, answer
+//! `{"error": ...}` and keep the service alive.
 //! `--watch` / `--events` compose: every batch publishes a
 //! `whatif_batch` scope event.
 //!
 //! The binary also re-replays the trace and asserts the two reports
 //! serialize to identical bytes — the determinism contract CI leans on.
 
-use std::io::BufRead;
+use std::io::{BufRead, Read};
 
 use bs_cluster::PlacementPolicy;
 use bs_faults::{FaultPlan, PlanTarget};
@@ -201,17 +202,52 @@ fn answer_line(answers: &[WhatIfAnswer], svc: &ReplayService) -> String {
     serde_json::to_string(&doc).expect("answer serializes")
 }
 
+/// The longest `--serve-stdin` line read, in bytes. A query object
+/// with every field set and each number written at full `f64` precision
+/// is under 256 bytes, so 1 MiB holds a batch of 4096 of them, 128 times
+/// the service's 32-entry answer cache. It also stays above the 200,000
+/// bytes of a line nested past the JSON parser's depth cap, which the
+/// parser answers itself.
+const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// Reads the next line of `input`, without its newline, into `line`.
+/// Returns `None` at EOF, else whether the line fit in
+/// [`MAX_LINE_BYTES`]; the rest of a longer line is read and discarded.
+fn read_line(input: &mut impl BufRead, line: &mut Vec<u8>) -> std::io::Result<Option<bool>> {
+    line.clear();
+    let cap = MAX_LINE_BYTES as u64 + 1;
+    if input.by_ref().take(cap).read_until(b'\n', line)? == 0 {
+        return Ok(None);
+    }
+    if line.last() == Some(&b'\n') {
+        line.pop();
+    } else if line.len() > MAX_LINE_BYTES {
+        input.skip_until(b'\n')?;
+        return Ok(Some(false));
+    }
+    Ok(Some(true))
+}
+
 /// The `--serve-stdin` loop: one batch per line until EOF.
 fn serve_stdin(jobs: Vec<TraceJob>, opts: ReplayOptions, watch: bool, events_path: Option<&str>) {
     let (mut bus, flight) = scope_bus(watch, events_path.is_some());
     let mut svc = ReplayService::new(jobs, opts, 32);
     eprintln!("serve-stdin: one JSON query object or array per line; EOF ends the service");
-    let stdin = std::io::stdin();
-    for line in stdin.lock().split(b'\n') {
-        let line = line.unwrap_or_else(|e| fail(&format!("cannot read stdin: {e}")));
-        let batch = std::str::from_utf8(&line)
-            .map_err(|e| format!("line is not UTF-8: {e}"))
-            .map(str::trim);
+    let mut stdin = std::io::stdin().lock();
+    let mut line = Vec::new();
+    loop {
+        let fits = match read_line(&mut stdin, &mut line) {
+            Ok(Some(fits)) => fits,
+            Ok(None) => break,
+            Err(e) => fail(&format!("cannot read stdin: {e}")),
+        };
+        let batch = if fits {
+            std::str::from_utf8(&line)
+                .map_err(|e| format!("line is not UTF-8: {e}"))
+                .map(str::trim)
+        } else {
+            Err(format!("line longer than {MAX_LINE_BYTES} bytes"))
+        };
         if batch.as_ref().is_ok_and(|text| text.is_empty()) {
             continue;
         }
@@ -288,8 +324,8 @@ fn main() {
         opts.wave, opts.arrival_scale, opts.iters_cap, opts.seed
     );
 
-    let s = replay::run_experiment(&jobs, &trace_path, &opts, n_queries);
-    print!("{}", replay::render(&s));
+    let (s, timing) = replay::run_experiment(&jobs, &trace_path, &opts, n_queries);
+    print!("{}", replay::render(&s, &timing));
     report::write_json("replay", &s);
 
     // Determinism: the same trace under the same options must serialize

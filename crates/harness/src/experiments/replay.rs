@@ -81,6 +81,12 @@ pub struct ServeStudy {
     pub batch_dedup: u64,
     /// Replays actually executed.
     pub executed: u64,
+}
+
+/// The service half's host timings: printed, never serialized, so the
+/// committed study stays a render of the code.
+#[derive(Clone, Debug)]
+pub struct ServeTiming {
     /// Total wall time, seconds.
     pub wall_secs: f64,
     /// Queries answered per wall second.
@@ -167,7 +173,7 @@ pub fn serve_study(
     opts: &ReplayOptions,
     n_queries: usize,
     batch: usize,
-) -> ServeStudy {
+) -> (ServeStudy, ServeTiming) {
     let mix = query_mix();
     let mut svc = ReplayService::new(jobs.to_vec(), opts.clone(), 8);
     let queries: Vec<WhatIfQuery> = (0..n_queries).map(|i| mix[i % mix.len()].clone()).collect();
@@ -181,17 +187,20 @@ pub fn serve_study(
     }
     let wall = t0.elapsed().as_secs_f64();
     let stats = svc.stats();
-    ServeStudy {
+    let study = ServeStudy {
         queries: n_queries,
         unique_configs: mix.len().min(n_queries),
         batch: batch.max(1),
         cache_hits: stats.cache_hits,
         batch_dedup: stats.batch_dedup,
         executed: stats.executed,
+    };
+    let timing = ServeTiming {
         wall_secs: wall,
         queries_per_sec: n_queries as f64 / wall.max(1e-9),
         batch_latency: DistSummary::from_unsorted(latencies),
-    }
+    };
+    (study, timing)
 }
 
 /// Runs both halves over the jobs of the trace file at `trace_path`
@@ -202,19 +211,20 @@ pub fn run_experiment(
     trace_path: &str,
     opts: &ReplayOptions,
     n_queries: usize,
-) -> ReplayStudy {
+) -> (ReplayStudy, ServeTiming) {
     let rows = jct_study(jobs, opts);
-    let serve = serve_study(jobs, opts, n_queries, 4);
-    ReplayStudy {
+    let (serve, timing) = serve_study(jobs, opts, n_queries, 4);
+    let study = ReplayStudy {
         trace: trace_path.to_string(),
         jobs: rows[0].jobs,
         rows,
         serve,
-    }
+    };
+    (study, timing)
 }
 
-/// Renders both tables.
-pub fn render(s: &ReplayStudy) -> String {
+/// Renders both tables, the service's with its host timings.
+pub fn render(s: &ReplayStudy, timing: &ServeTiming) -> String {
     let mut out = String::new();
     let mut t = Table::new(
         format!(
@@ -265,9 +275,9 @@ pub fn render(s: &ReplayStudy) -> String {
         v.executed.to_string(),
         v.cache_hits.to_string(),
         v.batch_dedup.to_string(),
-        format!("{:.2}", v.queries_per_sec),
-        format!("{:.1}", v.batch_latency.p50 * 1e3),
-        format!("{:.1}", v.batch_latency.max * 1e3),
+        format!("{:.2}", timing.queries_per_sec),
+        format!("{:.1}", timing.batch_latency.p50 * 1e3),
+        format!("{:.1}", timing.batch_latency.max * 1e3),
     ]);
     out.push_str(&t.render());
     out
@@ -280,7 +290,7 @@ mod tests {
     #[test]
     fn study_runs_and_service_reuses_results() {
         let jobs = load_trace_file(DEFAULT_TRACE).expect("committed trace loads");
-        let s = run_experiment(&jobs, DEFAULT_TRACE, &base_options(Fidelity::quick()), 16);
+        let (s, _) = run_experiment(&jobs, DEFAULT_TRACE, &base_options(Fidelity::quick()), 16);
         assert_eq!(s.rows.len(), 2);
         for r in &s.rows {
             assert!(r.jct.p50 <= r.jct.p95 && r.jct.p95 <= r.jct.p99);

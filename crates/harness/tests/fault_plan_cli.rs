@@ -80,8 +80,9 @@ fn simctl_reports_plans_nested_past_the_depth_cap() {
     );
 }
 
-#[test]
-fn replay_service_answers_hostile_lines_with_error_documents() {
+/// Feeds `input` to `replay --serve-stdin` and returns its stdout lines
+/// once it exits cleanly.
+fn serve_stdin(input: &[u8]) -> Vec<String> {
     let mut child = Command::new(env!("CARGO_BIN_EXE_replay"))
         .args([
             "--trace",
@@ -93,27 +94,51 @@ fn replay_service_answers_hostile_lines_with_error_documents() {
         .stderr(Stdio::piped())
         .spawn()
         .expect("replay starts");
-    let mut input = "[".repeat(200_000).into_bytes();
-    input.extend_from_slice(b"\n\xff\xfe\n{\"threads\": 2}\n");
     child
         .stdin
         .take()
         .expect("piped stdin")
-        .write_all(&input)
+        .write_all(input)
         .expect("write queries");
     let out = child.wait_with_output().expect("replay exits");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(out.status.code(), Some(0), "{stdout}");
-    let lines: Vec<&str> = stdout.lines().collect();
-    assert_eq!(lines.len(), 3, "{stdout}");
-    for (line, needle) in lines.iter().zip([
-        "nesting deeper than 128 levels",
-        "line is not UTF-8",
-        "unknown query field",
-    ]) {
+    stdout.lines().map(str::to_string).collect()
+}
+
+/// Asserts each line is an error document containing its needle.
+fn assert_errors(lines: &[String], needles: &[&str]) {
+    assert_eq!(lines.len(), needles.len(), "{lines:?}");
+    for (line, needle) in lines.iter().zip(needles) {
         assert!(line.starts_with("{\"error\":"), "{line}");
         assert!(line.contains(needle), "expected {needle:?} in {line}");
     }
+}
+
+#[test]
+fn replay_service_answers_hostile_lines_with_error_documents() {
+    let mut input = "[".repeat(200_000).into_bytes();
+    input.extend_from_slice(b"\n\xff\xfe\n{\"threads\": 2}\n");
+    assert_errors(
+        &serve_stdin(&input),
+        &[
+            "nesting deeper than 128 levels",
+            "line is not UTF-8",
+            "unknown query field",
+        ],
+    );
+}
+
+#[test]
+fn replay_service_discards_the_rest_of_an_over_long_line() {
+    // Past the 1 MiB cap; were its tail read as a line of its own, it
+    // would get an error document of its own.
+    let mut input = "[".repeat(1_200_000).into_bytes();
+    input.extend_from_slice(b"\n{\"threads\": 2}\n");
+    assert_errors(
+        &serve_stdin(&input),
+        &["line longer than 1048576 bytes", "unknown query field"],
+    );
 }
 
 #[test]

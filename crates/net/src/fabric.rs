@@ -1,13 +1,19 @@
 //! A fabric is either the FIFO network or the fluid network, behind one
 //! dispatching wrapper so the runtime can switch sharing disciplines with
-//! a config flag. Recorders are not dispatched method by method: both
-//! variants expose their one [`Tap`], and [`Fabric::tap`] returns it.
+//! a config flag. The wrapper's operations are its [`NetPort`] impl, one
+//! `match` per trait method; the driver loop bypasses even that by
+//! monomorphising over the variant. Recorders and counters are not
+//! dispatched method by method: both variants expose their one [`Tap`],
+//! and [`Fabric::tap`] returns it. The four counter reads below are
+//! views of that tap that need only `&self`.
 
 use bs_sim::SimTime;
 use serde::Serialize;
 
 use crate::fluid::FluidNetwork;
 use crate::network::{DroppedTransfer, NetEvent, Network, NodeId, TransferId};
+use crate::port::NetPort;
+use crate::scope::ScopeWindow;
 use crate::tap::Tap;
 use crate::transport::NetConfig;
 
@@ -31,6 +37,16 @@ pub enum Fabric {
     Fluid(FluidNetwork),
 }
 
+/// Runs `$body` with `$n` bound to the variant.
+macro_rules! each {
+    ($fabric:expr, $n:ident => $body:expr) => {
+        match $fabric {
+            Fabric::Fifo($n) => $body,
+            Fabric::Fluid($n) => $body,
+        }
+    };
+}
+
 impl Fabric {
     /// Creates the fabric selected by `model`.
     pub fn new(model: FabricModel, num_nodes: usize, cfg: NetConfig) -> Fabric {
@@ -40,174 +56,44 @@ impl Fabric {
         }
     }
 
-    /// Submits a transfer (see the variants' docs for semantics).
-    #[inline]
-    pub fn submit(
-        &mut self,
-        now: SimTime,
-        src: NodeId,
-        dst: NodeId,
-        bytes: u64,
-        tag: u64,
-    ) -> TransferId {
-        match self {
-            Fabric::Fifo(n) => n.submit(now, src, dst, bytes, tag),
-            Fabric::Fluid(n) => n.submit(now, src, dst, bytes, tag),
-        }
+    /// The fabric's recorders and counters (see [`Tap`]). On the fluid
+    /// fabric this flushes a pending waterfill first, so its rate sample
+    /// is in.
+    pub fn tap(&mut self) -> &mut Tap {
+        each!(self, n => n.tap())
     }
 
-    /// Earliest instant anything changes.
-    #[inline]
-    pub fn next_event_time(&self) -> SimTime {
+    /// Reads the tap without flushing anything.
+    fn ledger<R>(&self, read: impl FnOnce(&Tap) -> R) -> R {
         match self {
-            Fabric::Fifo(n) => n.next_event_time(),
-            Fabric::Fluid(n) => n.next_event_time(),
-        }
-    }
-
-    /// Processes everything up to `now`.
-    pub fn advance(&mut self, now: SimTime) -> Vec<NetEvent> {
-        match self {
-            Fabric::Fifo(n) => n.advance(now),
-            Fabric::Fluid(n) => n.advance(now),
-        }
-    }
-
-    /// Like [`Self::advance`] but appends into a caller-provided buffer.
-    #[inline]
-    pub fn advance_into(&mut self, now: SimTime, out: &mut Vec<NetEvent>) {
-        match self {
-            Fabric::Fifo(n) => n.advance_into(now, out),
-            Fabric::Fluid(n) => n.advance_into(now, out),
-        }
-    }
-
-    /// True when `advance(now)` could change fabric state or emit events;
-    /// the event loop skips the call otherwise. The fluid fabric must
-    /// still integrate every tick while flows are active (see
-    /// [`FluidNetwork::wants_advance`]); the FIFO fabric only changes at
-    /// its scheduled release/delivery instants.
-    #[inline]
-    pub fn wants_advance(&self, now: SimTime) -> bool {
-        match self {
-            Fabric::Fifo(n) => n.next_event_time() <= now,
-            Fabric::Fluid(n) => n.wants_advance(now),
+            Fabric::Fifo(n) => read(n.ledger()),
+            Fabric::Fluid(n) => read(&n.ledger()),
         }
     }
 
     /// Total payload bytes delivered so far.
     pub fn bytes_delivered(&self) -> u64 {
-        match self {
-            Fabric::Fifo(n) => n.bytes_delivered(),
-            Fabric::Fluid(n) => n.bytes_delivered(),
-        }
-    }
-
-    /// Transfers currently occupying wires.
-    pub fn in_flight(&self) -> usize {
-        match self {
-            Fabric::Fifo(n) => n.in_flight(),
-            Fabric::Fluid(n) => n.in_flight(),
-        }
+        self.ledger(Tap::bytes_delivered)
     }
 
     /// Transfers delivered end-to-end so far.
     pub fn transfers_delivered(&self) -> u64 {
-        match self {
-            Fabric::Fifo(n) => n.transfers_delivered(),
-            Fabric::Fluid(n) => n.transfers_delivered(),
-        }
+        self.ledger(Tap::transfers_delivered)
     }
 
-    /// Highest number of simultaneously active transfers seen so far.
+    /// Highest number of transfers simultaneously on the wire so far.
     pub fn peak_in_flight(&self) -> usize {
-        match self {
-            Fabric::Fifo(n) => n.peak_in_flight(),
-            Fabric::Fluid(n) => n.peak_in_flight(),
-        }
+        self.ledger(Tap::peak_in_flight)
     }
 
-    /// Peak port utilisation over `makespan`: the busiest single NIC
-    /// direction's busy fraction (FIFO fabric; the fluid fabric does not
-    /// track occupancy). Identifies the bottleneck resource of a run.
-    pub fn peak_port_utilisation(&self, makespan: bs_sim::SimTime) -> f64 {
-        let Fabric::Fifo(n) = self else { return 0.0 };
-        if makespan.as_nanos() == 0 {
-            return 0.0;
-        }
-        let m = makespan.as_secs_f64();
-        n.uplink_busy()
-            .iter()
-            .chain(n.downlink_busy())
-            .map(|b| b.as_secs_f64() / m)
-            .fold(0.0, f64::max)
-    }
-
-    /// The fabric's recorders (see [`Tap`]). On the fluid fabric this
-    /// flushes a pending waterfill first, so its rate sample is in.
-    pub fn tap(&mut self) -> &mut Tap {
-        match self {
-            Fabric::Fifo(n) => n.tap(),
-            Fabric::Fluid(n) => n.tap(),
-        }
-    }
-
-    /// Rescales one NIC direction's capacity to `scale` × nominal at
-    /// `now`. In-flight transfers keep their progress: the FIFO fabric
-    /// stretches the occupant's remaining occupancy, the fluid fabric
-    /// refits all flow rates. Use [`Self::kill_port`] for outages — a
-    /// zero scale is rejected.
-    pub fn set_port_scale(&mut self, now: SimTime, node: NodeId, up: bool, scale: f64) {
-        match self {
-            Fabric::Fifo(n) => n.set_port_scale(now, node, up, scale),
-            Fabric::Fluid(n) => n.set_port_scale(now, node, up, scale),
-        }
-    }
-
-    /// Flaps `node` down at `now`, killing the transfers currently on its
-    /// ports; returns them so the caller can recover (reclaim credit,
-    /// retransmit). Transfers past wire release / drain still deliver.
-    pub fn kill_port(&mut self, now: SimTime, node: NodeId) -> Vec<DroppedTransfer> {
-        match self {
-            Fabric::Fifo(n) => n.kill_port(now, node),
-            Fabric::Fluid(n) => n.kill_port(now, node),
-        }
-    }
-
-    /// Brings `node` back up at `now` and resumes service through it.
-    pub fn revive_port(&mut self, now: SimTime, node: NodeId) {
-        match self {
-            Fabric::Fifo(n) => n.revive_port(now, node),
-            Fabric::Fluid(n) => n.revive_port(now, node),
-        }
-    }
-
-    /// Cancels every pending transfer whose tag matches `pred` — queued,
-    /// on the wire, or awaiting delivery — and returns them; no port
-    /// goes down. The cluster driver purges a migrating job's traffic
-    /// this way.
-    pub fn cancel_where(
-        &mut self,
-        now: SimTime,
-        pred: &mut dyn FnMut(u64) -> bool,
-    ) -> Vec<DroppedTransfer> {
-        match self {
-            Fabric::Fifo(n) => n.cancel_where(now, pred),
-            Fabric::Fluid(n) => n.cancel_where(now, pred),
-        }
-    }
-
-    /// Transfers submitted but not yet on the wire.
-    pub fn queued(&self) -> usize {
-        match self {
-            Fabric::Fifo(n) => n.queued(),
-            // Fluid flows start immediately; nothing ever queues.
-            Fabric::Fluid(_) => 0,
-        }
+    /// Peak port utilisation over `makespan` (see
+    /// [`Tap::peak_port_utilisation`]; 0 on the fluid fabric).
+    pub fn peak_port_utilisation(&self, makespan: SimTime) -> f64 {
+        self.ledger(|t| t.peak_port_utilisation(makespan))
     }
 }
 
-impl crate::port::NetPort for Fabric {
+impl NetPort for Fabric {
     #[inline]
     fn submit(
         &mut self,
@@ -217,34 +103,34 @@ impl crate::port::NetPort for Fabric {
         bytes: u64,
         tag: u64,
     ) -> TransferId {
-        Fabric::submit(self, now, src, dst, bytes, tag)
+        each!(self, n => n.submit(now, src, dst, bytes, tag))
     }
 
     #[inline]
     fn next_event_time(&self) -> SimTime {
-        Fabric::next_event_time(self)
+        each!(self, n => n.next_event_time())
     }
 
     #[inline]
     fn wants_advance(&self, now: SimTime) -> bool {
-        Fabric::wants_advance(self, now)
+        each!(self, n => n.wants_advance(now))
     }
 
     #[inline]
     fn advance_into(&mut self, now: SimTime, out: &mut Vec<NetEvent>) {
-        Fabric::advance_into(self, now, out)
+        each!(self, n => n.advance_into(now, out))
     }
 
     fn set_port_scale(&mut self, now: SimTime, node: NodeId, up: bool, scale: f64) {
-        Fabric::set_port_scale(self, now, node, up, scale)
+        each!(self, n => n.set_port_scale(now, node, up, scale))
     }
 
     fn kill_port(&mut self, now: SimTime, node: NodeId) -> Vec<DroppedTransfer> {
-        Fabric::kill_port(self, now, node)
+        each!(self, n => n.kill_port(now, node))
     }
 
     fn revive_port(&mut self, now: SimTime, node: NodeId) {
-        Fabric::revive_port(self, now, node)
+        each!(self, n => n.revive_port(now, node))
     }
 
     fn cancel_where(
@@ -252,18 +138,18 @@ impl crate::port::NetPort for Fabric {
         now: SimTime,
         pred: &mut dyn FnMut(u64) -> bool,
     ) -> Vec<DroppedTransfer> {
-        Fabric::cancel_where(self, now, pred)
+        each!(self, n => n.cancel_where(now, pred))
     }
 
     fn in_flight(&self) -> usize {
-        Fabric::in_flight(self)
+        each!(self, n => n.in_flight())
     }
 
     fn queued(&self) -> usize {
-        Fabric::queued(self)
+        each!(self, n => n.queued())
     }
 
-    fn drain_scope_windows(&mut self, out: &mut Vec<crate::scope::ScopeWindow>) {
+    fn drain_scope_windows(&mut self, out: &mut Vec<ScopeWindow>) {
         self.tap().drain_scope_windows(out)
     }
 }
@@ -296,6 +182,36 @@ mod tests {
             }
             assert_eq!(last, SimTime::from_millis(1), "{model:?}");
             assert_eq!(f.bytes_delivered(), 1_000_000);
+        }
+    }
+
+    /// The tap's ledger: delivered bytes per NIC direction, the on-wire
+    /// peak (FIFO serialises `0 → 3` behind `0 → 1` on node 0's uplink;
+    /// fluid flows are all on the wire at once) and per-port busy time,
+    /// whose peak fills the whole FIFO makespan and reads 0 on fluid.
+    #[test]
+    fn tap_ledger_counts_bytes_peaks_and_busy_time() {
+        for (model, peak, util) in [
+            (FabricModel::SerialFifo, 2, 1.0),
+            (FabricModel::FairShare, 3, 0.0),
+        ] {
+            let cfg = NetConfig::gbps(8.0, Transport::ideal());
+            let mut f = Fabric::new(model, 4, cfg);
+            for (src, dst) in [(0, 1), (2, 3), (0, 3)] {
+                f.submit(SimTime::ZERO, NodeId(src), NodeId(dst), 1_000_000, 0);
+            }
+            let mut end = SimTime::ZERO;
+            while !f.next_event_time().is_never() {
+                end = f.next_event_time();
+                f.advance(end);
+            }
+            assert_eq!(end, SimTime::from_millis(2), "{model:?}");
+            assert_eq!(f.peak_in_flight(), peak, "{model:?}");
+            assert_eq!(f.in_flight(), 0, "{model:?}");
+            assert_eq!(f.peak_port_utilisation(end), util, "{model:?}");
+            let tap = f.tap();
+            assert_eq!(tap.node_bytes(0), (2_000_000, 0), "{model:?}");
+            assert_eq!(tap.node_bytes(3), (0, 2_000_000), "{model:?}");
         }
     }
 }

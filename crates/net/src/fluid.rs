@@ -21,19 +21,21 @@
 //! semantics, only the sharing discipline differs. The fabric-sensitivity
 //! ablation (`tests/fabrics.rs`) compares the two.
 //!
-//! Recording goes through the fabric's one [`Tap`], reached through
+//! Its operations are its [`NetPort`] impl. Recording and counting go
+//! through the fabric's one [`Tap`], reached through
 //! [`FluidNetwork::tap`]: submit, flow drain (wire end), delivered and
 //! dropped are lifecycle calls, and each waterfill samples its new rates
 //! into the tap. The tap lives in the allocation cell next to the rates,
 //! because a waterfill may run from `&self`; the accessor flushes a
 //! pending waterfill first.
 
-use std::cell::RefCell;
+use std::cell::{Ref, RefCell};
 use std::collections::VecDeque;
 
 use bs_sim::SimTime;
 
 use crate::network::{CompletedTransfer, DroppedTransfer, NetEvent, NodeId, TransferId};
+use crate::port::NetPort;
 use crate::scope::ScopeWindow;
 use crate::tap::Tap;
 use crate::transport::NetConfig;
@@ -92,8 +94,9 @@ struct Alloc {
     /// Earliest flow-drain instant under `rate`, from `last_update`.
     drain: SimTime,
     scratch: Box<Scratch>,
-    /// Every recorder, and the delivery counters.
-    tap: Tap,
+    /// Every recorder and every counter; boxed so that `Fabric`'s two
+    /// variants stay close in size.
+    tap: Box<Tap>,
 }
 
 /// Waterfill scratch, reused so the hot path performs no allocation.
@@ -138,8 +141,6 @@ pub struct FluidNetwork {
     /// Last instant `remaining` values were integrated to.
     last_update: SimTime,
     alloc: RefCell<Alloc>,
-    /// High-water mark of concurrently active flows.
-    peak_in_flight: usize,
     /// Flows removed by the last `remove_flows`, reused across calls.
     scratch_removed: Vec<(TransferId, Flow)>,
     /// `Some` only once a fault hook has been exercised.
@@ -194,9 +195,8 @@ impl FluidNetwork {
                 rate: Vec::new(),
                 drain: SimTime::MAX,
                 scratch: Box::default(),
-                tap: Tap::fluid(num_nodes),
+                tap: Box::new(Tap::fluid(num_nodes)),
             }),
-            peak_in_flight: 0,
             scratch_removed: Vec::new(),
             faults: None,
         }
@@ -213,33 +213,14 @@ impl FluidNetwork {
         &mut self.alloc.get_mut().tap
     }
 
-    /// The network configuration.
-    pub fn config(&self) -> &NetConfig {
-        &self.cfg
-    }
-
-    /// Total payload bytes delivered so far.
-    pub fn bytes_delivered(&self) -> u64 {
-        self.alloc.borrow().tap.bytes_delivered()
-    }
-
-    /// Transfers delivered end-to-end so far.
-    pub fn transfers_delivered(&self) -> u64 {
-        self.alloc.borrow().tap.transfers_delivered()
-    }
-
-    /// Number of flows currently transmitting.
-    pub fn in_flight(&self) -> usize {
-        self.active.len()
-    }
-
-    /// Highest number of simultaneously active flows seen so far.
-    pub fn peak_in_flight(&self) -> usize {
-        self.peak_in_flight
+    /// Read access to the tap, for the counters, without flushing a
+    /// pending waterfill (no counter depends on it).
+    pub(crate) fn ledger(&self) -> Ref<'_, Tap> {
+        Ref::map(self.alloc.borrow(), |a| &*a.tap)
     }
 
     /// Length of the flow slot table. With slot recycling this is bounded
-    /// by [`Self::peak_in_flight`], no matter how many transfers have ever
+    /// by the tap's peak in-flight count, no matter how many transfers have ever
     /// been submitted — the long-run boundedness tests assert on it.
     pub fn flow_slots(&self) -> usize {
         self.flows.len()
@@ -248,68 +229,6 @@ impl FluidNetwork {
     /// True when no flow is active and no delivery is pending.
     pub fn is_idle(&self) -> bool {
         self.active.is_empty() && self.deliveries.is_empty()
-    }
-
-    /// Submits a transfer; it starts transmitting immediately at its fair
-    /// share.
-    pub fn submit(
-        &mut self,
-        now: SimTime,
-        src: NodeId,
-        dst: NodeId,
-        bytes: u64,
-        tag: u64,
-    ) -> TransferId {
-        assert!(src.0 < self.num_nodes, "src {src:?} out of range");
-        assert!(dst.0 < self.num_nodes, "dst {dst:?} out of range");
-        assert_ne!(src, dst, "loopback transfers are not modelled");
-        self.integrate_to(now);
-        let overhead_bytes =
-            self.cfg.transport.wire_overhead.as_secs_f64() * self.cfg.bytes_per_sec();
-        let flow = Flow {
-            src,
-            dst,
-            bytes,
-            tag,
-            started_at: now,
-        };
-        let volume = bytes as f64 + overhead_bytes;
-        let pair = self.join_pair(src.0, self.num_nodes + dst.0);
-        let a = self.alloc.get_mut();
-        let id = match self.free_slots.pop() {
-            Some(slot) => {
-                debug_assert!(self.flows[slot as usize].is_none(), "slot in use");
-                self.flows[slot as usize] = Some(flow);
-                self.remaining[slot as usize] = volume;
-                self.pair_of[slot as usize] = pair;
-                TransferId(slot)
-            }
-            None => {
-                let id = TransferId(self.flows.len() as u64);
-                self.flows.push(Some(flow));
-                self.remaining.push(volume);
-                self.pair_of.push(pair);
-                a.rate.push(0.0);
-                id
-            }
-        };
-        a.dirty = true;
-        self.active.push(id);
-        self.port_flows[src.0].push(id);
-        self.port_flows[self.num_nodes + dst.0].push(id);
-        self.peak_in_flight = self.peak_in_flight.max(self.active.len());
-        a.tap.submit(now, src.0, dst.0, tag);
-        id
-    }
-
-    /// Earliest instant anything changes: the next flow drain or pending
-    /// delivery.
-    ///
-    /// The drain instant is kept up to date by the integration and the
-    /// waterfill, so between state changes the event loop polls this in
-    /// O(1); only the first poll after a change flushes the waterfill.
-    pub fn next_event_time(&self) -> SimTime {
-        self.next_delivery().min(self.drain_time())
     }
 
     /// Earliest pending delivery instant.
@@ -323,79 +242,6 @@ impl FluidNetwork {
         self.alloc.borrow().drain
     }
 
-    /// True when `advance(now)` could change state or emit events: the
-    /// event loop skips the call otherwise. While flows are in flight the
-    /// fabric must integrate every tick (the split points of the numeric
-    /// integration are part of the deterministic trace), so this only
-    /// reports false when nothing is transmitting.
-    pub fn wants_advance(&self, now: SimTime) -> bool {
-        !self.active.is_empty() || self.next_event_time() <= now
-    }
-
-    /// Advances to `now`, draining flows and reporting releases and
-    /// deliveries in time order.
-    pub fn advance(&mut self, now: SimTime) -> Vec<NetEvent> {
-        let mut out = Vec::new();
-        self.advance_into(now, &mut out);
-        out
-    }
-
-    /// Like [`Self::advance`] but appends events into a caller-provided
-    /// buffer, so the event loop can reuse one allocation across ticks.
-    pub fn advance_into(&mut self, now: SimTime, out: &mut Vec<NetEvent>) {
-        let latency = self.cfg.transport.latency;
-        // Once flows drained at `now`, every later drain ETA is at least
-        // 1 ns past it (see `drain_at`): only deliveries can still be
-        // due, so the waterfill stays pending for the next reader.
-        let mut drained_at_now = false;
-        loop {
-            let delivery = self.next_delivery();
-            let drain = if drained_at_now {
-                SimTime::MAX
-            } else {
-                self.drain_time()
-            };
-            let next = delivery.min(drain);
-            if next > now || next.is_never() {
-                break;
-            }
-            // Deliveries at or before the next drain fire first.
-            if delivery <= next {
-                let (dt, c) = self.deliveries.pop_front().expect("front exists");
-                debug_assert_eq!(dt, c.finished_at);
-                let tap = &mut self.alloc.get_mut().tap;
-                tap.delivered(dt, c.src.0, c.dst.0, c.tag, c.bytes);
-                out.push(NetEvent::Delivered(c));
-                continue;
-            }
-            // Drain flows to `next` and complete the ones that hit zero.
-            // Sub-byte residue counts as drained (float slop from many
-            // rate changes; half a byte is far below any payload).
-            self.integrate_to(next);
-            let mut finished = self.remove_flows(|_, remaining| remaining <= 0.5);
-            for (id, f) in finished.drain(..) {
-                self.record_flow_end(&f, next, next + latency);
-                let done = CompletedTransfer {
-                    id,
-                    src: f.src,
-                    dst: f.dst,
-                    bytes: f.bytes,
-                    tag: f.tag,
-                    finished_at: next,
-                };
-                out.push(NetEvent::Released(done));
-                let mut delivered = done;
-                delivered.finished_at = next + latency;
-                // Keep deliveries time-ordered (latency is constant, so
-                // completion order == delivery order).
-                self.deliveries.push_back((next + latency, delivered));
-            }
-            self.scratch_removed = finished;
-            drained_at_now = next == now;
-        }
-        self.integrate_to(now);
-    }
-
     /// Lazily materialises the fault state (all scales 1.0, nothing down).
     fn fault_state(&mut self) -> &mut FaultState {
         let ports = 2 * self.num_nodes;
@@ -406,80 +252,6 @@ impl FluidNetwork {
                 down: vec![false; n],
             })
         })
-    }
-
-    /// Rescales one NIC direction's capacity to `scale` × nominal at
-    /// `now`; all flow rates are refitted (in-flight flows keep their
-    /// accumulated progress). Use [`Self::kill_port`] for outages — a
-    /// zero scale is rejected.
-    pub fn set_port_scale(&mut self, now: SimTime, node: NodeId, up: bool, scale: f64) {
-        assert!(
-            scale > 0.0 && scale.is_finite(),
-            "scale must be finite and > 0 (got {scale}); use kill_port for outages"
-        );
-        assert!(node.0 < self.num_nodes, "node {node:?} out of range");
-        self.integrate_to(now);
-        let n = self.num_nodes;
-        let port = if up { node.0 } else { n + node.0 };
-        self.fault_state().port_scale[port] = scale;
-        self.alloc.get_mut().dirty = true;
-    }
-
-    /// Flaps `node` down at `now`: every active flow through either of
-    /// its ports is killed — removed without delivering — and returned so
-    /// the caller can recover them (reclaim credit, retransmit). Flows
-    /// already drained but awaiting delivery still deliver. New flows
-    /// submitted toward the node idle at rate 0 until [`Self::revive_port`].
-    pub fn kill_port(&mut self, now: SimTime, node: NodeId) -> Vec<DroppedTransfer> {
-        assert!(node.0 < self.num_nodes, "node {node:?} out of range");
-        self.integrate_to(now);
-        self.fault_state().down[node.0] = true;
-        self.drop_flows(now, |f| f.src == node || f.dst == node)
-    }
-
-    /// Cancels every pending transfer whose tag matches `pred` at `now`
-    /// — actively draining or awaiting delivery — and returns them. No
-    /// port goes down: surviving flows refit to the freed capacity. The
-    /// cluster driver purges a checkpointing job's traffic this way
-    /// before migrating it.
-    pub fn cancel_where(
-        &mut self,
-        now: SimTime,
-        pred: &mut dyn FnMut(u64) -> bool,
-    ) -> Vec<DroppedTransfer> {
-        self.integrate_to(now);
-        let mut dropped = self.drop_flows(now, |f| pred(f.tag));
-        // Drained flows awaiting delivery: their deliveries never fire.
-        let mut purged = Vec::new();
-        self.deliveries.retain(|(_, c)| {
-            if pred(c.tag) {
-                purged.push(*c);
-                false
-            } else {
-                true
-            }
-        });
-        for c in purged {
-            let tap = &mut self.alloc.get_mut().tap;
-            tap.dropped(now, c.src.0, c.dst.0, c.tag, false);
-            dropped.push(DroppedTransfer {
-                tag: c.tag,
-                src: c.src,
-                dst: c.dst,
-                bytes: c.bytes,
-            });
-        }
-        dropped
-    }
-
-    /// Brings `node` back up at `now`; stalled flows pick their fair
-    /// rates back up. Capacity scales set before or during the outage
-    /// persist.
-    pub fn revive_port(&mut self, now: SimTime, node: NodeId) {
-        assert!(node.0 < self.num_nodes, "node {node:?} out of range");
-        self.integrate_to(now);
-        self.fault_state().down[node.0] = false;
-        self.alloc.get_mut().dirty = true;
     }
 
     /// Kills every active flow `victim` selects at `now`, in `active`
@@ -728,8 +500,8 @@ impl FluidNetwork {
     }
 }
 
-impl crate::port::NetPort for FluidNetwork {
-    #[inline]
+impl NetPort for FluidNetwork {
+    /// The flow starts transmitting immediately at its fair share.
     fn submit(
         &mut self,
         now: SimTime,
@@ -738,46 +510,184 @@ impl crate::port::NetPort for FluidNetwork {
         bytes: u64,
         tag: u64,
     ) -> TransferId {
-        FluidNetwork::submit(self, now, src, dst, bytes, tag)
+        assert!(src.0 < self.num_nodes, "src {src:?} out of range");
+        assert!(dst.0 < self.num_nodes, "dst {dst:?} out of range");
+        assert_ne!(src, dst, "loopback transfers are not modelled");
+        self.integrate_to(now);
+        let overhead_bytes =
+            self.cfg.transport.wire_overhead.as_secs_f64() * self.cfg.bytes_per_sec();
+        let flow = Flow {
+            src,
+            dst,
+            bytes,
+            tag,
+            started_at: now,
+        };
+        let volume = bytes as f64 + overhead_bytes;
+        let pair = self.join_pair(src.0, self.num_nodes + dst.0);
+        let a = self.alloc.get_mut();
+        let id = match self.free_slots.pop() {
+            Some(slot) => {
+                debug_assert!(self.flows[slot as usize].is_none(), "slot in use");
+                self.flows[slot as usize] = Some(flow);
+                self.remaining[slot as usize] = volume;
+                self.pair_of[slot as usize] = pair;
+                TransferId(slot)
+            }
+            None => {
+                let id = TransferId(self.flows.len() as u64);
+                self.flows.push(Some(flow));
+                self.remaining.push(volume);
+                self.pair_of.push(pair);
+                a.rate.push(0.0);
+                id
+            }
+        };
+        a.dirty = true;
+        self.active.push(id);
+        self.port_flows[src.0].push(id);
+        self.port_flows[self.num_nodes + dst.0].push(id);
+        a.tap.submit(now, src.0, dst.0, tag);
+        id
     }
 
-    #[inline]
+    /// The next flow drain or pending delivery. The drain instant is kept
+    /// up to date by the integration and the waterfill, so between state
+    /// changes the event loop polls this in O(1); only the first poll
+    /// after a change flushes the waterfill.
     fn next_event_time(&self) -> SimTime {
-        FluidNetwork::next_event_time(self)
+        self.next_delivery().min(self.drain_time())
     }
 
-    #[inline]
+    /// While flows are in flight the fabric must integrate every tick (the
+    /// split points of the numeric integration are part of the
+    /// deterministic trace), so this only reports false when nothing is
+    /// transmitting.
     fn wants_advance(&self, now: SimTime) -> bool {
-        FluidNetwork::wants_advance(self, now)
+        !self.active.is_empty() || self.next_event_time() <= now
     }
 
-    #[inline]
+    /// Drains flows and reports releases and deliveries in time order.
     fn advance_into(&mut self, now: SimTime, out: &mut Vec<NetEvent>) {
-        FluidNetwork::advance_into(self, now, out)
+        let latency = self.cfg.transport.latency;
+        // Once flows drained at `now`, every later drain ETA is at least
+        // 1 ns past it (see `drain_at`): only deliveries can still be
+        // due, so the waterfill stays pending for the next reader.
+        let mut drained_at_now = false;
+        loop {
+            let delivery = self.next_delivery();
+            let drain = if drained_at_now {
+                SimTime::MAX
+            } else {
+                self.drain_time()
+            };
+            let next = delivery.min(drain);
+            if next > now || next.is_never() {
+                break;
+            }
+            // Deliveries at or before the next drain fire first.
+            if delivery <= next {
+                let (dt, c) = self.deliveries.pop_front().expect("front exists");
+                debug_assert_eq!(dt, c.finished_at);
+                let tap = &mut self.alloc.get_mut().tap;
+                tap.delivered(dt, c.src.0, c.dst.0, c.tag, c.bytes);
+                out.push(NetEvent::Delivered(c));
+                continue;
+            }
+            // Drain flows to `next` and complete the ones that hit zero.
+            // Sub-byte residue counts as drained (float slop from many
+            // rate changes; half a byte is far below any payload).
+            self.integrate_to(next);
+            let mut finished = self.remove_flows(|_, remaining| remaining <= 0.5);
+            for (id, f) in finished.drain(..) {
+                self.record_flow_end(&f, next, next + latency);
+                let done = CompletedTransfer {
+                    id,
+                    src: f.src,
+                    dst: f.dst,
+                    bytes: f.bytes,
+                    tag: f.tag,
+                    finished_at: next,
+                };
+                out.push(NetEvent::Released(done));
+                let mut delivered = done;
+                delivered.finished_at = next + latency;
+                // Keep deliveries time-ordered (latency is constant, so
+                // completion order == delivery order).
+                self.deliveries.push_back((next + latency, delivered));
+            }
+            self.scratch_removed = finished;
+            drained_at_now = next == now;
+        }
+        self.integrate_to(now);
     }
 
+    /// All flow rates are refitted; in-flight flows keep their
+    /// accumulated progress.
     fn set_port_scale(&mut self, now: SimTime, node: NodeId, up: bool, scale: f64) {
-        FluidNetwork::set_port_scale(self, now, node, up, scale)
+        assert!(
+            scale > 0.0 && scale.is_finite(),
+            "scale must be finite and > 0 (got {scale}); use kill_port for outages"
+        );
+        assert!(node.0 < self.num_nodes, "node {node:?} out of range");
+        self.integrate_to(now);
+        let n = self.num_nodes;
+        let port = if up { node.0 } else { n + node.0 };
+        self.fault_state().port_scale[port] = scale;
+        self.alloc.get_mut().dirty = true;
     }
 
+    /// Every active flow through either of its ports is removed without
+    /// delivering; flows already drained still deliver. New flows
+    /// submitted toward the node idle at rate 0 until the revive.
     fn kill_port(&mut self, now: SimTime, node: NodeId) -> Vec<DroppedTransfer> {
-        FluidNetwork::kill_port(self, now, node)
+        assert!(node.0 < self.num_nodes, "node {node:?} out of range");
+        self.integrate_to(now);
+        self.fault_state().down[node.0] = true;
+        self.drop_flows(now, |f| f.src == node || f.dst == node)
     }
 
-    fn revive_port(&mut self, now: SimTime, node: NodeId) {
-        FluidNetwork::revive_port(self, now, node)
-    }
-
+    /// Surviving flows refit to the freed capacity.
     fn cancel_where(
         &mut self,
         now: SimTime,
         pred: &mut dyn FnMut(u64) -> bool,
     ) -> Vec<DroppedTransfer> {
-        FluidNetwork::cancel_where(self, now, pred)
+        self.integrate_to(now);
+        let mut dropped = self.drop_flows(now, |f| pred(f.tag));
+        // Drained flows awaiting delivery: their deliveries never fire.
+        let mut purged = Vec::new();
+        self.deliveries.retain(|(_, c)| {
+            if pred(c.tag) {
+                purged.push(*c);
+                false
+            } else {
+                true
+            }
+        });
+        for c in purged {
+            let tap = &mut self.alloc.get_mut().tap;
+            tap.dropped(now, c.src.0, c.dst.0, c.tag, false);
+            dropped.push(DroppedTransfer {
+                tag: c.tag,
+                src: c.src,
+                dst: c.dst,
+                bytes: c.bytes,
+            });
+        }
+        dropped
+    }
+
+    /// Stalled flows pick their fair rates back up.
+    fn revive_port(&mut self, now: SimTime, node: NodeId) {
+        assert!(node.0 < self.num_nodes, "node {node:?} out of range");
+        self.integrate_to(now);
+        self.fault_state().down[node.0] = false;
+        self.alloc.get_mut().dirty = true;
     }
 
     fn in_flight(&self) -> usize {
-        FluidNetwork::in_flight(self)
+        self.ledger().in_flight()
     }
 
     fn drain_scope_windows(&mut self, out: &mut Vec<ScopeWindow>) {
@@ -1019,7 +929,7 @@ mod tests {
             }
         }
         drain(&mut n);
-        assert_eq!(n.bytes_delivered(), mb(9));
+        assert_eq!(n.tap().bytes_delivered(), mb(9));
         assert!(n.is_idle());
     }
 }

@@ -1,11 +1,12 @@
 //! The point-to-point network state machine: the FIFO fabric.
 //!
-//! Every recorder of the fabric sits behind its one [`Tap`], reached
-//! through [`Network::tap`]. The state machine calls it at each lifecycle
-//! point — submit, wire start, wire end, delivered, dropped — and all
-//! three ways a transfer leaves the wire (release, [`Network::kill_port`],
-//! [`Network::cancel_where`]) end its occupancy through one helper, so
-//! the wire-end fan-out exists once.
+//! Its operations are its [`NetPort`] impl, with no inherent twin.
+//! Every recorder and counter of the fabric sits behind its
+//! one [`Tap`], reached through [`Network::tap`]. The state machine calls
+//! it at each lifecycle point — submit, wire start, wire end, delivered,
+//! dropped — and all three ways a transfer leaves the wire (release,
+//! [`NetPort::kill_port`], [`NetPort::cancel_where`]) end its occupancy
+//! through one helper, so the wire-end fan-out exists once.
 
 use std::cell::Cell;
 use std::collections::{BTreeSet, VecDeque};
@@ -13,6 +14,7 @@ use std::collections::{BTreeSet, VecDeque};
 use bs_sim::SimTime;
 use serde::{Deserialize, Serialize};
 
+use crate::port::NetPort;
 use crate::scope::ScopeWindow;
 use crate::tap::Tap;
 use crate::transport::NetConfig;
@@ -25,7 +27,7 @@ pub struct NodeId(pub usize);
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct TransferId(pub u64);
 
-/// An event reported by [`Network::advance`].
+/// An event reported by [`NetPort::advance_into`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum NetEvent {
     /// The message's wire occupancy ended: ports freed, the sender-side
@@ -38,7 +40,7 @@ pub enum NetEvent {
     Delivered(CompletedTransfer),
 }
 
-/// A transfer milestone, reported by [`Network::advance`] inside
+/// A transfer milestone, reported by [`NetPort::advance_into`] inside
 /// [`NetEvent`]; `finished_at` is the release or delivery instant
 /// respectively.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -58,7 +60,7 @@ pub struct CompletedTransfer {
 }
 
 /// A transfer that was killed mid-flight by a port outage
-/// ([`Network::kill_port`]): the payload never arrived and the caller
+/// ([`NetPort::kill_port`]): the payload never arrived and the caller
 /// must recover it (reclaim credit, retransmit).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DroppedTransfer {
@@ -141,7 +143,7 @@ struct Nic {
 ///    `wire_overhead + size/bandwidth`; when it ends, both ports free and
 ///    the next queued messages start (pipelining).
 /// 2. **Delivery** — `latency` later the message is *complete*: only now
-///    does [`Network::advance`] report it (credits return, aggregation
+///    does [`NetPort::advance_into`] report it (credits return, aggregation
 ///    fires). Stop-and-wait senders therefore pay the full round trip per
 ///    message; windowed senders hide it — the paper's §4.2 trade-off.
 #[derive(Clone, Debug)]
@@ -156,15 +158,9 @@ pub struct Network {
     /// Memoised `min(releases.first, deliveries.first)`; `None` when
     /// stale. Filled lazily so idle polls from the event loop are O(1).
     next_event: Cell<Option<SimTime>>,
-    /// High-water mark of concurrently started (on-wire) transfers.
-    peak_in_flight: usize,
-    /// Accumulated wire-busy time per uplink, for utilisation accounting.
-    up_busy: Vec<SimTime>,
-    /// Accumulated wire-busy time per downlink.
-    down_busy: Vec<SimTime>,
-    /// Every recorder, and the delivery counters. Each NIC direction is
-    /// busy (1) or idle (0), so its utilisation series integrates to
-    /// exactly the accumulated wire-busy time.
+    /// Every recorder and every counter. Each NIC direction is busy (1)
+    /// or idle (0), so its utilisation series integrates to exactly the
+    /// tap's accumulated busy time.
     tap: Tap,
     /// `Some` only once a fault hook has been exercised.
     faults: Option<Box<FaultState>>,
@@ -185,179 +181,19 @@ impl Network {
             releases: BTreeSet::new(),
             deliveries: BTreeSet::new(),
             next_event: Cell::new(None),
-            peak_in_flight: 0,
-            up_busy: vec![SimTime::ZERO; num_nodes],
-            down_busy: vec![SimTime::ZERO; num_nodes],
             tap: Tap::fifo(num_nodes),
             faults: None,
         }
     }
 
-    /// The fabric's recorders (see [`Tap`]).
+    /// The fabric's recorders and counters (see [`Tap`]).
     pub fn tap(&mut self) -> &mut Tap {
         &mut self.tap
     }
 
-    /// Accumulated wire-busy time of every uplink (completed occupancies
-    /// only). Divide by the run's makespan for utilisation.
-    pub fn uplink_busy(&self) -> &[SimTime] {
-        &self.up_busy
-    }
-
-    /// Accumulated wire-busy time of every downlink.
-    pub fn downlink_busy(&self) -> &[SimTime] {
-        &self.down_busy
-    }
-
-    /// The network configuration.
-    pub fn config(&self) -> &NetConfig {
-        &self.cfg
-    }
-
-    /// Number of nodes.
-    pub fn num_nodes(&self) -> usize {
-        self.nics.len()
-    }
-
-    /// End-to-end time for a message of `bytes` on an unloaded wire.
-    pub fn xfer_time(&self, bytes: u64) -> SimTime {
-        self.cfg.xfer_time(bytes)
-    }
-
-    /// Total payload bytes delivered so far.
-    pub fn bytes_delivered(&self) -> u64 {
-        self.tap.bytes_delivered()
-    }
-
-    /// Transfers delivered end-to-end so far.
-    pub fn transfers_delivered(&self) -> u64 {
-        self.tap.transfers_delivered()
-    }
-
-    /// Highest number of simultaneously on-wire transfers seen so far.
-    pub fn peak_in_flight(&self) -> usize {
-        self.peak_in_flight
-    }
-
-    /// Submits a transfer at time `now`. It joins the `src → dst`
-    /// connection queue and starts once it reaches that queue's head, the
-    /// uplink picks the connection (round-robin) and `dst`'s downlink is
-    /// free. `tag` is returned verbatim on completion events.
-    pub fn submit(
-        &mut self,
-        now: SimTime,
-        src: NodeId,
-        dst: NodeId,
-        bytes: u64,
-        tag: u64,
-    ) -> TransferId {
-        assert!(src.0 < self.nics.len(), "src {src:?} out of range");
-        assert!(dst.0 < self.nics.len(), "dst {dst:?} out of range");
-        assert_ne!(src, dst, "loopback transfers are not modelled");
-        let id = TransferId(self.transfers.len() as u64);
-        self.transfers.push(Transfer {
-            src,
-            dst,
-            bytes,
-            tag,
-            started: false,
-            started_at: SimTime::ZERO,
-            submitted_at: now,
-            release_at: SimTime::ZERO,
-            deliver_at: SimTime::ZERO,
-            eff: 1.0,
-        });
-        self.nics[src.0].up_queues[dst.0].push_back(id);
-        self.tap.submit(now, src.0, dst.0, tag);
-        self.try_start(now, src);
-        id
-    }
-
-    /// Earliest instant at which anything changes (a port frees or a
-    /// message delivers), or `SimTime::MAX` if the wire is silent.
-    #[inline]
-    pub fn next_event_time(&self) -> SimTime {
-        if let Some(t) = self.next_event.get() {
-            return t;
-        }
-        let r = self
-            .releases
-            .first()
-            .map(|(t, _)| *t)
-            .unwrap_or(SimTime::MAX);
-        let d = self
-            .deliveries
-            .first()
-            .map(|(t, _)| *t)
-            .unwrap_or(SimTime::MAX);
-        let t = r.min(d);
-        self.next_event.set(Some(t));
-        t
-    }
-
-    /// Processes everything up to `now`: frees ports whose occupancy
-    /// ended (starting queued successors, reported as
-    /// [`NetEvent::Released`]) and reports messages delivered at or
-    /// before `now` as [`NetEvent::Delivered`], all in time order.
-    pub fn advance(&mut self, now: SimTime) -> Vec<NetEvent> {
-        let mut done: Vec<NetEvent> = Vec::new();
-        self.advance_into(now, &mut done);
-        done
-    }
-
-    /// Like [`Self::advance`] but appends events into a caller-provided
-    /// buffer, so the event loop can reuse one allocation across ticks.
-    pub fn advance_into(&mut self, now: SimTime, done: &mut Vec<NetEvent>) {
-        loop {
-            let next_release = self.releases.first().copied();
-            let next_delivery = self.deliveries.first().copied();
-            // Process in time order; at equal instants, releases first so
-            // freed ports start successors before completions cascade.
-            let take_release = match (next_release, next_delivery) {
-                (Some((rt, _)), Some((dt, _))) => rt <= dt,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            if take_release {
-                let (t, id) = next_release.expect("present");
-                if t > now {
-                    break;
-                }
-                self.releases.pop_first();
-                self.next_event.set(None);
-                let tr = &self.transfers[id.0 as usize];
-                let (src, dst, bytes, tag) = (tr.src, tr.dst, tr.bytes, tr.tag);
-                self.end_occupancy(id, t, t + self.cfg.transport.latency);
-                self.try_start(t, src);
-                self.serve_down_waiters(t, dst);
-                done.push(NetEvent::Released(CompletedTransfer {
-                    id,
-                    src,
-                    dst,
-                    bytes,
-                    tag,
-                    finished_at: t,
-                }));
-            } else {
-                let (t, id) = next_delivery.expect("present");
-                if t > now {
-                    break;
-                }
-                self.deliveries.pop_first();
-                self.next_event.set(None);
-                let tr = &self.transfers[id.0 as usize];
-                self.tap.delivered(t, tr.src.0, tr.dst.0, tr.tag, tr.bytes);
-                done.push(NetEvent::Delivered(CompletedTransfer {
-                    id,
-                    src: tr.src,
-                    dst: tr.dst,
-                    bytes: tr.bytes,
-                    tag: tr.tag,
-                    finished_at: t,
-                }));
-            }
-        }
+    /// Read access to the tap, for the counters.
+    pub(crate) fn ledger(&self) -> &Tap {
+        &self.tap
     }
 
     /// Picks the next startable connection head at `src`'s uplink,
@@ -469,7 +305,6 @@ impl Network {
         self.releases.insert((release, id));
         self.deliveries.insert((deliver, id));
         self.next_event.set(None);
-        self.peak_in_flight = self.peak_in_flight.max(self.releases.len());
         self.tap.wire_start(now, src.0, dst.0);
     }
 
@@ -496,9 +331,6 @@ impl Network {
         self.nics[dst.0].down_current = None;
         let popped = self.nics[src.0].up_queues[dst.0].pop_front();
         debug_assert_eq!(popped, Some(id));
-        let occ = end.saturating_sub(rec.4);
-        self.up_busy[src.0] += occ;
-        self.down_busy[dst.0] += occ;
         self.tap.wire_end(rec, bytes);
     }
 
@@ -556,12 +388,128 @@ impl Network {
         })
     }
 
-    /// Rescales one NIC direction's capacity to `scale` × nominal at
-    /// `now`. The direction's current occupant (if any) keeps its
-    /// progress: the remaining occupancy stretches or shrinks by
-    /// `old_eff / new_eff`. Use [`Self::kill_port`] for outages — a zero
-    /// scale is rejected.
-    pub fn set_port_scale(&mut self, now: SimTime, node: NodeId, up: bool, scale: f64) {
+    /// True when nothing is queued, in flight, or awaiting delivery.
+    pub fn is_idle(&self) -> bool {
+        self.in_flight() == 0 && self.queued() == 0 && self.deliveries.is_empty()
+    }
+}
+
+impl NetPort for Network {
+    /// The transfer joins the `src → dst` connection queue and starts
+    /// once it reaches that queue's head, the uplink picks the connection
+    /// (round-robin) and `dst`'s downlink is free.
+    fn submit(
+        &mut self,
+        now: SimTime,
+        src: NodeId,
+        dst: NodeId,
+        bytes: u64,
+        tag: u64,
+    ) -> TransferId {
+        assert!(src.0 < self.nics.len(), "src {src:?} out of range");
+        assert!(dst.0 < self.nics.len(), "dst {dst:?} out of range");
+        assert_ne!(src, dst, "loopback transfers are not modelled");
+        let id = TransferId(self.transfers.len() as u64);
+        self.transfers.push(Transfer {
+            src,
+            dst,
+            bytes,
+            tag,
+            started: false,
+            started_at: SimTime::ZERO,
+            submitted_at: now,
+            release_at: SimTime::ZERO,
+            deliver_at: SimTime::ZERO,
+            eff: 1.0,
+        });
+        self.nics[src.0].up_queues[dst.0].push_back(id);
+        self.tap.submit(now, src.0, dst.0, tag);
+        self.try_start(now, src);
+        id
+    }
+
+    /// A port frees or a message delivers. Memoised, so idle polls from
+    /// the event loop are O(1).
+    #[inline]
+    fn next_event_time(&self) -> SimTime {
+        if let Some(t) = self.next_event.get() {
+            return t;
+        }
+        let r = self
+            .releases
+            .first()
+            .map(|(t, _)| *t)
+            .unwrap_or(SimTime::MAX);
+        let d = self
+            .deliveries
+            .first()
+            .map(|(t, _)| *t)
+            .unwrap_or(SimTime::MAX);
+        let t = r.min(d);
+        self.next_event.set(Some(t));
+        t
+    }
+
+    /// Frees ports whose occupancy ended (starting queued successors,
+    /// reported as [`NetEvent::Released`]) and reports messages delivered
+    /// at or before `now` as [`NetEvent::Delivered`]; at equal instants
+    /// releases come first.
+    fn advance_into(&mut self, now: SimTime, done: &mut Vec<NetEvent>) {
+        loop {
+            let next_release = self.releases.first().copied();
+            let next_delivery = self.deliveries.first().copied();
+            // Process in time order; at equal instants, releases first so
+            // freed ports start successors before completions cascade.
+            let take_release = match (next_release, next_delivery) {
+                (Some((rt, _)), Some((dt, _))) => rt <= dt,
+                (Some(_), None) => true,
+                (None, Some(_)) => false,
+                (None, None) => break,
+            };
+            if take_release {
+                let (t, id) = next_release.expect("present");
+                if t > now {
+                    break;
+                }
+                self.releases.pop_first();
+                self.next_event.set(None);
+                let tr = &self.transfers[id.0 as usize];
+                let (src, dst, bytes, tag) = (tr.src, tr.dst, tr.bytes, tr.tag);
+                self.end_occupancy(id, t, t + self.cfg.transport.latency);
+                self.try_start(t, src);
+                self.serve_down_waiters(t, dst);
+                done.push(NetEvent::Released(CompletedTransfer {
+                    id,
+                    src,
+                    dst,
+                    bytes,
+                    tag,
+                    finished_at: t,
+                }));
+            } else {
+                let (t, id) = next_delivery.expect("present");
+                if t > now {
+                    break;
+                }
+                self.deliveries.pop_first();
+                self.next_event.set(None);
+                let tr = &self.transfers[id.0 as usize];
+                self.tap.delivered(t, tr.src.0, tr.dst.0, tr.tag, tr.bytes);
+                done.push(NetEvent::Delivered(CompletedTransfer {
+                    id,
+                    src: tr.src,
+                    dst: tr.dst,
+                    bytes: tr.bytes,
+                    tag: tr.tag,
+                    finished_at: t,
+                }));
+            }
+        }
+    }
+
+    /// The direction's current occupant (if any) keeps its progress: the
+    /// remaining occupancy stretches or shrinks by `old_eff / new_eff`.
+    fn set_port_scale(&mut self, now: SimTime, node: NodeId, up: bool, scale: f64) {
         assert!(
             scale > 0.0 && scale.is_finite(),
             "scale must be finite and > 0 (got {scale}); use kill_port for outages"
@@ -607,14 +555,11 @@ impl Network {
         self.next_event.set(None);
     }
 
-    /// Flaps `node` down at `now`: both its NIC directions stop carrying
-    /// traffic, and the transfers currently occupying them are killed —
-    /// removed from the wire without delivering. Returns the killed
-    /// transfers so the caller can recover them (reclaim credit,
-    /// retransmit). Transfers already past wire release (in the latency
-    /// phase) still deliver: the receiver's stack accepted them.
-    /// Queued transfers stay queued until [`Self::revive_port`].
-    pub fn kill_port(&mut self, now: SimTime, node: NodeId) -> Vec<DroppedTransfer> {
+    /// Both NIC directions stop carrying traffic and their occupants are
+    /// removed from the wire without delivering. Transfers in the latency
+    /// phase still deliver: the receiver's stack accepted them. Queued
+    /// transfers stay queued until the revive.
+    fn kill_port(&mut self, now: SimTime, node: NodeId) -> Vec<DroppedTransfer> {
         self.fault_state().down[node.0] = true;
         let victims: Vec<TransferId> =
             [self.nics[node.0].up_current, self.nics[node.0].down_current]
@@ -626,13 +571,9 @@ impl Network {
         dropped
     }
 
-    /// Cancels every pending transfer whose tag matches `pred` at `now`
-    /// — queued, on the wire, or in the latency phase awaiting delivery —
-    /// and returns them. Unlike [`Self::kill_port`] no port goes down:
-    /// wires freed by a cancelled occupant immediately start surviving
-    /// work. The cluster driver purges a checkpointing job's traffic this
-    /// way before migrating it.
-    pub fn cancel_where(
+    /// Queued transfers go first, so a wire freed by a cancelled
+    /// occupant cannot restart a transfer that is itself cancelled.
+    fn cancel_where(
         &mut self,
         now: SimTime,
         pred: &mut dyn FnMut(u64) -> bool,
@@ -694,10 +635,8 @@ impl Network {
         dropped
     }
 
-    /// Brings `node` back up at `now` and restarts service on every
-    /// connection the outage was blocking. Capacity scales set before or
-    /// during the outage persist.
-    pub fn revive_port(&mut self, now: SimTime, node: NodeId) {
+    /// Restarts service on every connection the outage was blocking.
+    fn revive_port(&mut self, now: SimTime, node: NodeId) {
         self.fault_state().down[node.0] = false;
         for s in 0..self.nics.len() {
             self.try_start(now, NodeId(s));
@@ -705,82 +644,17 @@ impl Network {
         self.next_event.set(None);
     }
 
-    /// Number of transfers currently occupying wires.
-    pub fn in_flight(&self) -> usize {
-        self.nics.iter().filter(|n| n.up_current.is_some()).count()
+    fn in_flight(&self) -> usize {
+        self.tap.in_flight()
     }
 
-    /// Number of transfers queued (submitted but not yet on the wire),
-    /// across all senders.
-    pub fn queued(&self) -> usize {
+    fn queued(&self) -> usize {
         self.nics
             .iter()
             .flat_map(|n| n.up_queues.iter())
             .flatten()
             .filter(|id| !self.transfers[id.0 as usize].started)
             .count()
-    }
-
-    /// True when nothing is queued, in flight, or awaiting delivery.
-    pub fn is_idle(&self) -> bool {
-        self.in_flight() == 0 && self.queued() == 0 && self.deliveries.is_empty()
-    }
-}
-
-impl crate::port::NetPort for Network {
-    #[inline]
-    fn submit(
-        &mut self,
-        now: SimTime,
-        src: NodeId,
-        dst: NodeId,
-        bytes: u64,
-        tag: u64,
-    ) -> TransferId {
-        Network::submit(self, now, src, dst, bytes, tag)
-    }
-
-    #[inline]
-    fn next_event_time(&self) -> SimTime {
-        Network::next_event_time(self)
-    }
-
-    #[inline]
-    fn wants_advance(&self, now: SimTime) -> bool {
-        Network::next_event_time(self) <= now
-    }
-
-    #[inline]
-    fn advance_into(&mut self, now: SimTime, out: &mut Vec<NetEvent>) {
-        Network::advance_into(self, now, out)
-    }
-
-    fn set_port_scale(&mut self, now: SimTime, node: NodeId, up: bool, scale: f64) {
-        Network::set_port_scale(self, now, node, up, scale)
-    }
-
-    fn kill_port(&mut self, now: SimTime, node: NodeId) -> Vec<DroppedTransfer> {
-        Network::kill_port(self, now, node)
-    }
-
-    fn revive_port(&mut self, now: SimTime, node: NodeId) {
-        Network::revive_port(self, now, node)
-    }
-
-    fn cancel_where(
-        &mut self,
-        now: SimTime,
-        pred: &mut dyn FnMut(u64) -> bool,
-    ) -> Vec<DroppedTransfer> {
-        Network::cancel_where(self, now, pred)
-    }
-
-    fn in_flight(&self) -> usize {
-        Network::in_flight(self)
-    }
-
-    fn queued(&self) -> usize {
-        Network::queued(self)
     }
 
     fn drain_scope_windows(&mut self, out: &mut Vec<ScopeWindow>) {
@@ -944,7 +818,7 @@ mod tests {
         let mut n = net(2);
         n.submit(SimTime::ZERO, NodeId(0), NodeId(1), mb(2), 0);
         n.advance(SimTime::from_secs(1));
-        assert_eq!(n.bytes_delivered(), mb(2));
+        assert_eq!(n.tap().bytes_delivered(), mb(2));
     }
 
     #[test]
@@ -987,7 +861,7 @@ mod tests {
         let done = drain(&mut n);
         assert_eq!(done.len(), 12);
         assert!(n.is_idle());
-        assert_eq!(n.bytes_delivered(), mb(12));
+        assert_eq!(n.tap().bytes_delivered(), mb(12));
     }
 
     #[test]

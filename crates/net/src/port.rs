@@ -1,10 +1,14 @@
-//! The fabric interface the runtime's event loop is generic over.
+//! The fabric interface: every fabric operation, declared once.
 //!
-//! The driver loop talks to the network through [`NetPort`]. The trait
-//! exists for speed: the driver monomorphises its hot loop over the
-//! concrete fabric ([`Network`] or [`FluidNetwork`]), so per-event calls
-//! inline instead of dispatching through the [`Fabric`] enum on every
-//! submit and advance.
+//! [`NetPort`] is each fabric's only API for traffic, time and faults.
+//! The FIFO [`Network`] and the fluid [`FluidNetwork`] implement it
+//! directly (their state machines live in the impl blocks), and the
+//! runtime-selected [`Fabric`] implements it by dispatching to its
+//! variant. The driver loop is generic over the trait and monomorphises
+//! its hot loop over the concrete fabric, so per-event calls inline
+//! instead of matching on the [`Fabric`] enum on every submit and
+//! advance. Recorders and counters are not part of the trait: each
+//! fabric exposes its one [`Tap`](crate::tap::Tap).
 //!
 //! [`Network`]: crate::network::Network
 //! [`FluidNetwork`]: crate::fluid::FluidNetwork
@@ -22,7 +26,9 @@ use crate::scope::ScopeWindow;
 /// [`FluidNetwork`](crate::fluid::FluidNetwork) (max-min fair), and
 /// [`Fabric`](crate::fabric::Fabric) (runtime-selected).
 pub trait NetPort {
-    /// Submits a transfer at `now`.
+    /// Submits a transfer of `bytes` from `src` to `dst` at `now`; `tag`
+    /// comes back verbatim on its events. Loopback transfers are
+    /// rejected.
     fn submit(
         &mut self,
         now: SimTime,
@@ -35,19 +41,37 @@ pub trait NetPort {
     /// Earliest instant anything changes, `MAX`/never when idle.
     fn next_event_time(&self) -> SimTime;
 
-    /// True when `advance_into(now)` could change state or emit events.
-    fn wants_advance(&self, now: SimTime) -> bool;
+    /// True when `advance_into(now)` could change state or emit events;
+    /// the event loop skips the call otherwise. By default that is when
+    /// the next event is due.
+    #[inline]
+    fn wants_advance(&self, now: SimTime) -> bool {
+        self.next_event_time() <= now
+    }
 
-    /// Processes everything up to `now`, appending emitted events.
+    /// Processes everything up to `now`, appending the emitted releases
+    /// and deliveries in time order.
     fn advance_into(&mut self, now: SimTime, out: &mut Vec<NetEvent>);
 
-    /// Rescales one NIC direction's capacity (fault injection).
+    /// [`Self::advance_into`] into a fresh buffer.
+    fn advance(&mut self, now: SimTime) -> Vec<NetEvent> {
+        let mut out = Vec::new();
+        self.advance_into(now, &mut out);
+        out
+    }
+
+    /// Rescales one NIC direction's capacity to `scale` × nominal at
+    /// `now`; in-flight transfers keep their progress. Use
+    /// [`Self::kill_port`] for outages: a zero scale is rejected.
     fn set_port_scale(&mut self, now: SimTime, node: NodeId, up: bool, scale: f64);
 
-    /// Flaps `node` down, killing in-flight transfers on its ports.
+    /// Flaps `node` down at `now`, killing the transfers on its ports
+    /// and returning them so the caller can recover (reclaim credit,
+    /// retransmit). Transfers past wire release still deliver.
     fn kill_port(&mut self, now: SimTime, node: NodeId) -> Vec<DroppedTransfer>;
 
-    /// Brings `node` back up.
+    /// Brings `node` back up at `now` and resumes service through it.
+    /// Capacity scales set before or during the outage persist.
     fn revive_port(&mut self, now: SimTime, node: NodeId);
 
     /// Cancels every pending transfer whose tag matches `pred` — queued,

@@ -1,5 +1,6 @@
-//! The fabric's one recorder value: every observer of the wire, fed from
-//! one lifecycle stream.
+//! The fabric's one recorder value and its one ledger: every observer
+//! of the wire, and every counter a run reports about it, fed from one
+//! lifecycle stream.
 //!
 //! Each fabric owns exactly one [`Tap`] and calls it at a handful of
 //! lifecycle points:
@@ -11,24 +12,30 @@
 //! * **delivered** / **dropped** — its end-to-end fate;
 //! * **rate sample** — the fluid waterfill's new allocation.
 //!
-//! Every recorder is a fold over that stream: the wire lifecycle log (one
-//! [`WireXrayRecord`] per wire end; xray reads it and the span trace
+//! The ledger is folded unconditionally at those calls: delivered
+//! transfers and bytes, delivered bytes per NIC direction (the cluster's
+//! link utilisation and NIC-share denominators), the on-wire count and
+//! its peak, and each FIFO port's busy time (the peak port
+//! utilisation). No fabric or driver keeps a second copy of any of them.
+//!
+//! Every recorder is a fold over the same stream: the wire lifecycle log
+//! (one [`WireXrayRecord`] per wire end; xray reads it and the span trace
 //! projects fields 0, 1, 2, 4 and 5 of it), the per-port metric series,
-//! the scope bus's utilisation windows and the contention recorder. The
-//! delivery counters are folded unconditionally. Each recorder is an
-//! `Option` that is `None` until enabled, so with every recorder off a
-//! lifecycle call costs one branch per recorder it could feed — the
-//! branches the fabrics carried inline before. Nothing flows back from
-//! the tap into the fabric, so recording cannot change a simulation
-//! event; `tests/telemetry_properties.rs` proves it once, for the tap,
-//! fault hooks included.
+//! the scope bus's utilisation windows and the contention recorder. Each
+//! recorder is an `Option` that is `None` until enabled, so with every
+//! recorder off a lifecycle call costs one branch per recorder it could
+//! feed. Nothing flows back from the tap into the fabric, so recording
+//! cannot change a simulation event; `tests/telemetry_properties.rs`
+//! proves it once, for the tap, fault hooks included.
 //!
 //! The two fabrics differ in how utilisation is observed, not in what is
 //! recorded. The FIFO fabric's ports are busy or idle, so its wire start
-//! and wire end are the utilisation edges and its queue is the transfers
-//! between submit and wire start. The fluid fabric shares ports at
-//! max-min rates, so its utilisation and active-flow count are sampled
-//! after every waterfill, and nothing ever queues.
+//! and wire end are the utilisation edges, its queue is the transfers
+//! between submit and wire start, and a port's busy time is the sum of
+//! its occupancies. The fluid fabric shares ports at max-min rates, so
+//! its utilisation and active-flow count are sampled after every
+//! waterfill, nothing ever queues, a flow is on the wire from submit to
+//! drain, and no port is ever "busy" (its peak port utilisation reads 0).
 
 use bs_sim::SimTime;
 use bs_telemetry::{MetricSet, TimeSeries};
@@ -61,6 +68,13 @@ pub struct Tap {
     edges: bool,
     bytes_delivered: u64,
     transfers_delivered: u64,
+    /// Delivered payload bytes per port (up `0..n`, down `n..2n`).
+    port_bytes: Vec<u64>,
+    /// Wire-busy time per port, FIFO only (ended occupancies).
+    port_busy: Vec<SimTime>,
+    /// Transfers on the wire now, and the most there have been.
+    on_wire: usize,
+    peak_on_wire: usize,
     /// Wire lifecycle log, in wire-end order.
     wire: Option<Vec<WireXrayRecord>>,
     telem: Option<Box<NetTelemetry>>,
@@ -87,6 +101,10 @@ impl Tap {
             edges,
             bytes_delivered: 0,
             transfers_delivered: 0,
+            port_bytes: vec![0; 2 * nodes],
+            port_busy: vec![SimTime::ZERO; 2 * nodes],
+            on_wire: 0,
+            peak_on_wire: 0,
             wire: None,
             telem: None,
             scope: None,
@@ -197,13 +215,55 @@ impl Tap {
         self.transfers_delivered
     }
 
+    /// Payload bytes delivered out of and into `node` since
+    /// construction: `(up, down)`.
+    pub fn node_bytes(&self, node: usize) -> (u64, u64) {
+        (self.port_bytes[node], self.port_bytes[self.nodes + node])
+    }
+
+    /// Transfers on the wire now.
+    pub fn in_flight(&self) -> usize {
+        self.on_wire
+    }
+
+    /// Highest number of transfers simultaneously on the wire so far.
+    pub fn peak_in_flight(&self) -> usize {
+        self.peak_on_wire
+    }
+
+    /// Accumulated wire-busy time per port (up `0..n`, down `n..2n`),
+    /// aborted occupancies included; all zero on the fluid fabric.
+    pub fn port_busy(&self) -> &[SimTime] {
+        &self.port_busy
+    }
+
+    /// The busiest single port's busy fraction of `makespan`: the
+    /// bottleneck resource of a run (0 on the fluid fabric).
+    pub fn peak_port_utilisation(&self, makespan: SimTime) -> f64 {
+        if makespan.as_nanos() == 0 {
+            return 0.0;
+        }
+        let m = makespan.as_secs_f64();
+        self.port_busy
+            .iter()
+            .map(|b| b.as_secs_f64() / m)
+            .fold(0.0, f64::max)
+    }
+
+    /// One more transfer on the wire.
+    #[inline]
+    fn wire_on(&mut self) {
+        self.on_wire += 1;
+        self.peak_on_wire = self.peak_on_wire.max(self.on_wire);
+    }
+
     /// A transfer entered the fabric at `now`.
     #[inline]
     pub(crate) fn submit(&mut self, now: SimTime, src: usize, dst: usize, tag: u64) {
-        if let Some(t) = self.telem.as_mut() {
-            if self.edges {
-                t.queued.step(now, 1.0);
-            }
+        if !self.edges {
+            self.wire_on();
+        } else if let Some(t) = self.telem.as_mut() {
+            t.queued.step(now, 1.0);
         }
         if let Some(c) = self.contention.as_mut() {
             c.on_submit(now, src, dst, tag);
@@ -214,6 +274,7 @@ impl Tap {
     /// downlink at `now` (FIFO fabric).
     #[inline]
     pub(crate) fn wire_start(&mut self, now: SimTime, src: usize, dst: usize) {
+        self.wire_on();
         if let Some(t) = self.telem.as_mut() {
             t.queued.step(now, -1.0);
             t.active.step(now, 1.0);
@@ -234,7 +295,11 @@ impl Tap {
         if let Some(log) = &mut self.wire {
             log.push(rec);
         }
+        self.on_wire -= 1;
         if self.edges {
+            let occ = end.saturating_sub(start);
+            self.port_busy[src] += occ;
+            self.port_busy[self.nodes + dst] += occ;
             if let Some(t) = self.telem.as_mut() {
                 t.active.step(end, -1.0);
                 t.port_util[src].record(end, 0.0);
@@ -255,6 +320,8 @@ impl Tap {
     pub(crate) fn delivered(&mut self, now: SimTime, src: usize, dst: usize, tag: u64, bytes: u64) {
         self.bytes_delivered += bytes;
         self.transfers_delivered += 1;
+        self.port_bytes[src] += bytes;
+        self.port_bytes[self.nodes + dst] += bytes;
         if let Some(c) = self.contention.as_mut() {
             c.on_delivered(now, src, dst, tag);
         }

@@ -62,11 +62,20 @@ pub struct WireTags {
 impl WireTags {
     /// Submits every transfer `tenant` (tenant number `j`) buffered
     /// since the last call, in emission order.
-    fn apply<P: NetPort>(&mut self, tenant: &mut Tenant, j: usize, now: SimTime, fabric: &mut P) {
+    pub fn apply<P: NetPort>(
+        &mut self,
+        tenant: &mut Tenant,
+        j: usize,
+        now: SimTime,
+        fabric: &mut P,
+    ) {
         let submits = match tenant {
             Tenant::Train { state, .. } => &mut state.submits,
             Tenant::Burst { submits, .. } => submits,
         };
+        if submits.is_empty() {
+            return;
+        }
         for s in submits.drain(..) {
             let slot = match self.free.as_mut().and_then(Vec::pop) {
                 Some(slot) => slot,

@@ -526,12 +526,6 @@ impl ScopeBus {
         self.window
     }
 
-    /// Overrides the tumbling-window width (before the run starts).
-    pub fn set_window(&mut self, window: SimTime) {
-        assert!(window > SimTime::ZERO, "window width must be positive");
-        self.window = window;
-    }
-
     /// Publishes one event: applies the epoch offset, feeds the rollups,
     /// fans out to subscribers (dispatching any derived events in
     /// order), and records everything in the ring.

@@ -36,11 +36,6 @@ impl BayesOpt {
         }
     }
 
-    /// Number of observations so far.
-    pub fn num_observations(&self) -> usize {
-        self.ys.len()
-    }
-
     /// Fits the current surrogate (needs ≥ 2 observations). Exposed so
     /// the Figure 9 harness can plot the posterior mean and 95 % CI.
     pub fn surrogate(&self) -> Option<Gp> {

@@ -1,6 +1,6 @@
 //! Property tests for the max-min fair fluid fabric.
 
-use bytescheduler::net::{FluidNetwork, NetConfig, NetEvent, NodeId, Transport};
+use bytescheduler::net::{FluidNetwork, NetConfig, NetEvent, NetPort, NodeId, Transport};
 use bytescheduler::sim::SimTime;
 use proptest::prelude::*;
 
@@ -54,7 +54,7 @@ proptest! {
         }
         done.extend(drain(&mut n));
         prop_assert_eq!(done.len(), submitted);
-        prop_assert_eq!(n.bytes_delivered(), total);
+        prop_assert_eq!(n.tap().bytes_delivered(), total);
         // No flow can beat its solo wire time.
         for &(tag, at) in &done {
             let (_, _, bytes, start_us) = flows[tag as usize];

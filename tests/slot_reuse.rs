@@ -6,7 +6,7 @@
 //! PR-1 refactor every submission appended a fresh slot, which made
 //! `reallocate()`'s per-call scratch scale with simulation length.
 
-use bytescheduler::net::{FluidNetwork, NetConfig, NodeId, Transport};
+use bytescheduler::net::{FluidNetwork, NetConfig, NetPort, NodeId, Transport};
 use bytescheduler::sim::SimTime;
 
 fn net(nodes: usize) -> FluidNetwork {
@@ -34,8 +34,8 @@ fn sequential_transfers_reuse_one_slot() {
         n.submit(now, NodeId(0), NodeId(1), 1_000_000, i);
         now = drain(&mut n);
     }
-    assert_eq!(n.transfers_delivered(), 12_000);
-    assert_eq!(n.peak_in_flight(), 1);
+    assert_eq!(n.tap().transfers_delivered(), 12_000);
+    assert_eq!(n.tap().peak_in_flight(), 1);
     assert_eq!(
         n.flow_slots(),
         1,
@@ -55,13 +55,13 @@ fn flow_table_is_bounded_by_peak_concurrency() {
         }
         now = drain(&mut n);
     }
-    assert_eq!(n.transfers_delivered(), 3_200);
-    assert_eq!(n.peak_in_flight(), 16);
+    assert_eq!(n.tap().transfers_delivered(), 3_200);
+    assert_eq!(n.tap().peak_in_flight(), 16);
     assert!(
-        n.flow_slots() <= n.peak_in_flight(),
+        n.flow_slots() <= n.tap().peak_in_flight(),
         "flow table ({} slots) must not exceed peak concurrency ({})",
         n.flow_slots(),
-        n.peak_in_flight()
+        n.tap().peak_in_flight()
     );
 }
 
@@ -84,15 +84,15 @@ fn staggered_churn_stays_bounded() {
         }
     }
     drain(&mut n);
-    assert_eq!(n.transfers_delivered(), 10_000);
+    assert_eq!(n.tap().transfers_delivered(), 10_000);
     assert!(
-        n.flow_slots() <= n.peak_in_flight(),
+        n.flow_slots() <= n.tap().peak_in_flight(),
         "flow table ({} slots) grew past peak concurrency ({})",
         n.flow_slots(),
-        n.peak_in_flight()
+        n.tap().peak_in_flight()
     );
     assert!(
-        n.peak_in_flight() <= 10,
+        n.tap().peak_in_flight() <= 10,
         "windowed workload should stay near the window size, not the 10k total"
     );
 }

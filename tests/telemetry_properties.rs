@@ -9,7 +9,7 @@
 //! accumulation for the fluid fabric's allocated-rate fraction.
 
 use bytescheduler::net::{
-    DroppedTransfer, Fabric, FabricModel, NetConfig, NetEvent, NodeId, Transport,
+    DroppedTransfer, Fabric, FabricModel, NetConfig, NetEvent, NetPort, NodeId, Transport,
 };
 use bytescheduler::sim::SimTime;
 use bytescheduler::telemetry::MetricSet;
@@ -224,10 +224,8 @@ fn run_faulted(model: FabricModel, ops: &[(u64, Op)], record: bool) -> Observed 
         fabric.revive_port(last, NodeId(n));
     }
     advance_to(&mut fabric, SimTime::MAX, &mut end);
-    let up_busy = match &fabric {
-        Fabric::Fifo(n) => Some(n.uplink_busy().to_vec()),
-        Fabric::Fluid(_) => None,
-    };
+    let up_busy =
+        matches!(fabric, Fabric::Fifo(_)).then(|| fabric.tap().port_busy()[..NODES].to_vec());
     let metrics = record.then(|| close_recorders(&mut fabric, end));
     Observed {
         events,
