@@ -56,12 +56,6 @@ impl Scheduler for FifoScheduler {
 
     fn complete(&mut self, _now: SimTime, _lane: usize, _bytes: u64) {}
 
-    fn poll(&mut self, now: SimTime) -> Vec<WorkItem> {
-        let mut out = Vec::new();
-        self.poll_into(now, &mut out);
-        out
-    }
-
     fn poll_into(&mut self, _now: SimTime, out: &mut Vec<WorkItem>) {
         // Everything ready goes straight to the (FIFO) network stack.
         for q in &mut self.queues {
@@ -143,12 +137,6 @@ impl Scheduler for P3Scheduler {
     fn complete(&mut self, _now: SimTime, lane: usize, _bytes: u64) {
         debug_assert!(self.lanes[lane].in_flight, "completion on idle P3 lane");
         self.lanes[lane].in_flight = false;
-    }
-
-    fn poll(&mut self, now: SimTime) -> Vec<WorkItem> {
-        let mut out = Vec::new();
-        self.poll_into(now, &mut out);
-        out
     }
 
     fn poll_into(&mut self, _now: SimTime, out: &mut Vec<WorkItem>) {

@@ -245,12 +245,6 @@ impl Scheduler for ByteScheduler {
         }
     }
 
-    fn poll(&mut self, now: SimTime) -> Vec<WorkItem> {
-        let mut out = Vec::new();
-        self.poll_into(now, &mut out);
-        out
-    }
-
     fn poll_into(&mut self, now: SimTime, out: &mut Vec<WorkItem>) {
         for lane_idx in 0..self.lanes.len() {
             let lane = &mut self.lanes[lane_idx];

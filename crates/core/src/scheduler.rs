@@ -79,16 +79,17 @@ pub trait Scheduler: Send {
         let _ = now;
     }
 
-    /// Items to hand to the network *now*, in order (the paper's
-    /// `start()` calls made by the SCHEDULE loop).
-    fn poll(&mut self, now: SimTime) -> Vec<WorkItem>;
+    /// Appends the items to hand to the network *now*, in order (the
+    /// paper's `start()` calls made by the SCHEDULE loop), to `out`. The
+    /// runtime's event loop reuses one buffer across the millions of
+    /// polls a long run performs.
+    fn poll_into(&mut self, now: SimTime, out: &mut Vec<WorkItem>);
 
-    /// Like [`Scheduler::poll`] but appends into a caller-provided buffer,
-    /// so the runtime's event loop can reuse one allocation across the
-    /// millions of polls a long run performs. The default delegates to
-    /// `poll`; hot implementations override both to share one code path.
-    fn poll_into(&mut self, now: SimTime, out: &mut Vec<WorkItem>) {
-        out.extend(self.poll(now));
+    /// [`Self::poll_into`] into a fresh vector.
+    fn poll(&mut self, now: SimTime) -> Vec<WorkItem> {
+        let mut out = Vec::new();
+        self.poll_into(now, &mut out);
+        out
     }
 
     /// Number of lanes this scheduler manages.

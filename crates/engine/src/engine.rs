@@ -789,13 +789,16 @@ mod tests {
 
     #[test]
     fn straggler_scale_slows_only_its_iteration_range() {
-        let dag = IterDag::build(3, EngineConfig::mxnet_ps());
-        let events = {
+        // Completion instants of iterations 0..3 under the given
+        // `(from_iter, to_iter, factor)` stragglers.
+        let done_at = |scales: &[(u64, u64, f64)]| -> Vec<(u64, SimTime)> {
+            let dag = IterDag::build(3, EngineConfig::mxnet_ps());
             let model = model3();
             let mut eng = WorkerEngine::new(dag, &model, 3, None);
-            // Iteration 1 runs 2× slower; 0 and 2 are untouched.
-            eng.add_compute_scale(1, 2, 2.0);
-            let mut events = Vec::new();
+            for &(from, to, factor) in scales {
+                eng.add_compute_scale(from, to, factor);
+            }
+            let mut done = Vec::new();
             loop {
                 let t = eng.next_event_time();
                 if t.is_never() {
@@ -803,31 +806,35 @@ mod tests {
                 }
                 let mut queue = eng.advance(t);
                 while let Some(ev) = queue.pop() {
-                    if let EngineEvent::ExternalReady { iter, role, at } = ev {
-                        if !matches!(
-                            role,
-                            ExternalRole::ProxyReady(_) | ExternalRole::ProxyFinish(_)
-                        ) {
+                    match ev {
+                        EngineEvent::ExternalReady { iter, role, at }
+                            if !matches!(
+                                role,
+                                ExternalRole::ProxyReady(_) | ExternalRole::ProxyFinish(_)
+                            ) =>
+                        {
                             queue.extend(eng.complete_external(at, iter, role));
-                            continue;
                         }
+                        EngineEvent::ComputeIterDone { iter, at } => done.push((iter, at)),
+                        _ => {}
                     }
-                    events.push(ev);
                 }
             }
-            events
+            done
         };
-        let done: Vec<(u64, SimTime)> = events
-            .iter()
-            .filter_map(|e| match e {
-                EngineEvent::ComputeIterDone { iter, at } => Some((*iter, *at)),
-                _ => None,
-            })
-            .collect();
-        // fp+bp = 9 ms per clean iteration; iteration 1 takes 18 ms.
-        assert_eq!(done[0], (0, SimTime::from_millis(9)));
-        assert_eq!(done[1], (1, SimTime::from_millis(27)));
-        assert_eq!(done[2], (2, SimTime::from_millis(36)));
+        let ms = SimTime::from_millis;
+        // fp+bp = 9 ms per clean iteration. Iteration 1 runs 2× slower
+        // (18 ms); 0 and 2 are untouched.
+        assert_eq!(
+            done_at(&[(1, 2, 2.0)]),
+            [(0, ms(9)), (1, ms(27)), (2, ms(36))]
+        );
+        // Overlapping ranges multiply: iteration 1 runs 2 × 1.5 = 3×
+        // slower (27 ms) and iteration 2 only 1.5× (13.5 ms).
+        assert_eq!(
+            done_at(&[(1, 2, 2.0), (1, 3, 1.5)]),
+            [(0, ms(9)), (1, ms(36)), (2, SimTime::from_micros(49_500))]
+        );
     }
 
     #[test]

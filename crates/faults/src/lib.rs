@@ -520,15 +520,14 @@ impl LinkChange {
     }
 }
 
-/// A job's own view of its [`FaultPlan`]: the seeded loss stream, the
-/// straggler table and the recovery policy. Link events and flaps are
-/// not read here — the driver applies them from a
-/// [`ClusterFaultInjector`].
+/// A job's own view of its [`FaultPlan`]: the seeded loss stream and the
+/// recovery policy. Link events and flaps are not read here — the driver
+/// applies them from a [`ClusterFaultInjector`] — nor are stragglers,
+/// which the job hands to each worker's engine at setup.
 #[derive(Clone, Debug)]
 pub struct FaultInjector {
     loss_rate: f64,
     rng: SimRng,
-    stragglers: Vec<StragglerSpec>,
     policy: RecoveryPolicy,
 }
 
@@ -543,7 +542,6 @@ impl FaultInjector {
         FaultInjector {
             loss_rate: plan.loss_rate,
             rng: SimRng::new(seed ^ LOSS_SEED_XOR),
-            stragglers: plan.stragglers.clone(),
             policy: plan.recovery,
         }
     }
@@ -566,23 +564,6 @@ impl FaultInjector {
     pub fn should_drop(&mut self) -> bool {
         debug_assert!(self.loss_rate > 0.0, "loss draw on a lossless plan");
         self.rng.next_f64() < self.loss_rate
-    }
-
-    /// Compute-time multiplier for `worker` at `iter`: the product of all
-    /// matching straggler factors (1.0 when none match).
-    pub fn compute_scale(&self, worker: usize, iter: u64) -> f64 {
-        let mut scale = 1.0;
-        for s in &self.stragglers {
-            if s.worker == worker && iter >= s.from_iter && iter < s.to_iter {
-                scale *= s.factor;
-            }
-        }
-        scale
-    }
-
-    /// True when the plan slows any iteration of `worker`.
-    pub fn has_straggler(&self, worker: usize) -> bool {
-        self.stragglers.iter().any(|s| s.worker == worker)
     }
 }
 
@@ -1035,18 +1016,6 @@ mod tests {
     }
 
     #[test]
-    fn straggler_scale_applies_only_in_range() {
-        let inj = FaultInjector::new(&sample_plan(), 1);
-        assert_eq!(inj.compute_scale(0, 2), 1.0);
-        assert_eq!(inj.compute_scale(0, 3), 2.5);
-        assert_eq!(inj.compute_scale(0, 4), 2.5);
-        assert_eq!(inj.compute_scale(0, 5), 1.0);
-        assert_eq!(inj.compute_scale(1, 3), 1.0, "other workers unaffected");
-        assert!(inj.has_straggler(0));
-        assert!(!inj.has_straggler(1));
-    }
-
-    #[test]
     fn backoff_doubles_and_saturates() {
         let p = RecoveryPolicy {
             timeout_us: 100,
@@ -1066,7 +1035,6 @@ mod tests {
         let inj = FaultInjector::new(&plan, 9);
         assert!(!inj.has_loss());
         assert!(hoisted(&plan).is_empty());
-        assert_eq!(inj.compute_scale(0, 0), 1.0);
     }
 
     #[test]

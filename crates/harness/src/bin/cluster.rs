@@ -40,9 +40,13 @@
 //! (default 21, the committed-artefact value), so any mix reported here
 //! is reproducible from the CLI alone. The seed is printed in the result
 //! header.
+//!
+//! Any other argument, or a `--seed` that is not a number, exits 2 with
+//! a message before any study runs.
 
 use bs_cluster::{run_cluster, ClusterConfig, JobSpec, PlacementPolicy};
 use bs_faults::{FaultPlan, PlanTarget};
+use bs_harness::cli::{Arity, Flags};
 use bs_harness::experiments::cluster;
 use bs_harness::{metrics_report, report, xray_report, Fidelity, Setup};
 use bs_runtime::SchedulerKind;
@@ -53,23 +57,24 @@ fn fail(msg: &str) -> ! {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag_file = |flag: &str| {
-        let at = args.iter().position(|a| a == flag);
-        let file = at
-            .and_then(|i| args.get(i + 1))
-            .filter(|v| !v.starts_with("--"));
-        (at.is_some(), file)
-    };
-    let (metrics_on, metrics_file) = flag_file("--metrics");
-    let (xray_on, xray_file) = flag_file("--xray");
-    let (contention_on, contention_file) = flag_file("--contention");
-    let (watch_on, watch_file) = flag_file("--watch");
-    let (faults_on, faults_file) = flag_file("--faults");
-    let seed: u64 = flag_file("--seed")
-        .1
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(cluster::DEFAULT_SEED);
+    let args = Flags::from_env(
+        &[
+            ("metrics", Arity::Optional),
+            ("xray", Arity::Optional),
+            ("contention", Arity::Optional),
+            ("watch", Arity::Optional),
+            ("faults", Arity::Optional),
+            ("seed", Arity::Value),
+        ],
+        fail,
+    );
+    let flag_file = |flag: &str| (args.has(flag), args.value(flag));
+    let (metrics_on, metrics_file) = flag_file("metrics");
+    let (xray_on, xray_file) = flag_file("xray");
+    let (contention_on, contention_file) = flag_file("contention");
+    let (watch_on, watch_file) = flag_file("watch");
+    let (faults_on, faults_file) = flag_file("faults");
+    let seed: u64 = args.num("seed", cluster::DEFAULT_SEED);
 
     let fid = Fidelity::from_env();
     // A plan that cannot run fails before any study does.

@@ -52,11 +52,15 @@
 //!
 //! The binary also re-replays the trace and asserts the two reports
 //! serialize to identical bytes — the determinism contract CI leans on.
+//!
+//! Any other argument, or a `--serve` that is not a number, exits 2
+//! with a message before any study runs.
 
 use std::io::{BufRead, Read};
 
 use bs_cluster::PlacementPolicy;
 use bs_faults::{FaultPlan, PlanTarget};
+use bs_harness::cli::{Arity, Flags};
 use bs_harness::experiments::replay;
 use bs_harness::{metrics_report, report, Fidelity};
 use bs_replay::TraceJob;
@@ -279,26 +283,27 @@ fn fail(msg: &str) -> ! {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag_value = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .filter(|v| !v.starts_with("--"))
-            .cloned()
-    };
-    let trace_path = flag_value("--trace").unwrap_or_else(|| replay::DEFAULT_TRACE.to_string());
-    let n_queries: usize = flag_value("--serve")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(16);
-
-    let watch = args.iter().any(|a| a == "--watch");
-    let events_file = flag_value("--events");
+    let args = Flags::from_env(
+        &[
+            ("trace", Arity::Value),
+            ("serve", Arity::Value),
+            ("serve-stdin", Arity::Switch),
+            ("metrics", Arity::Switch),
+            ("watch", Arity::Switch),
+            ("events", Arity::Value),
+            ("faults", Arity::Value),
+        ],
+        fail,
+    );
+    let trace_arg = args.value("trace");
+    let n_queries: usize = args.num("serve", 16);
+    let watch = args.has("watch");
+    let events_file = args.value("events");
 
     let fid = Fidelity::from_env();
     let mut opts = replay::base_options(fid);
-    if let Some(path) = flag_value("--faults") {
-        let plan = FaultPlan::from_file(&path).unwrap_or_else(|e| fail(&e));
+    if let Some(path) = args.value("faults") {
+        let plan = FaultPlan::from_file(path).unwrap_or_else(|e| fail(&e));
         let target = PlanTarget::Cluster {
             machines: opts.machines,
         };
@@ -313,18 +318,20 @@ fn main() {
         opts.faults = Some(plan);
     }
 
-    let jobs = replay::load_trace_file(&trace_path).unwrap_or_else(|e| fail(&e));
-    if args.iter().any(|a| a == "--serve-stdin") {
-        serve_stdin(jobs, opts, watch, events_file.as_deref());
+    let jobs = replay::load_trace_file(trace_arg.unwrap_or(replay::DEFAULT_TRACE))
+        .unwrap_or_else(|e| fail(&e));
+    let trace = trace_arg.unwrap_or(replay::DEFAULT_TRACE_NAME);
+    if args.has("serve-stdin") {
+        serve_stdin(jobs, opts, watch, events_file);
         return;
     }
 
     println!(
-        "replaying {trace_path} (wave {}, arrival scale {}, iters cap {}, seed {})",
+        "replaying {trace} (wave {}, arrival scale {}, iters cap {}, seed {})",
         opts.wave, opts.arrival_scale, opts.iters_cap, opts.seed
     );
 
-    let (s, timing) = replay::run_experiment(&jobs, &trace_path, &opts, n_queries);
+    let (s, timing) = replay::run_experiment(&jobs, trace, &opts, n_queries);
     print!("{}", replay::render(&s, &timing));
     report::write_json("replay", &s);
 
@@ -338,7 +345,7 @@ fn main() {
         a.len()
     );
 
-    if args.iter().any(|a| a == "--metrics") {
+    if args.has("metrics") {
         let (recorded, waves) = replay_trace_recorded(&jobs, &opts, true, true);
         assert_eq!(
             serde_json::to_string(&recorded).expect("report serializes"),
@@ -373,7 +380,7 @@ fn main() {
             bus.events_seen(),
             observed.waves
         );
-        if let (Some(path), Some(handle)) = (events_file.as_deref(), &flight) {
+        if let (Some(path), Some(handle)) = (events_file, &flight) {
             write_events(path, handle);
         }
     }

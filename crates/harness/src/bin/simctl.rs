@@ -44,9 +44,11 @@
 //!                   (results/events.schema.json)
 //! ```
 //!
-//! `--scheduler tuned` auto-tunes (δ, c) with BO before the measured run.
+//! `--scheduler tuned` auto-tunes (δ, c) with BO before the measured run
+//! (`--trials N` samples). Any other argument exits 2 with a message.
 
 use bs_faults::{FaultPlan, PlanTarget};
+use bs_harness::cli::{Arity, Flags};
 use bs_harness::{tune, Fidelity, Setup};
 use bs_models::DnnModel;
 use bs_net::FabricModel;
@@ -60,45 +62,32 @@ fn fail(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-struct Args(std::collections::HashMap<String, String>);
-
-impl Args {
-    fn parse() -> Args {
-        let mut map = std::collections::HashMap::new();
-        let mut it = std::env::args().skip(1);
-        while let Some(flag) = it.next() {
-            let Some(name) = flag.strip_prefix("--") else {
-                fail(&format!("expected --flag, got {flag:?}"));
-            };
-            if name == "watch" {
-                map.insert(name.to_string(), "1".into());
-                continue;
-            }
-            let Some(value) = it.next() else {
-                fail(&format!("--{name} needs a value"));
-            };
-            map.insert(name.to_string(), value);
-        }
-        Args(map)
-    }
-
-    fn get(&self, name: &str, default: &str) -> String {
-        self.0.get(name).cloned().unwrap_or_else(|| default.into())
-    }
-
-    fn num<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        match self.0.get(name) {
-            None => default,
-            Some(v) => v
-                .parse()
-                .unwrap_or_else(|_| fail(&format!("--{name}: cannot parse {v:?}"))),
-        }
-    }
-}
+/// Every flag simctl reads; see the module docs.
+const FLAGS: &[(&str, Arity)] = &[
+    ("model", Arity::Value),
+    ("setup", Arity::Value),
+    ("gpus", Arity::Value),
+    ("gbps", Arity::Value),
+    ("scheduler", Arity::Value),
+    ("partition-mb", Arity::Value),
+    ("credit-mb", Arity::Value),
+    ("trials", Arity::Value),
+    ("fabric", Arity::Value),
+    ("iters", Arity::Value),
+    ("warmup", Arity::Value),
+    ("seed", Arity::Value),
+    ("jitter", Arity::Value),
+    ("faults", Arity::Value),
+    ("trace", Arity::Value),
+    ("metrics", Arity::Value),
+    ("xray", Arity::Value),
+    ("watch", Arity::Switch),
+    ("events", Arity::Value),
+];
 
 fn main() {
-    let args = Args::parse();
-    let model: DnnModel = match args.get("model", "vgg16").as_str() {
+    let args = Flags::from_env(FLAGS, fail);
+    let model: DnnModel = match args.value("model").unwrap_or("vgg16") {
         "vgg16" => bs_models::zoo::vgg16(),
         "vgg19" => bs_models::zoo::vgg19(),
         "alexnet" => bs_models::zoo::alexnet(),
@@ -108,7 +97,7 @@ fn main() {
         "bert_base" => bs_models::zoo::bert_base(),
         other => fail(&format!("unknown model {other:?}")),
     };
-    let setup = match args.get("setup", "mxnet-ps-rdma").as_str() {
+    let setup = match args.value("setup").unwrap_or("mxnet-ps-rdma") {
         "mxnet-ps-tcp" => Setup::MxnetPsTcp,
         "mxnet-ps-rdma" => Setup::MxnetPsRdma,
         "tf-ps-tcp" => Setup::TfPsTcp,
@@ -139,7 +128,7 @@ fn main() {
     }
     cfg.seed = args.num("seed", 1);
     cfg.jitter = args.num("jitter", 0.01);
-    cfg.fabric = match args.get("fabric", "fifo").as_str() {
+    cfg.fabric = match args.value("fabric").unwrap_or("fifo") {
         "fifo" => FabricModel::SerialFifo,
         "fluid" => FabricModel::FairShare,
         other => fail(&format!("unknown fabric {other:?}")),
@@ -147,7 +136,7 @@ fn main() {
 
     // The plan is checked against the run before any simulation (the
     // tuner's included); it applies to the measured run only.
-    let faults = args.0.get("faults").map(|path| {
+    let faults = args.value("faults").map(|path| {
         let plan = FaultPlan::from_file(path).unwrap_or_else(|e| fail(&e));
         let target = PlanTarget::Job {
             workers: cfg.num_workers,
@@ -159,8 +148,7 @@ fn main() {
     });
 
     let mb = |f: f64| (f * 1e6) as u64;
-    let sched_name = args.get("scheduler", "tuned");
-    cfg.scheduler = match sched_name.as_str() {
+    cfg.scheduler = match args.value("scheduler").unwrap_or("tuned") {
         "baseline" => SchedulerKind::Baseline,
         "p3" => SchedulerKind::P3,
         "bytescheduler" => SchedulerKind::ByteScheduler {
@@ -190,14 +178,14 @@ fn main() {
 
     cfg.faults = faults;
 
-    let trace_path = args.0.get("trace").cloned();
+    let trace_path = args.value("trace");
     cfg.record_trace = trace_path.is_some();
-    let metrics_path = args.0.get("metrics").cloned();
+    let metrics_path = args.value("metrics");
     cfg.record_metrics = metrics_path.is_some();
-    let xray_path = args.0.get("xray").cloned();
+    let xray_path = args.value("xray");
     cfg.record_xray = xray_path.is_some();
-    let watch = args.0.contains_key("watch");
-    let events_path = args.0.get("events").cloned();
+    let watch = args.has("watch");
+    let events_path = args.value("events");
 
     let linear = cfg.linear_scaling_speed();
     let r = if watch || events_path.is_some() {
@@ -259,7 +247,7 @@ fn main() {
         println!("outcome     {line:>12}");
     }
     if let (Some(path), Some(trace)) = (trace_path, &r.trace) {
-        match std::fs::write(&path, trace.to_chrome_json()) {
+        match std::fs::write(path, trace.to_chrome_json()) {
             Ok(()) => println!(
                 "trace       {:>12} spans -> {path} (open in chrome://tracing)",
                 trace.len()
@@ -271,7 +259,7 @@ fn main() {
         println!();
         print!("{}", bs_harness::metrics_report::render_run_metrics(ms));
         if path != "-" {
-            bs_harness::metrics_report::write_metrics_json(&path, ms);
+            bs_harness::metrics_report::write_metrics_json(path, ms);
             println!("metrics     {:>12} entries -> {path}", ms.entries().len());
         }
     }
@@ -279,7 +267,7 @@ fn main() {
         println!();
         print!("{}", bs_harness::xray_report::render_xray(x));
         if path != "-" {
-            bs_harness::xray_report::write_critical_path_json(&path, x);
+            bs_harness::xray_report::write_critical_path_json(path, x);
             println!(
                 "xray        {:>12} events -> {path}",
                 x.counts.parts + x.counts.compute_spans

@@ -26,12 +26,20 @@ use serde::Serialize;
 use crate::fidelity::Fidelity;
 use crate::report::Table;
 
-/// The committed trace fixture the binary defaults to
-/// (manifest-anchored so it resolves from any working directory).
-pub const DEFAULT_TRACE: &str = concat!(
-    env!("CARGO_MANIFEST_DIR"),
-    "/../../tests/fixtures/traces/philly_day.json"
-);
+macro_rules! default_trace {
+    () => {
+        "tests/fixtures/traces/philly_day.json"
+    };
+}
+
+/// The committed trace fixture the binary defaults to, as reports name
+/// it: relative to the repository root, so a report reads the same on
+/// every checkout.
+pub const DEFAULT_TRACE_NAME: &str = default_trace!();
+
+/// Where [`DEFAULT_TRACE_NAME`] loads from (manifest-anchored so it
+/// resolves from any working directory).
+pub const DEFAULT_TRACE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../", default_trace!());
 
 /// One scheduler's replay outcome.
 #[derive(Clone, Debug, Serialize)]
@@ -203,19 +211,19 @@ pub fn serve_study(
     (study, timing)
 }
 
-/// Runs both halves over the jobs of the trace file at `trace_path`
-/// under `opts` (for the binary: [`base_options`] plus any fault plan
-/// it was given).
+/// Runs both halves over the jobs of the trace named `trace` under
+/// `opts` (for the binary: [`base_options`] plus any fault plan it was
+/// given).
 pub fn run_experiment(
     jobs: &[TraceJob],
-    trace_path: &str,
+    trace: &str,
     opts: &ReplayOptions,
     n_queries: usize,
 ) -> (ReplayStudy, ServeTiming) {
     let rows = jct_study(jobs, opts);
     let (serve, timing) = serve_study(jobs, opts, n_queries, 4);
     let study = ReplayStudy {
-        trace: trace_path.to_string(),
+        trace: trace.to_string(),
         jobs: rows[0].jobs,
         rows,
         serve,
@@ -290,7 +298,12 @@ mod tests {
     #[test]
     fn study_runs_and_service_reuses_results() {
         let jobs = load_trace_file(DEFAULT_TRACE).expect("committed trace loads");
-        let (s, _) = run_experiment(&jobs, DEFAULT_TRACE, &base_options(Fidelity::quick()), 16);
+        let (s, _) = run_experiment(
+            &jobs,
+            DEFAULT_TRACE_NAME,
+            &base_options(Fidelity::quick()),
+            16,
+        );
         assert_eq!(s.rows.len(), 2);
         for r in &s.rows {
             assert!(r.jct.p50 <= r.jct.p95 && r.jct.p95 <= r.jct.p99);

@@ -23,6 +23,7 @@
 //! recorded in EXPERIMENTS.md.
 
 pub mod autotune;
+pub mod cli;
 pub mod experiments;
 pub mod fidelity;
 pub mod metrics_report;

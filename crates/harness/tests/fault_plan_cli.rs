@@ -1,5 +1,6 @@
-//! Bad input never panics a CLI: a fault plan that does not fit the
-//! run, a plan or trace file that cannot be read or parsed (nested past
+//! Bad input never panics a CLI nor runs on defaults: an unknown flag,
+//! a stray value, a missing value or an unparsable number, a fault plan
+//! that does not fit the run, a plan or trace file that cannot be read or parsed (nested past
 //! the parser's depth cap included), a run too short to measure or
 //! longer than a token can count, or a GPU count the setup cannot place
 //! is reported with a message and exit code 2 instead of a backtrace
@@ -213,5 +214,45 @@ fn replay_reports_unreadable_traces() {
     for extra in [&[][..], &["--serve-stdin"][..]] {
         let args = [&["--trace", "/nonexistent.json"][..], extra].concat();
         assert_rejected(replay, &args, "replay: cannot read trace /nonexistent.json");
+    }
+}
+
+#[test]
+fn bad_arguments_are_rejected_before_any_study() {
+    let simctl = env!("CARGO_BIN_EXE_simctl");
+    let cluster = env!("CARGO_BIN_EXE_cluster");
+    let replay = env!("CARGO_BIN_EXE_replay");
+    for (bin, args, needle) in [
+        (simctl, &["--gpu", "8"][..], "simctl: unknown flag --gpu"),
+        (simctl, &["vgg16"], "simctl: unexpected argument \"vgg16\""),
+        (simctl, &["--watch", "yes"], "unexpected argument \"yes\""),
+        (simctl, &["--gpus"], "simctl: --gpus needs a value"),
+        (simctl, &["--gpus", "many"], "--gpus: cannot parse \"many\""),
+        (
+            cluster,
+            &["--seed", "abc"],
+            "cluster: --seed: cannot parse \"abc\"",
+        ),
+        (cluster, &["--seed"], "cluster: --seed needs a value"),
+        (cluster, &["--sed", "3"], "cluster: unknown flag --sed"),
+        (
+            cluster,
+            &["--metrics", "m.json", "x"],
+            "unexpected argument \"x\"",
+        ),
+        (
+            replay,
+            &["--serve", "abc"],
+            "replay: --serve: cannot parse \"abc\"",
+        ),
+        (replay, &["--trace"], "replay: --trace needs a value"),
+        (replay, &["--serve-stdin", "4"], "unexpected argument \"4\""),
+        (
+            replay,
+            &["--threads", "2"],
+            "replay: unknown flag --threads",
+        ),
+    ] {
+        assert_rejected(bin, args, needle);
     }
 }

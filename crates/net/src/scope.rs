@@ -4,14 +4,17 @@
 //! summarises them after the run; the scope bus needs the opposite shape
 //! — a bounded stream of pre-aggregated windows it can surface *during*
 //! the run. [`ScopeUtil`] is one of the folds inside the fabric's
-//! [`Tap`](crate::tap::Tap), fed by the same lifecycle calls as the
-//! telemetry series (FIFO wire start and end, fluid rate samples), so a
-//! window's `util_secs` integrates the identical
-//! piecewise-constant utilisation function the telemetry series describe:
-//! the sum of windowed integrals equals the sum of
-//! `TimeSeries::integral_secs` over every port direction (up to float
-//! associativity from splitting segments at window boundaries — pinned by
-//! proptest in `tests/scope_schema.rs`).
+//! [`Tap`](crate::tap::Tap), fed at the same lifecycle calls as the
+//! telemetry series (FIFO wire start and end, fluid rate samples) with
+//! one number: the utilisation summed over every port direction (on the
+//! FIFO fabric twice the tap's on-wire count, on the fluid one twice the
+//! waterfill's total rate over port capacity). So a
+//! window's `util_secs` integrates the sum of the piecewise-constant
+//! utilisation functions the telemetry series describe: the sum of
+//! windowed integrals equals the sum of `TimeSeries::integral_secs` over
+//! every port direction (up to float associativity from splitting
+//! segments at window boundaries — pinned by proptest in
+//! `tests/scope_schema.rs`).
 //!
 //! Like the telemetry it mirrors, this is recording-only: values flow in,
 //! nothing flows back into the allocator.
@@ -35,19 +38,19 @@ pub struct ScopeWindow {
     pub mean_util: f64,
 }
 
-/// Streaming utilisation integrator: tracks one utilisation value per
-/// port direction (up `0..n`, down `n..2n`), integrates their sum, and
-/// closes a [`ScopeWindow`] every time the clock crosses a grid
-/// boundary. Zero-utilisation windows are skipped so idle stretches cost
-/// nothing.
+/// Streaming utilisation integrator: integrates the fabric's summed
+/// utilisation and closes a [`ScopeWindow`] every time the clock crosses
+/// a grid boundary. Zero-utilisation windows are skipped so idle
+/// stretches cost nothing.
 #[derive(Clone, Debug)]
 pub(crate) struct ScopeUtil {
     /// Window width in nanoseconds (grid anchored at t=0).
     width: u64,
-    /// Current utilisation per direction slot.
-    vals: Vec<f64>,
-    /// Running sum of `vals` (refreshed exactly at window boundaries to
-    /// bound float drift).
+    /// Current summed utilisation, as last recorded.
+    cur: f64,
+    /// The load being integrated: `cur`, updated by differences and
+    /// reset to `cur` at window boundaries, so float drift from the
+    /// incremental updates stays window-local.
     load: f64,
     /// Instant the integration has reached.
     last: SimTime,
@@ -60,13 +63,13 @@ pub(crate) struct ScopeUtil {
 }
 
 impl ScopeUtil {
-    /// An integrator over `slots` directions starting at `now`, with
-    /// grid-aligned windows of `width`.
-    pub(crate) fn new(now: SimTime, slots: usize, width: SimTime) -> ScopeUtil {
+    /// An idle integrator starting at `now`, with grid-aligned windows
+    /// of `width`.
+    pub(crate) fn new(now: SimTime, width: SimTime) -> ScopeUtil {
         let width = width.as_nanos().max(1);
         ScopeUtil {
             width,
-            vals: vec![0.0; slots],
+            cur: 0.0,
             load: 0.0,
             last: now,
             win: now.as_nanos() / width,
@@ -87,9 +90,7 @@ impl ScopeUtil {
             if stop == boundary {
                 self.close(SimTime::from_nanos(boundary));
                 self.win += 1;
-                // Re-derive the running sum at each boundary so float
-                // drift from incremental updates stays window-local.
-                self.load = self.vals.iter().sum();
+                self.load = self.cur;
             }
             t = stop;
         }
@@ -111,12 +112,12 @@ impl ScopeUtil {
         self.acc = 0.0;
     }
 
-    /// Records direction `slot` switching to utilisation `v` at `now` —
-    /// called from the same sites that feed the fabric telemetry series.
-    pub(crate) fn record(&mut self, now: SimTime, slot: usize, v: f64) {
+    /// Records the summed utilisation switching to `v` at `now` — called
+    /// from the same sites that feed the fabric telemetry series.
+    pub(crate) fn record(&mut self, now: SimTime, v: f64) {
         self.advance(now);
-        self.load += v - self.vals[slot];
-        self.vals[slot] = v;
+        self.load += v - self.cur;
+        self.cur = v;
     }
 
     /// Integrates to `now` and closes the final partial window.
@@ -141,10 +142,10 @@ mod tests {
 
     #[test]
     fn windows_integrate_the_step_function_exactly() {
-        let mut u = ScopeUtil::new(SimTime::ZERO, 2, SimTime::from_millis(100));
-        u.record(SimTime::from_nanos(10 * MS), 0, 1.0);
-        u.record(SimTime::from_nanos(30 * MS), 1, 1.0); // load 2 from 30ms
-        u.record(SimTime::from_nanos(50 * MS), 0, 0.0); // load 1 from 50ms
+        let mut u = ScopeUtil::new(SimTime::ZERO, SimTime::from_millis(100));
+        u.record(SimTime::from_nanos(10 * MS), 1.0);
+        u.record(SimTime::from_nanos(30 * MS), 2.0); // load 2 from 30ms
+        u.record(SimTime::from_nanos(50 * MS), 1.0); // load 1 from 50ms
         u.finish(SimTime::from_nanos(250 * MS));
         let mut out = Vec::new();
         u.drain_into(&mut out);
@@ -165,11 +166,11 @@ mod tests {
 
     #[test]
     fn idle_windows_are_skipped() {
-        let mut u = ScopeUtil::new(SimTime::ZERO, 1, SimTime::from_millis(10));
-        u.record(SimTime::from_nanos(2 * MS), 0, 1.0);
-        u.record(SimTime::from_nanos(4 * MS), 0, 0.0);
+        let mut u = ScopeUtil::new(SimTime::ZERO, SimTime::from_millis(10));
+        u.record(SimTime::from_nanos(2 * MS), 1.0);
+        u.record(SimTime::from_nanos(4 * MS), 0.0);
         // A long idle gap crossing many boundaries…
-        u.record(SimTime::from_secs(2), 0, 1.0);
+        u.record(SimTime::from_secs(2), 1.0);
         u.finish(SimTime::from_secs(2) + SimTime::from_millis(1));
         let mut out = Vec::new();
         u.drain_into(&mut out);

@@ -150,10 +150,11 @@ impl Tap {
 
     /// Starts aggregating NIC utilisation into grid-aligned tumbling
     /// windows of `window` for the scope bus, from the same lifecycle
-    /// points as the telemetry series.
+    /// points as the telemetry series. Call before the first submission:
+    /// the windows start idle.
     pub fn enable_scope(&mut self, now: SimTime, window: SimTime) {
         if self.scope.is_none() {
-            self.scope = Some(Box::new(ScopeUtil::new(now, 2 * self.nodes, window)));
+            self.scope = Some(Box::new(ScopeUtil::new(now, window)));
         }
     }
 
@@ -282,8 +283,7 @@ impl Tap {
             t.port_util[self.nodes + dst].record(now, 1.0);
         }
         if let Some(sc) = self.scope.as_mut() {
-            sc.record(now, src, 1.0);
-            sc.record(now, self.nodes + dst, 1.0);
+            sc.record(now, 2.0 * self.on_wire as f64);
         }
     }
 
@@ -306,8 +306,7 @@ impl Tap {
                 t.port_util[self.nodes + dst].record(end, 0.0);
             }
             if let Some(sc) = self.scope.as_mut() {
-                sc.record(end, src, 0.0);
-                sc.record(end, self.nodes + dst, 0.0);
+                sc.record(end, 2.0 * self.on_wire as f64);
             }
         }
         if let Some(c) = self.contention.as_mut() {
@@ -345,10 +344,10 @@ impl Tap {
     /// flows, `port_rate(p)` allocated on port `p`, `total_rate` over all
     /// flows, against per-port capacity `cap`.
     ///
-    /// The scope bus takes one aggregate slot: a window's `util_secs`
-    /// sums over every port direction anyway, and each flow's rate lands
-    /// on exactly two directions, so `2 * total_rate / cap` is the whole
-    /// signal at a fraction of the per-port cost.
+    /// The scope bus takes the aggregate: a window's `util_secs` sums
+    /// over every port direction, and each flow's rate lands on exactly
+    /// two directions, so `2 * total_rate / cap` is the whole signal at
+    /// a fraction of the per-port cost.
     #[inline]
     pub(crate) fn rate_sample(
         &mut self,
@@ -365,7 +364,7 @@ impl Tap {
             t.active.record(at, active as f64);
         }
         if let Some(sc) = self.scope.as_mut() {
-            sc.record(at, 0, 2.0 * total_rate / cap);
+            sc.record(at, 2.0 * total_rate / cap);
         }
     }
 }

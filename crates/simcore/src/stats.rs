@@ -105,70 +105,6 @@ impl OnlineStats {
     }
 }
 
-/// Exact percentiles over a retained sample.
-///
-/// Experiments are small enough (hundreds of iterations) that retaining the
-/// sample and sorting on demand is simpler and more accurate than a sketch.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-pub struct Percentiles {
-    values: Vec<f64>,
-    sorted: bool,
-}
-
-impl Percentiles {
-    /// Creates an empty sample.
-    pub fn new() -> Self {
-        Percentiles {
-            values: Vec::new(),
-            sorted: true,
-        }
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, x: f64) {
-        self.values.push(x);
-        self.sorted = false;
-    }
-
-    /// Number of observations.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// True if empty.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// The `q`-quantile (`q` in `[0, 1]`) with linear interpolation.
-    /// Returns `NaN` when empty.
-    pub fn quantile(&mut self, q: f64) -> f64 {
-        if self.values.is_empty() {
-            return f64::NAN;
-        }
-        if !self.sorted {
-            self.values
-                .sort_unstable_by(|a, b| a.partial_cmp(b).expect("NaN observation"));
-            self.sorted = true;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let pos = q * (self.values.len() - 1) as f64;
-        let lo = pos.floor() as usize;
-        let hi = pos.ceil() as usize;
-        if lo == hi {
-            self.values[lo]
-        } else {
-            let w = pos - lo as f64;
-            self.values[lo] * (1.0 - w) + self.values[hi] * w
-        }
-    }
-
-    /// Median, a convenience for `quantile(0.5)`.
-    pub fn median(&mut self) -> f64 {
-        self.quantile(0.5)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,32 +165,5 @@ mod tests {
         let mut empty = OnlineStats::new();
         empty.merge(&a);
         assert_eq!(empty.count(), 2);
-    }
-
-    #[test]
-    fn quantiles_interpolate() {
-        let mut p = Percentiles::new();
-        for x in [1.0, 2.0, 3.0, 4.0] {
-            p.push(x);
-        }
-        assert_eq!(p.quantile(0.0), 1.0);
-        assert_eq!(p.quantile(1.0), 4.0);
-        assert!((p.median() - 2.5).abs() < 1e-12);
-        assert!((p.quantile(0.25) - 1.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn quantile_of_empty_is_nan() {
-        let mut p = Percentiles::new();
-        assert!(p.quantile(0.5).is_nan());
-    }
-
-    #[test]
-    fn quantile_after_interleaved_pushes() {
-        let mut p = Percentiles::new();
-        p.push(5.0);
-        assert_eq!(p.median(), 5.0);
-        p.push(1.0);
-        assert!((p.median() - 3.0).abs() < 1e-12);
     }
 }

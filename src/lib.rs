@@ -14,7 +14,7 @@
 //!
 //! The crates, bottom-up:
 //!
-//! * [`sim`] — discrete-event kernel (virtual time, event queue, RNG, stats).
+//! * [`sim`] — simulation kernel (virtual time, seeded RNG, online stats).
 //! * [`telemetry`] — simulation-clock metrics: counters, gauges,
 //!   piecewise-constant time series with time-weighted summaries.
 //! * [`models`] — DNN zoo with per-layer tensor sizes and compute times.
