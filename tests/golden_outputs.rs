@@ -1,6 +1,7 @@
 //! Golden digests of the recorder outputs that no other fixture covers:
-//! the Chrome trace (`Trace::to_chrome_json`) of a PS run, a ring run and
-//! a 2-job cluster with trace, xray and metrics all on, the full result
+//! the Chrome trace (`Trace::to_chrome_json`) of a PS run, a ByteScheduler
+//! ring run, a Horovod-fused baseline ring run and a 2-job cluster with
+//! trace, xray and metrics all on, the full result
 //! serialisation of each training job (metrics and xray report), the
 //! `events.jsonl` flight-recorder stream and the result of an observed
 //! faulted PS run (its loss forces retransmits, so the fabric's wire log
@@ -119,6 +120,15 @@ fn ring_run() -> RunResult {
     run(&cfg)
 }
 
+/// The same ring under the Horovod baseline: `Arch::allreduce()`'s 64 MB
+/// tensor fusion launched on its 2.5 ms coordinator cycle.
+fn baseline_ring_run() -> RunResult {
+    let mut cfg = ring_cfg(3);
+    cfg.scheduler = SchedulerKind::Baseline;
+    all_recorders(&mut cfg);
+    run(&cfg)
+}
+
 /// A ByteScheduler PS job and a late-arriving baseline ring job on 4
 /// packed machines.
 fn cluster_run() -> bs_cluster::ClusterResult {
@@ -202,6 +212,7 @@ fn faulted_run() -> (RunResult, String) {
 fn render() -> String {
     let ps = ps_run();
     let ring = ring_run();
+    let baseline_ring = baseline_ring_run();
     let cluster = cluster_run();
     let (faulted, events) = faulted_run();
     let migrate = migrate_cluster_run();
@@ -210,6 +221,11 @@ fn render() -> String {
         pin_result("ps_result", &ps),
         pin_trace("ring_trace", ring.trace.as_ref().expect("trace recorded")),
         pin_result("ring_result", &ring),
+        pin_trace(
+            "baseline_ring_trace",
+            baseline_ring.trace.as_ref().expect("trace recorded"),
+        ),
+        pin_result("baseline_ring_result", &baseline_ring),
         pin_trace(
             "cluster_trace",
             cluster.trace.as_ref().expect("trace recorded"),
