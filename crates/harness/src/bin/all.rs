@@ -5,6 +5,7 @@ use bs_harness::experiments::{fig02, fig04, fig09, fig13, fig14, scaling, table1
 use bs_harness::{report, Fidelity};
 
 fn main() {
+    bs_harness::cli::no_flags("all");
     let fid = Fidelity::from_env();
     let t0 = std::time::Instant::now();
 

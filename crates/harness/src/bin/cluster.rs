@@ -41,6 +41,9 @@
 //! is reproducible from the CLI alone. The seed is printed in the result
 //! header.
 //!
+//! Only a run with none of the study flags above writes the cluster
+//! tables to results/cluster.json.
+//!
 //! Any other argument, or a `--seed` that is not a number, exits 2 with
 //! a message before any study runs.
 
@@ -95,7 +98,10 @@ fn main() {
     );
     let r = cluster::run_experiment(fid, seed);
     print!("{}", cluster::render(&r));
-    report::write_json("cluster", &r);
+    // A study run leaves the committed tables alone.
+    if !(metrics_on || xray_on || contention_on || watch_on || faults_on) {
+        report::write_json("cluster", &r);
+    }
 
     // Determinism: the same 2-job cluster twice, traces recorded, must
     // serialise to the same bytes.

@@ -5,6 +5,7 @@ use bs_harness::experiments::dynamic;
 use bs_harness::{report, Fidelity};
 
 fn main() {
+    bs_harness::cli::no_flags("dynamic");
     let r = dynamic::run_experiment(Fidelity::from_env());
     print!("{}", dynamic::render(&r));
     report::write_json("dynamic", &r);

@@ -11,6 +11,7 @@ use bs_harness::{report, Fidelity};
 use bs_runtime::RunOutcome;
 
 fn main() {
+    bs_harness::cli::no_flags("faults");
     let r = faults::run_experiment(Fidelity::from_env());
     print!("{}", faults::render(&r));
     for row in &r.rows {

@@ -4,6 +4,7 @@ use bs_harness::experiments::scaling;
 use bs_harness::{report, Fidelity};
 
 fn main() {
+    bs_harness::cli::no_flags("fig11");
     let r = scaling::run_experiment(
         "Figure 11",
         bs_models::zoo::resnet50(),

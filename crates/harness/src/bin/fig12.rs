@@ -4,6 +4,7 @@ use bs_harness::experiments::scaling;
 use bs_harness::{report, Fidelity};
 
 fn main() {
+    bs_harness::cli::no_flags("fig12");
     let r = scaling::run_experiment(
         "Figure 12",
         bs_models::zoo::transformer(),

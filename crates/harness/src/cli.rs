@@ -56,6 +56,15 @@ impl Flags {
     }
 }
 
+/// Parses the process arguments of a binary that reads no flags: any
+/// argument prints `{bin}: {reason}` and exits 2 before a study runs.
+pub fn no_flags(bin: &str) {
+    if let Err(e) = parse(&[], std::env::args().skip(1)) {
+        eprintln!("{bin}: {e}\n{bin} takes no arguments (BS_QUICK=1 for smoke mode)");
+        std::process::exit(2);
+    }
+}
+
 /// Checks `args` against `spec`. A repeated flag keeps its last value.
 fn parse(
     spec: &[(&'static str, Arity)],

@@ -255,4 +255,23 @@ fn bad_arguments_are_rejected_before_any_study() {
     ] {
         assert_rejected(bin, args, needle);
     }
+    // The study binaries read no flags at all.
+    for (bin, name) in [
+        (env!("CARGO_BIN_EXE_fig02"), "fig02"),
+        (env!("CARGO_BIN_EXE_fig04"), "fig04"),
+        (env!("CARGO_BIN_EXE_fig09"), "fig09"),
+        (env!("CARGO_BIN_EXE_fig10"), "fig10"),
+        (env!("CARGO_BIN_EXE_fig11"), "fig11"),
+        (env!("CARGO_BIN_EXE_fig12"), "fig12"),
+        (env!("CARGO_BIN_EXE_fig13"), "fig13"),
+        (env!("CARGO_BIN_EXE_fig14"), "fig14"),
+        (env!("CARGO_BIN_EXE_table1"), "table1"),
+        (env!("CARGO_BIN_EXE_all"), "all"),
+        (env!("CARGO_BIN_EXE_ablations"), "ablations"),
+        (env!("CARGO_BIN_EXE_coschedule"), "coschedule"),
+        (env!("CARGO_BIN_EXE_dynamic"), "dynamic"),
+        (env!("CARGO_BIN_EXE_faults"), "faults"),
+    ] {
+        assert_rejected(bin, &["--bogus"], &format!("{name}: unknown flag --bogus"));
+    }
 }

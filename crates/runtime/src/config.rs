@@ -25,9 +25,11 @@ pub enum Arch {
     },
     /// Ring all-reduce (NCCL-style).
     AllReduce {
-        /// Horovod-style tensor fusion threshold for the *baseline*
-        /// scheduler: ready tensors waiting for the ring are coalesced
-        /// into single collectives up to this many bytes. `None` disables
+        /// Horovod-style tensor fusion threshold: items waiting for the
+        /// ring are coalesced into single collectives up to this many
+        /// bytes — whole tensors under the baseline, the partitions the
+        /// master scheduler releases under a scheduling policy (which
+        /// wraps Horovod, so keeps its fusion, §5). `None` disables
         /// fusion. Vanilla Horovod defaults to 64 MB.
         baseline_fusion_bytes: Option<u64>,
         /// Expected wait before a baseline fused batch launches, modelling
@@ -48,8 +50,8 @@ impl Arch {
         }
     }
 
-    /// All-reduce with Horovod's default 64 MB baseline fusion and 5 ms
-    /// coordinator cycle (mean wait 2.5 ms).
+    /// All-reduce with Horovod's default 64 MB fusion and 5 ms
+    /// coordinator cycle (mean wait 2.5 ms, baseline only).
     pub fn allreduce() -> Arch {
         Arch::AllReduce {
             baseline_fusion_bytes: Some(64 * 1024 * 1024),

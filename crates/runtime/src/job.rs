@@ -132,10 +132,14 @@ pub enum JobEvent {
 enum JobBackend {
     Ps {
         ps: ParamServer,
+        plug: PsPluginState,
     },
     Ring {
         ring: RingAllReduce,
-        /// Baseline fusion threshold (bytes); irrelevant for scheduled runs.
+        /// Global readiness and the fusion queue both graphs launch from.
+        plug: ArPluginState,
+        /// Fusion threshold (bytes): baseline tensors and scheduled
+        /// partitions alike fuse up to it; 0 sends each item alone.
         fusion_bytes: u64,
         /// Baseline fusion-cycle launch delay; zero for scheduled runs.
         cycle_delay: SimTime,
@@ -171,16 +175,12 @@ pub struct JobState {
     baseline_graph: bool,
     /// Per-tensor partition byte sizes.
     partitions: Vec<Vec<u64>>,
-    /// Per-tensor total bytes.
-    tensor_bytes: Vec<u64>,
     /// Per-tensor scheduling priority.
     priorities: Vec<u64>,
     engines: Vec<WorkerEngine>,
     /// PS: one per worker. All-reduce: a single master in slot 0 (§5).
     scheds: Vec<Box<dyn Scheduler>>,
     backend: JobBackend,
-    ps_plug: Option<PsPluginState>,
-    ar_plug: Option<ArPluginState>,
     /// Co-tenant traffic source (PS only).
     burst: Option<BurstSource>,
     /// Job-local → fabric node translation.
@@ -189,13 +189,6 @@ pub struct JobState {
     pub(crate) submits: Vec<Submit>,
     /// Worker 0's compute-iteration completion times.
     marks: Vec<SimTime>,
-    /// Scheduled all-reduce: partitions released by the master scheduler,
-    /// awaiting fusion onto the ring (FIFO preserves the priority order
-    /// the scheduler chose).
-    ar_release_queue: std::collections::VecDeque<(u64, u64)>, // (token, bytes)
-    /// Scheduled all-reduce: in-flight fused ops by tag.
-    ar_sched_batches: std::collections::HashMap<u64, Vec<(u64, u64)>>,
-    ar_next_batch: u64,
     /// Reusable buffer for scheduler polls (`drain_sched` runs on every
     /// completion; this keeps the hot path allocation-free).
     sched_scratch: Vec<WorkItem>,
@@ -426,7 +419,7 @@ impl JobState {
             })
             .collect();
 
-        let (backend, ps_plug, ar_plug) = match cfg.arch {
+        let backend = match cfg.arch {
             Arch::Ps {
                 mode, num_servers, ..
             } => {
@@ -445,28 +438,30 @@ impl JobState {
                     assign,
                     mode,
                 });
-                (
-                    JobBackend::Ps { ps },
-                    Some(PsPluginState::new(cfg.num_workers, n_layers)),
-                    None,
-                )
+                JobBackend::Ps {
+                    ps,
+                    plug: PsPluginState::new(cfg.num_workers, n_layers),
+                }
             }
             Arch::AllReduce {
                 baseline_fusion_bytes,
                 baseline_cycle_delay_us,
             } => {
                 assert!(cfg.num_workers >= 2, "a ring needs at least two workers");
-                let ring = RingAllReduce::new(AllReduceConfig::new(cfg.num_workers, cfg.net));
-                (
-                    JobBackend::Ring {
-                        ring,
-                        fusion_bytes: baseline_fusion_bytes.unwrap_or(0),
-                        cycle_delay: SimTime::from_micros(baseline_cycle_delay_us),
-                        ops: (cfg.record_trace || cfg.record_xray).then(Vec::new),
-                    },
-                    None,
-                    Some(ArPluginState::new(cfg.num_workers, n_layers)),
-                )
+                // ByteScheduler replaces Horovod's coordinator cycle with
+                // event-driven launches but keeps its fusion (§5).
+                let cycle_us = if cfg.scheduler.needs_scheduled_engine() {
+                    0
+                } else {
+                    baseline_cycle_delay_us
+                };
+                JobBackend::Ring {
+                    ring: RingAllReduce::new(AllReduceConfig::new(cfg.num_workers, cfg.net)),
+                    plug: ArPluginState::new(cfg.num_workers, n_layers),
+                    fusion_bytes: baseline_fusion_bytes.unwrap_or(0),
+                    cycle_delay: SimTime::from_micros(cycle_us),
+                    ops: (cfg.record_trace || cfg.record_xray).then(Vec::new),
+                }
             }
         };
 
@@ -540,20 +535,14 @@ impl JobState {
             iters: cfg.iters,
             baseline_graph: !cfg.scheduler.needs_scheduled_engine(),
             partitions,
-            tensor_bytes,
             priorities,
             engines,
             scheds,
             backend,
-            ps_plug,
-            ar_plug,
             burst,
             nodes,
             submits: Vec::new(),
             marks: Vec::new(),
-            ar_release_queue: std::collections::VecDeque::new(),
-            ar_sched_batches: std::collections::HashMap::new(),
-            ar_next_batch: 0,
             sched_scratch: Vec::new(),
             xray,
             faults,
@@ -962,11 +951,10 @@ impl JobState {
     /// Worker `w`'s gradient for tensor `i` is ready: submit its push
     /// subtasks to the worker's scheduler.
     fn on_grad_ready_ps(&mut self, w: usize, i: usize, iter: u64, now: SimTime) {
-        let parts = self.partitions[i].len() as u32;
-        self.ps_plug
-            .as_mut()
-            .expect("PS plugin")
-            .on_grad_ready(w, i, iter, parts);
+        let JobBackend::Ps { plug, .. } = &mut self.backend else {
+            unreachable!("push readiness on a ring job")
+        };
+        plug.on_grad_ready(w, i, iter, self.partitions[i].len() as u32);
         for (p, &bytes) in self.partitions[i].iter().enumerate() {
             let token = Token {
                 iter,
@@ -995,27 +983,32 @@ impl JobState {
     }
 
     /// A worker reported tensor `i` ready for all-reduce. When the last
-    /// worker reports, the master submits the collective (§5).
+    /// worker reports, the master submits the collective (§5): the
+    /// baseline queues the whole tensor for fusion (bypassing the
+    /// scheduler), a scheduling policy submits its partitions to the
+    /// master scheduler.
     fn on_grad_ready_ar(&mut self, i: usize, iter: u64, now: SimTime) {
+        let JobBackend::Ring { plug, .. } = &mut self.backend else {
+            unreachable!("all-reduce readiness on a PS job")
+        };
         let parts = if self.baseline_graph {
             1
         } else {
             self.partitions[i].len() as u32
         };
-        let all_ready = self
-            .ar_plug
-            .as_mut()
-            .expect("AR plugin")
-            .on_worker_ready(i, iter, parts);
-        if !all_ready {
+        if !plug.on_worker_ready(i, iter, parts) {
             return;
         }
         if self.baseline_graph {
-            self.ar_plug
-                .as_mut()
-                .unwrap()
-                .queue_for_fusion(i as u32, iter, self.tensor_bytes[i]);
-            self.maybe_submit_fused(now);
+            let token = Token {
+                iter,
+                worker: 0,
+                kind: CommKind::AllReduce,
+                tensor: i as u32,
+                part: 0,
+            }
+            .pack();
+            plug.queue_for_fusion(token, self.partitions[i].iter().sum());
         } else {
             for (p, &bytes) in self.partitions[i].iter().enumerate() {
                 let token = Token {
@@ -1041,12 +1034,13 @@ impl JobState {
             }
             self.drain_sched_ring(now);
         }
+        self.launch_fused(now);
     }
 
     /// Hands everything worker `s`'s scheduler releases to the wire (PS
     /// jobs only).
     fn drain_sched(&mut self, s: usize, now: SimTime) {
-        let JobBackend::Ps { ps } = &mut self.backend else {
+        let JobBackend::Ps { ps, .. } = &mut self.backend else {
             unreachable!("fabric grant on a ring job")
         };
         let mut items = std::mem::take(&mut self.sched_scratch);
@@ -1078,80 +1072,46 @@ impl JobState {
         self.sched_scratch = items;
     }
 
-    /// Ring variant of [`Self::drain_sched`]: released partitions pass
-    /// through Horovod-style fusion before reaching the ring (§5:
-    /// ByteScheduler wraps Horovod's DistributedOptimizer), and a fused
-    /// collective may launch.
+    /// Ring variant of [`Self::drain_sched`]: released partitions join
+    /// the fusion queue on their way to the ring (§5: ByteScheduler wraps
+    /// Horovod's DistributedOptimizer); FIFO keeps the priority order the
+    /// scheduler chose.
     fn drain_sched_ring(&mut self, now: SimTime) {
+        let JobBackend::Ring { plug, .. } = &mut self.backend else {
+            unreachable!("collective grant on a PS job")
+        };
         let mut items = std::mem::take(&mut self.sched_scratch);
         debug_assert!(items.is_empty());
         self.scheds[0].poll_into(now, &mut items);
-        let submitted = !items.is_empty();
         for item in items.drain(..) {
             if let Some(x) = self.xray.as_mut() {
                 x.log.granted(item.token, now);
             }
-            self.ar_release_queue.push_back((item.token, item.bytes));
+            plug.queue_for_fusion(item.token, item.bytes);
         }
         self.sched_scratch = items;
-        if submitted {
-            self.maybe_submit_scheduled_fused(now);
-        }
     }
 
-    /// Scheduled all-reduce: when the ring is idle, fuse the released
-    /// partitions at the head of the queue (up to the fusion threshold)
-    /// into one collective. Event-driven — no Horovod cycle delay, one of
+    /// Launches the next fused collective if the ring is idle (ring FIFO
+    /// means pre-queueing buys nothing, and waiting maximises fusion). The
+    /// baseline batch waits out Horovod's coordinator cycle; a scheduled
+    /// one launches at once — event-driven launching is one of
     /// ByteScheduler's implementation advantages.
-    fn maybe_submit_scheduled_fused(&mut self, now: SimTime) {
-        let JobBackend::Ring {
-            ring, fusion_bytes, ..
-        } = &mut self.backend
-        else {
-            return;
-        };
-        if ring.outstanding() > 0 || self.ar_release_queue.is_empty() {
-            return;
-        }
-        let limit = (*fusion_bytes).max(1);
-        let mut members = Vec::new();
-        let mut total = 0u64;
-        while let Some(&(token, bytes)) = self.ar_release_queue.front() {
-            if !members.is_empty() && total + bytes > limit {
-                break;
-            }
-            self.ar_release_queue.pop_front();
-            members.push((token, bytes));
-            total += bytes;
-        }
-        let id = self.ar_next_batch;
-        self.ar_next_batch += 1;
-        self.ar_sched_batches.insert(id, members);
-        ring.submit(now, total, id);
-    }
-
-    /// Baseline all-reduce: launch the next fused collective if the ring
-    /// is idle (ring FIFO means pre-queueing buys nothing, and waiting
-    /// maximises fusion — Horovod's cycle behaviour).
-    fn maybe_submit_fused(&mut self, now: SimTime) {
+    fn launch_fused(&mut self, now: SimTime) {
         let JobBackend::Ring {
             ring,
+            plug,
             fusion_bytes,
             cycle_delay,
             ..
         } = &mut self.backend
         else {
-            return;
+            unreachable!("fused launch on a PS job")
         };
         if ring.outstanding() > 0 {
             return;
         }
-        if let Some((id, bytes)) = self
-            .ar_plug
-            .as_mut()
-            .expect("AR plugin")
-            .next_fused_batch(*fusion_bytes)
-        {
+        if let Some((id, bytes)) = plug.next_fused_batch(*fusion_bytes) {
             ring.submit_after(now, *cycle_delay, bytes, id);
         }
     }
@@ -1226,26 +1186,25 @@ impl JobState {
                     self.scheds[w].complete(now, CommKind::Push.lane(), c.bytes);
                     self.drain_sched(w, now);
                 }
-                let all_pushed = self
-                    .ps_plug
-                    .as_mut()
-                    .expect("PS plugin")
-                    .on_push_part_done(w, i, tok.iter);
-                if all_pushed && self.baseline_graph {
-                    self.engines[w].complete_external_queued(now, tok.iter, ExternalRole::Push(i));
-                    for ev in self.engines[w].drain_pending() {
-                        out.push(JobEvent::Engine(w, ev));
-                    }
-                }
-                // Aggregation bookkeeping: which pulls became legal?
-                let JobBackend::Ps { ps } = &mut self.backend else {
+                let JobBackend::Ps { ps, plug } = &mut self.backend else {
                     unreachable!("push completion without PS backend")
                 };
+                if plug.on_push_part_done(w, i, tok.iter) && self.baseline_graph {
+                    release(
+                        &mut self.engines,
+                        w,
+                        now,
+                        tok.iter,
+                        ExternalRole::Push(i),
+                        out,
+                    );
+                }
+                // Aggregation bookkeeping: which pulls became legal?
                 let key = PartitionKey {
                     tensor: tok.tensor,
                     part: tok.part,
                 };
-                let grants = ps.on_push_complete(tok.iter, key, w);
+                let mut grants = ps.on_push_complete(tok.iter, key, w);
                 if let (Some(x), false) = (self.xray.as_mut(), grants.is_empty()) {
                     x.aggs.push(AggEvent {
                         iter: tok.iter,
@@ -1254,27 +1213,22 @@ impl JobState {
                         at: now,
                     });
                 }
+                if self.baseline_graph {
+                    // Key-level dependency: the worker pulls the tensor
+                    // only once every slice is aggregated.
+                    grants.retain(|g| plug.on_grant_part(g.worker, i, tok.iter));
+                }
                 for g in grants {
                     if self.baseline_graph {
-                        // Key-level dependency: the worker pulls the
-                        // tensor only once every slice is aggregated.
-                        let all_granted = self
-                            .ps_plug
-                            .as_mut()
-                            .expect("PS plugin")
-                            .on_grant_part(g.worker, i, tok.iter);
-                        if all_granted {
-                            for p in 0..self.partitions[i].len() {
-                                self.submit_pull(g.worker, i, tok.iter, p as u32, now);
-                            }
-                            self.drain_sched(g.worker, now);
+                        for p in 0..self.partitions[i].len() {
+                            self.submit_pull(g.worker, i, tok.iter, p as u32, now);
                         }
                     } else {
                         // Partition-level dependency: partial pull after
                         // partial push (Theorem 1 condition 3).
                         self.submit_pull(g.worker, i, tok.iter, g.key.part, now);
-                        self.drain_sched(g.worker, now);
                     }
+                    self.drain_sched(g.worker, now);
                 }
             }
             CommKind::Pull => {
@@ -1282,21 +1236,16 @@ impl JobState {
                     self.scheds[w].complete(now, CommKind::Pull.lane(), c.bytes);
                     self.drain_sched(w, now);
                 }
-                let all_pulled = self
-                    .ps_plug
-                    .as_mut()
-                    .expect("PS plugin")
-                    .on_pull_part_done(w, i, tok.iter);
-                if all_pulled {
+                let JobBackend::Ps { plug, .. } = &mut self.backend else {
+                    unreachable!("pull completion without PS backend")
+                };
+                if plug.on_pull_part_done(w, i, tok.iter) {
                     let (iter, role) = if self.baseline_graph {
                         (tok.iter, ExternalRole::Pull(i))
                     } else {
                         (tok.iter + 1, ExternalRole::ProxyFinish(i))
                     };
-                    self.engines[w].complete_external_queued(now, iter, role);
-                    for ev in self.engines[w].drain_pending() {
-                        out.push(JobEvent::Engine(w, ev));
-                    }
+                    release(&mut self.engines, w, now, iter, role, out);
                 }
             }
             CommKind::AllReduce => unreachable!("collective token on the p2p network"),
@@ -1337,54 +1286,30 @@ impl JobState {
                 f.attempts.remove(&c.tag);
             }
         }
-        if self.baseline_graph {
-            let batch = self.ar_plug.as_mut().expect("AR plugin").take_batch(c.tag);
-            for (tensor, iter) in batch.tensors {
-                self.ar_plug
-                    .as_mut()
-                    .unwrap()
-                    .complete_whole_tensor(tensor as usize, iter);
-                for w in 0..self.num_workers {
-                    self.engines[w].complete_external_queued(
-                        now,
-                        iter,
-                        ExternalRole::AllReduce(tensor as usize),
-                    );
-                    for ev in self.engines[w].drain_pending() {
-                        out.push(JobEvent::Engine(w, ev));
-                    }
-                }
-            }
-            self.maybe_submit_fused(now);
-        } else {
-            let members = self
-                .ar_sched_batches
-                .remove(&c.tag)
-                .expect("unknown scheduled batch");
-            for (token, bytes) in members {
-                let tok = Token::unpack(token);
+        let JobBackend::Ring { plug, .. } = &mut self.backend else {
+            unreachable!("ring completion without ring backend")
+        };
+        for (token, bytes) in plug.take_batch(c.tag) {
+            let tok = Token::unpack(token);
+            let i = tok.tensor as usize;
+            if !self.baseline_graph {
                 self.scheds[0].complete(now, 0, bytes);
-                let done = self
-                    .ar_plug
-                    .as_mut()
-                    .expect("AR plugin")
-                    .on_part_done(tok.tensor as usize, tok.iter);
-                if done {
-                    for w in 0..self.num_workers {
-                        self.engines[w].complete_external_queued(
-                            now,
-                            tok.iter + 1,
-                            ExternalRole::ProxyFinish(tok.tensor as usize),
-                        );
-                        for ev in self.engines[w].drain_pending() {
-                            out.push(JobEvent::Engine(w, ev));
-                        }
-                    }
+            }
+            if plug.on_part_done(i, tok.iter) {
+                let (iter, role) = if self.baseline_graph {
+                    (tok.iter, ExternalRole::AllReduce(i))
+                } else {
+                    (tok.iter + 1, ExternalRole::ProxyFinish(i))
+                };
+                for w in 0..self.num_workers {
+                    release(&mut self.engines, w, now, iter, role, out);
                 }
             }
-            self.drain_sched_ring(now);
-            self.maybe_submit_scheduled_fused(now);
         }
+        if !self.baseline_graph {
+            self.drain_sched_ring(now);
+        }
+        self.launch_fused(now);
     }
 
     /// Flushes every instrumented subsystem into one [`MetricSet`] with
@@ -1701,6 +1626,20 @@ impl JobState {
     pub fn debug_iterations(&self) -> Vec<u64> {
         self.engines.iter().map(|e| e.done_iterations()).collect()
     }
+}
+
+/// Completes `role` at `iter` on worker `w`'s engine and forwards the
+/// events the engine emits onto `out`.
+fn release(
+    engines: &mut [WorkerEngine],
+    w: usize,
+    now: SimTime,
+    iter: u64,
+    role: ExternalRole,
+    out: &mut Vec<JobEvent>,
+) {
+    engines[w].complete_external_queued(now, iter, role);
+    out.extend(engines[w].drain_pending().map(|ev| JobEvent::Engine(w, ev)));
 }
 
 /// Names the wire span of one wire lifecycle record (its wire start to

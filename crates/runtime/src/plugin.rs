@@ -12,7 +12,11 @@
 //! * [`ArPluginState`] — global all-reduce coordination: a tensor's
 //!   collective may start only when **all** workers reported it ready
 //!   (the master-Core rule of §5 that avoids deadlock), plus
-//!   Horovod-style tensor fusion for the baseline.
+//!   Horovod-style tensor fusion. Both graphs fuse through its one queue:
+//!   the baseline queues whole tensors, ByteScheduler the partitions its
+//!   master scheduler releases (§5: it wraps Horovod's
+//!   `DistributedOptimizer`, so fusion stays and only the coordinator
+//!   cycle goes).
 
 use std::collections::{HashMap, VecDeque};
 
@@ -113,26 +117,16 @@ struct ArTensor {
     active: bool,
 }
 
-/// A fused baseline collective: the tensors it carries.
-#[derive(Clone, Debug)]
-pub struct FusedBatch {
-    /// `(tensor, iteration)` pairs coalesced into this op.
-    pub tensors: Vec<(u32, u64)>,
-    /// Total payload bytes.
-    pub bytes: u64,
-}
-
 /// All-reduce plugin bookkeeping (shared across workers: the ring is one
 /// global resource and ordering decisions are made once, by the master).
 #[derive(Debug)]
 pub struct ArPluginState {
     num_workers: u32,
     tensors: Vec<ArTensor>,
-    /// Baseline fusion buffer: globally-ready tensors awaiting the ring,
-    /// FIFO.
-    fusion_queue: VecDeque<(u32, u64, u64)>, // (tensor, iter, bytes)
-    /// In-flight fused batches by batch id.
-    batches: HashMap<u64, FusedBatch>,
+    /// Fusion buffer: `(token, bytes)` awaiting the ring, FIFO.
+    fusion_queue: VecDeque<(u64, u64)>,
+    /// In-flight fused batches' members by batch id.
+    batches: HashMap<u64, Vec<(u64, u64)>>,
     next_batch: u64,
 }
 
@@ -197,48 +191,40 @@ impl ArPluginState {
         }
     }
 
-    /// Baseline path: queue a globally-ready tensor for fusion.
-    pub fn queue_for_fusion(&mut self, tensor: u32, iter: u64, bytes: u64) {
-        self.fusion_queue.push_back((tensor, iter, bytes));
+    /// Queues a collective (a whole tensor or a released partition)
+    /// for fusion.
+    pub fn queue_for_fusion(&mut self, token: u64, bytes: u64) {
+        self.fusion_queue.push_back((token, bytes));
     }
 
-    /// Baseline path: pop the next fused batch of at most `fusion_bytes`
-    /// (always at least one tensor, even if oversized — Horovod never
-    /// splits a tensor). Returns the batch id and payload, or `None` when
-    /// the buffer is empty.
+    /// Pops the next fused batch: FIFO from the head of the queue,
+    /// stopping before the total would pass `fusion_bytes`, but always at
+    /// least one item, even if oversized — Horovod never splits a tensor.
+    /// Returns the batch id and payload, or `None` when the queue is
+    /// empty.
     pub fn next_fused_batch(&mut self, fusion_bytes: u64) -> Option<(u64, u64)> {
-        let mut tensors = Vec::new();
-        let mut bytes = 0u64;
-        while let Some(&(t, iter, b)) = self.fusion_queue.front() {
-            if !tensors.is_empty() && bytes + b > fusion_bytes {
+        let mut members = Vec::new();
+        let mut total = 0u64;
+        while let Some(&(token, bytes)) = self.fusion_queue.front() {
+            if !members.is_empty() && total + bytes > fusion_bytes {
                 break;
             }
             self.fusion_queue.pop_front();
-            tensors.push((t, iter));
-            bytes += b;
+            members.push((token, bytes));
+            total += bytes;
         }
-        if tensors.is_empty() {
+        if members.is_empty() {
             return None;
         }
         let id = self.next_batch;
         self.next_batch += 1;
-        self.batches.insert(id, FusedBatch { tensors, bytes });
-        Some((id, bytes))
+        self.batches.insert(id, members);
+        Some((id, total))
     }
 
-    /// Baseline path: a fused batch completed; returns its tensors.
-    pub fn take_batch(&mut self, id: u64) -> FusedBatch {
+    /// A fused batch completed; returns its `(token, bytes)` members.
+    pub fn take_batch(&mut self, id: u64) -> Vec<(u64, u64)> {
         self.batches.remove(&id).expect("unknown fused batch")
-    }
-
-    /// Marks a baseline whole-tensor op as "all parts done" bookkeeping:
-    /// baseline collectives carry whole tensors, so completing the batch
-    /// completes each member tensor.
-    pub fn complete_whole_tensor(&mut self, tensor: usize, iter: u64) {
-        let t = &mut self.tensors[tensor];
-        debug_assert!(t.active && t.iter == iter);
-        t.active = false;
-        t.ready_workers = 0;
     }
 }
 
@@ -293,23 +279,23 @@ mod tests {
     #[test]
     fn fusion_coalesces_up_to_threshold() {
         let mut ar = ArPluginState::new(2, 5);
-        for (t, b) in [(0u32, 30u64), (1, 30), (2, 30), (3, 10)] {
-            ar.queue_for_fusion(t, 0, b);
+        for (t, b) in [(0u64, 30u64), (1, 30), (2, 30), (3, 10)] {
+            ar.queue_for_fusion(t, b);
         }
-        // Threshold 64: first batch takes tensors 0 and 1 (60 bytes).
+        // Threshold 64: first batch takes tokens 0 and 1 (60 bytes).
         let (id, bytes) = ar.next_fused_batch(64).unwrap();
         assert_eq!(bytes, 60);
-        assert_eq!(ar.take_batch(id).tensors, vec![(0, 0), (1, 0)]);
+        assert_eq!(ar.take_batch(id), vec![(0, 30), (1, 30)]);
         let (id2, bytes2) = ar.next_fused_batch(64).unwrap();
         assert_eq!(bytes2, 40);
-        assert_eq!(ar.take_batch(id2).tensors, vec![(2, 0), (3, 0)]);
+        assert_eq!(ar.take_batch(id2), vec![(2, 30), (3, 10)]);
         assert!(ar.next_fused_batch(64).is_none());
     }
 
     #[test]
     fn fusion_never_splits_an_oversized_tensor() {
         let mut ar = ArPluginState::new(2, 1);
-        ar.queue_for_fusion(0, 0, 1_000);
+        ar.queue_for_fusion(0, 1_000);
         let (_, bytes) = ar.next_fused_batch(64).unwrap();
         assert_eq!(bytes, 1_000, "oversized tensor goes alone, unsplit");
     }
