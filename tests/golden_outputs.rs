@@ -7,7 +7,13 @@
 //! faulted PS run (its loss forces retransmits, so the fabric's wire log
 //! holds one tag several times), and the trace and results of a cluster
 //! run whose machine failure checkpoints and migrates a job (the resumed
-//! job re-runs iterations under tags the wire log already holds).
+//! job re-runs iterations under tags the wire log already holds), and
+//! the job paths each architecture takes only under one policy: P3's
+//! release-gated credit on PS (with loss, so a lost delivery skips the
+//! reclaim it already made), FIFO partitioning on the ring (multi-partition
+//! tensors fused whole on the baseline graph), the baseline PS with
+//! MXNet's big-array split (key-level pull gating), and a lossy ring under
+//! the baseline and ByteScheduler (the collective retry path).
 //!
 //! Each artefact is pinned by its byte length, its row counts (Chrome
 //! events by phase, JSON-lines rows) and a 64-bit FNV-1a digest, so a
@@ -29,7 +35,7 @@ use bs_cluster::{run_cluster, ClusterConfig, FaultReaction, JobSpec, PlacementPo
 use bs_engine::EngineConfig;
 use bs_faults::{FaultPlan, MachineFailure};
 use bs_net::{FabricModel, NetConfig, Transport};
-use bs_runtime::{run, run_observed, Arch, RunResult, SchedulerKind, WorldConfig};
+use bs_runtime::{run, run_observed, Arch, RunOutcome, RunResult, SchedulerKind, WorldConfig};
 use bs_scope::{FlightRecorder, ScopeBus};
 use bs_sim::{SimTime, Trace};
 use bs_tune::LiveDrift;
@@ -209,6 +215,61 @@ fn faulted_run() -> (RunResult, String) {
     (r, handle.to_jsonl())
 }
 
+/// A plan whose only fault is Bernoulli delivery loss at `rate`.
+fn loss_only(rate: f64) -> FaultPlan {
+    FaultPlan {
+        loss_rate: rate,
+        ..FaultPlan::empty()
+    }
+}
+
+/// The golden PS scenario under P3, losing deliveries: P3 takes its
+/// credit back when the wire releases a message, so a lost delivery has
+/// nothing left to reclaim.
+fn p3_lossy_ps_run() -> RunResult {
+    let mut cfg = common::scenario(FabricModel::SerialFifo);
+    cfg.scheduler = SchedulerKind::P3;
+    cfg.faults = Some(loss_only(0.05));
+    all_recorders(&mut cfg);
+    run(&cfg)
+}
+
+/// The golden ring under FIFO partitioning: a baseline graph whose
+/// tensors have several partitions, each fused whole.
+fn fifo_partitioned_ring_run() -> RunResult {
+    let mut cfg = ring_cfg(3);
+    cfg.scheduler = SchedulerKind::FifoPartitioned {
+        partition: 4_000_000,
+    };
+    all_recorders(&mut cfg);
+    run(&cfg)
+}
+
+/// The golden PS scenario's baseline with MXNet's big-array split: the
+/// big tensors are sliced across shards, and a worker pulls a tensor
+/// only once every slice is aggregated.
+fn bigarray_ps_run() -> RunResult {
+    let mut cfg = common::scenario(FabricModel::SerialFifo);
+    cfg.scheduler = SchedulerKind::Baseline;
+    cfg.arch = Arch::Ps {
+        mode: bs_comm::PsMode::Synchronous,
+        num_servers: 2,
+        baseline_bigarray_split: true,
+    };
+    all_recorders(&mut cfg);
+    run(&cfg)
+}
+
+/// The golden ring under `scheduler`, losing collectives: a lost fused
+/// batch re-runs whole after the backoff.
+fn lossy_ring_run(scheduler: SchedulerKind) -> RunResult {
+    let mut cfg = ring_cfg(3);
+    cfg.scheduler = scheduler;
+    cfg.faults = Some(loss_only(0.15));
+    all_recorders(&mut cfg);
+    run(&cfg)
+}
+
 fn render() -> String {
     let ps = ps_run();
     let ring = ring_run();
@@ -249,6 +310,26 @@ fn render() -> String {
             &format!("migrate_cluster_{}_result", j.name),
             &j.result,
         ));
+    }
+    let bytescheduler = ring_cfg(3).scheduler;
+    for (name, r) in [
+        ("p3_lossy_ps", p3_lossy_ps_run()),
+        ("fifo_partitioned_ring", fifo_partitioned_ring_run()),
+        ("bigarray_ps", bigarray_ps_run()),
+        (
+            "lossy_baseline_ring",
+            lossy_ring_run(SchedulerKind::Baseline),
+        ),
+        ("lossy_bytescheduler_ring", lossy_ring_run(bytescheduler)),
+    ] {
+        // The lossy runs must take the retry path they pin.
+        let retried = matches!(r.outcome, RunOutcome::DegradedCompleted { .. });
+        assert_eq!(retried, name.contains("lossy"), "{name}: {:?}", r.outcome);
+        pins.push(pin_trace(
+            &format!("{name}_trace"),
+            r.trace.as_ref().expect("trace recorded"),
+        ));
+        pins.push(pin_result(&format!("{name}_result"), &r));
     }
     serde_json::to_string_pretty(&Value::Array(pins)).expect("render pins") + "\n"
 }
