@@ -70,7 +70,7 @@ impl WireTags {
         fabric: &mut P,
     ) {
         let submits = match tenant {
-            Tenant::Train { state, .. } => &mut state.submits,
+            Tenant::Train { state, .. } => &mut state.core.submits,
             Tenant::Burst { submits, .. } => submits,
         };
         if submits.is_empty() {

@@ -5,10 +5,10 @@
 //! the iteration DAG on a serial GPU; a gradient-synchronisation backend
 //! (sharded PS over the [`bs_net::Network`], or a ring all-reduce stream);
 //! and a [`bs_core::Scheduler`] policy per worker (or one master scheduler
-//! for all-reduce, §5). The *plugins* in [`plugin`] are the glue the paper
-//! describes in §3: they translate engine events into `CommTask`
-//! submissions and communication completions back into engine dependency
-//! grants.
+//! for all-reduce, §5). Each job ([`job`]) is a shared core plus one
+//! architecture backend holding the glue the paper's plugins are (§3):
+//! it translates engine events into `CommTask` submissions and
+//! communication completions back into engine dependency grants.
 //!
 //! [`world::run`] executes one configuration to completion and reports the
 //! steady-state training speed — the number every figure in the paper
@@ -18,8 +18,9 @@ pub mod config;
 pub mod driver;
 pub mod job;
 pub mod partlog;
-pub mod plugin;
+mod ps_job;
 pub mod result;
+mod ring_job;
 pub mod token;
 pub mod traffic;
 pub mod world;
