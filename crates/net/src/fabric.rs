@@ -214,4 +214,31 @@ mod tests {
             assert_eq!(tap.node_bytes(3), (0, 2_000_000), "{model:?}");
         }
     }
+
+    /// Outages nest: a port killed twice (a flap over a machine failure)
+    /// stays down through the first revive, and queued work restarts
+    /// only when the second one ends it.
+    #[test]
+    fn port_stays_down_until_its_last_outage_ends() {
+        for model in [FabricModel::SerialFifo, FabricModel::FairShare] {
+            let cfg = NetConfig::gbps(8.0, Transport::ideal());
+            let mut f = Fabric::new(model, 2, cfg);
+            f.kill_port(SimTime::ZERO, NodeId(1));
+            f.kill_port(SimTime::from_millis(1), NodeId(1));
+            f.submit(SimTime::from_millis(2), NodeId(0), NodeId(1), 1_000_000, 7);
+            f.revive_port(SimTime::from_millis(3), NodeId(1));
+            assert!(f.next_event_time().is_never(), "{model:?}: one outage left");
+            f.revive_port(SimTime::from_millis(10), NodeId(1));
+            let mut done = Vec::new();
+            while !f.next_event_time().is_never() {
+                let t = f.next_event_time();
+                for e in f.advance(t) {
+                    if let NetEvent::Delivered(c) = e {
+                        done.push((c.tag, c.finished_at));
+                    }
+                }
+            }
+            assert_eq!(done, vec![(7, SimTime::from_millis(11))], "{model:?}");
+        }
+    }
 }

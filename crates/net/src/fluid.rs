@@ -49,8 +49,10 @@ struct FaultState {
     /// in the allocator (its flows were killed; late retransmits toward
     /// it idle at rate 0 until the revive).
     port_scale: Vec<f64>,
-    /// Nodes currently flapped down.
-    down: Vec<bool>,
+    /// Outages in progress per node (overlapping flaps and machine
+    /// failures each count one); a node is down while its count is
+    /// above zero.
+    down: Vec<u32>,
 }
 
 /// A flow's cold fields. Its hot ones — remaining volume and rate — live
@@ -249,7 +251,7 @@ impl FluidNetwork {
         self.faults.get_or_insert_with(|| {
             Box::new(FaultState {
                 port_scale: vec![1.0; ports],
-                down: vec![false; n],
+                down: vec![0; n],
             })
         })
     }
@@ -410,7 +412,7 @@ impl FluidNetwork {
         if let Some(fs) = &self.faults {
             for (p, c) in port_cap.iter_mut().enumerate() {
                 let node = p % self.num_nodes;
-                *c = if fs.down[node] {
+                *c = if fs.down[node] > 0 {
                     0.0
                 } else {
                     cap * fs.port_scale[p]
@@ -643,7 +645,7 @@ impl NetPort for FluidNetwork {
     fn kill_port(&mut self, now: SimTime, node: NodeId) -> Vec<DroppedTransfer> {
         assert!(node.0 < self.num_nodes, "node {node:?} out of range");
         self.integrate_to(now);
-        self.fault_state().down[node.0] = true;
+        self.fault_state().down[node.0] += 1;
         self.drop_flows(now, |f| f.src == node || f.dst == node)
     }
 
@@ -682,7 +684,8 @@ impl NetPort for FluidNetwork {
     fn revive_port(&mut self, now: SimTime, node: NodeId) {
         assert!(node.0 < self.num_nodes, "node {node:?} out of range");
         self.integrate_to(now);
-        self.fault_state().down[node.0] = false;
+        let down = &mut self.fault_state().down[node.0];
+        *down = down.saturating_sub(1);
         self.alloc.get_mut().dirty = true;
     }
 

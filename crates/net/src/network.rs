@@ -104,9 +104,10 @@ struct FaultState {
     up_scale: Vec<f64>,
     /// Per-node downlink capacity scale.
     down_scale: Vec<f64>,
-    /// Nodes currently flapped down: no transfer may start or continue
-    /// on either of their ports.
-    down: Vec<bool>,
+    /// Outages in progress per node (overlapping flaps and machine
+    /// failures each count one): no transfer may start or continue on
+    /// either of a node's ports until its count is back to zero.
+    down: Vec<u32>,
 }
 
 /// One node's NIC state.
@@ -365,7 +366,7 @@ impl Network {
 
     /// True when `node` is currently flapped down.
     fn port_down(&self, node: NodeId) -> bool {
-        self.faults.as_ref().is_some_and(|f| f.down[node.0])
+        self.faults.as_ref().is_some_and(|f| f.down[node.0] > 0)
     }
 
     /// Effective capacity scale for a `src → dst` occupancy.
@@ -383,7 +384,7 @@ impl Network {
             Box::new(FaultState {
                 up_scale: vec![1.0; n],
                 down_scale: vec![1.0; n],
-                down: vec![false; n],
+                down: vec![0; n],
             })
         })
     }
@@ -560,7 +561,7 @@ impl NetPort for Network {
     /// phase still deliver: the receiver's stack accepted them. Queued
     /// transfers stay queued until the revive.
     fn kill_port(&mut self, now: SimTime, node: NodeId) -> Vec<DroppedTransfer> {
-        self.fault_state().down[node.0] = true;
+        self.fault_state().down[node.0] += 1;
         let victims: Vec<TransferId> =
             [self.nics[node.0].up_current, self.nics[node.0].down_current]
                 .into_iter()
@@ -637,7 +638,11 @@ impl NetPort for Network {
 
     /// Restarts service on every connection the outage was blocking.
     fn revive_port(&mut self, now: SimTime, node: NodeId) {
-        self.fault_state().down[node.0] = false;
+        let down = &mut self.fault_state().down[node.0];
+        *down = down.saturating_sub(1);
+        if *down > 0 {
+            return;
+        }
         for s in 0..self.nics.len() {
             self.try_start(now, NodeId(s));
         }

@@ -67,10 +67,13 @@ pub trait NetPort {
 
     /// Flaps `node` down at `now`, killing the transfers on its ports
     /// and returning them so the caller can recover (reclaim credit,
-    /// retransmit). Transfers past wire release still deliver.
+    /// retransmit). Transfers past wire release still deliver. Outages
+    /// nest: each kill is one more outage the port waits out.
     fn kill_port(&mut self, now: SimTime, node: NodeId) -> Vec<DroppedTransfer>;
 
-    /// Brings `node` back up at `now` and resumes service through it.
+    /// Ends one of `node`'s outages at `now`; once its last one ends
+    /// (a flap that outlives a machine failure, or the reverse), service
+    /// through it resumes. A revive of a port that is up does nothing.
     /// Capacity scales set before or during the outage persist.
     fn revive_port(&mut self, now: SimTime, node: NodeId);
 

@@ -121,7 +121,8 @@ mod eager {
         deliveries: VecDeque<(SimTime, CompletedTransfer)>,
         last_update: SimTime,
         port_scale: Vec<f64>,
-        down: Vec<bool>,
+        /// Outages in progress per node; down while above zero.
+        down: Vec<u32>,
     }
 
     impl EagerFluid {
@@ -136,7 +137,7 @@ mod eager {
                 deliveries: VecDeque::new(),
                 last_update: SimTime::ZERO,
                 port_scale: vec![1.0; 2 * n],
-                down: vec![false; n],
+                down: vec![0; n],
             }
         }
 
@@ -246,7 +247,7 @@ mod eager {
 
         pub fn kill_port(&mut self, now: SimTime, node: NodeId) -> Vec<DroppedTransfer> {
             self.integrate_to(now);
-            self.down[node.0] = true;
+            self.down[node.0] += 1;
             let dropped = self.drop_where(|f| f.src == node || f.dst == node);
             self.reallocate();
             dropped
@@ -254,7 +255,7 @@ mod eager {
 
         pub fn revive_port(&mut self, now: SimTime, node: NodeId) {
             self.integrate_to(now);
-            self.down[node.0] = false;
+            self.down[node.0] = self.down[node.0].saturating_sub(1);
             self.reallocate();
         }
 
@@ -330,7 +331,7 @@ mod eager {
             let ports = 2 * self.n;
             let mut port_cap: Vec<f64> = (0..ports)
                 .map(|p| {
-                    if self.down[p % self.n] {
+                    if self.down[p % self.n] > 0 {
                         0.0
                     } else {
                         cap * self.port_scale[p]
@@ -480,10 +481,13 @@ proptest! {
                 }
             }
         }
-        // Revive everything and run both to completion in lockstep.
+        // Revive everything (outages nest, so once per op covers every
+        // kill) and run both to completion in lockstep.
         for node in 0..ORACLE_NODES {
-            lazy.revive_port(now, NodeId(node));
-            eager.revive_port(now, NodeId(node));
+            for _ in 0..ops.len() {
+                lazy.revive_port(now, NodeId(node));
+                eager.revive_port(now, NodeId(node));
+            }
         }
         loop {
             let t = eager.next_event_time();

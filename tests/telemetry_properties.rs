@@ -218,10 +218,16 @@ fn run_faulted(model: FabricModel, ops: &[(u64, Op)], record: bool) -> Observed 
             }
         }
     }
-    // Revive every node so queued work can drain, then run dry.
+    // Revive every node so queued work can drain (outages nest: one
+    // revive per kill), then run dry.
     let last = end;
     for n in 0..NODES {
-        fabric.revive_port(last, NodeId(n));
+        let kills = ops
+            .iter()
+            .filter(|(_, op)| matches!(op, Op::Kill(k) if *k == n));
+        for _ in 0..kills.count() {
+            fabric.revive_port(last, NodeId(n));
+        }
     }
     advance_to(&mut fabric, SimTime::MAX, &mut end);
     let up_busy =
