@@ -141,8 +141,13 @@ impl ClusterHooks {
     ) {
         self.healthy[machine] = false;
         push_fault_event(tenants, None, machine, machine, "machine_down", 0.0, now);
+        // Without a reaction, a job rides the outage out only if the
+        // machine comes back; one it never does fails closed here.
+        let restored = timeline
+            .iter()
+            .any(|e| e.at > now && e.change == ClusterChange::MachineUp { machine });
         let mut affected: Vec<usize> = Vec::new();
-        if self.reaction == FaultReaction::CheckpointMigrate {
+        if self.reaction == FaultReaction::CheckpointMigrate || !restored {
             for (j, tenant) in tenants.iter().enumerate() {
                 if let Tenant::Train {
                     state,
@@ -165,8 +170,16 @@ impl ClusterHooks {
             route_drop(tenants, wires, d, now, fabric);
         }
         for j in affected {
-            self.checkpoint_migrate(j, machine, now, timeline, tenants, fabric);
-            wires.apply(&mut tenants[j], j, now, fabric);
+            if self.reaction == FaultReaction::CheckpointMigrate {
+                self.checkpoint_migrate(j, machine, now, timeline, tenants, fabric);
+                wires.apply(&mut tenants[j], j, now, fabric);
+            } else if let Tenant::Train { state, .. } = &mut tenants[j] {
+                // Its fabric footprint goes with it, as a doomed
+                // migration's does.
+                fabric.cancel_where(now, &mut |tag| wire_owner(tag) == j);
+                let reason = format!("machine {machine} failed and is never restored");
+                state.abort(reason, now);
+            }
         }
     }
 
@@ -1084,6 +1097,110 @@ mod tests {
             SimTime::from_micros(150_000),
             "a doomed job fails at the outage instant"
         );
+    }
+
+    #[test]
+    fn never_restored_machine_fails_a_passive_job_closed() {
+        // No reaction and machine 1 never comes back: the job cannot
+        // ride the outage out, so it fails at the outage instant instead
+        // of stalling the run.
+        for fabric in [FabricModel::SerialFifo, FabricModel::FairShare] {
+            let mut cluster = ClusterConfig::new(5, NetConfig::gbps(10.0, Transport::tcp()));
+            cluster.fabric = fabric;
+            cluster.placement = PlacementPolicy::Packed;
+            cluster.reaction = FaultReaction::None;
+            cluster.faults = Some(failure_plan(150_000, None));
+            let specs = vec![JobSpec::train("stranded", job_cfg(bs(), 7))];
+            let r = run_cluster(&cluster, &specs);
+            assert!(
+                r.migrations.is_empty(),
+                "{fabric:?}: no reaction, no migrations"
+            );
+            match &r.jobs[0].result.outcome {
+                RunOutcome::Failed { reason } => {
+                    assert!(reason.contains("machine 1"), "{fabric:?}: {reason}")
+                }
+                o => panic!("{fabric:?}: expected fail-closed, got {o:?}"),
+            }
+            assert_eq!(r.jobs[0].finished_at, SimTime::from_micros(150_000));
+        }
+    }
+
+    #[test]
+    fn flap_ending_inside_a_machine_outage_keeps_the_port_down() {
+        // Machine 1 (a worker of the packed job) flaps at 100 ms and
+        // fails at 150 ms until 60 s; the flap ends at 300 ms. The port
+        // must stay down until the restore, so riding the outage out
+        // takes past 60 s.
+        let mut plan = failure_plan(150_000, Some(60_000_000));
+        plan.flaps = vec![bs_faults::LinkFlap {
+            node: 1,
+            from_us: 100_000,
+            to_us: 300_000,
+        }];
+        for fabric in [FabricModel::SerialFifo, FabricModel::FairShare] {
+            let mut cluster = ClusterConfig::new(5, NetConfig::gbps(10.0, Transport::tcp()));
+            cluster.fabric = fabric;
+            cluster.placement = PlacementPolicy::Packed;
+            cluster.reaction = FaultReaction::None;
+            cluster.faults = Some(plan.clone());
+            let r = run_cluster(&cluster, &[JobSpec::train("rider", job_cfg(bs(), 7))]);
+            assert!(
+                r.makespan > SimTime::from_secs_f64(60.0),
+                "{fabric:?}: the flap's end revived a dead machine's port (makespan {})",
+                r.makespan
+            );
+        }
+    }
+
+    #[test]
+    fn second_failure_inside_a_migration_window_migrates_again() {
+        // Machine 1 fails at 150 ms: the job moves its node to spare
+        // machine 4 and resumes 7 s later. At 1 s, before that resume,
+        // machine 2 of its new placement fails until 3 s: the job is
+        // checkpointed again and resumes once capacity exists.
+        let mut plan = failure_plan(150_000, Some(60_000_000));
+        plan.machine_failures.push(bs_faults::MachineFailure {
+            machine: 2,
+            at_us: 1_000_000,
+            restore_us: Some(3_000_000),
+        });
+        for fabric in [FabricModel::SerialFifo, FabricModel::FairShare] {
+            let mut cluster = ClusterConfig::new(5, NetConfig::gbps(10.0, Transport::tcp()));
+            cluster.fabric = fabric;
+            cluster.placement = PlacementPolicy::Packed;
+            cluster.faults = Some(plan.clone());
+            let specs = vec![JobSpec::train("twice", job_cfg(bs(), 7))];
+            let r = run_cluster(&cluster, &specs);
+            assert_eq!(
+                r.migrations.len(),
+                2,
+                "{fabric:?}: two failures, two migrations"
+            );
+            let (first, second) = (&r.migrations[0], &r.migrations[1]);
+            assert_eq!((first.machine, second.machine), (1, 2), "{fabric:?}");
+            assert!(
+                first.at < second.at && second.at < first.resumed_at,
+                "{fabric:?}: the second failure must land inside the first window \
+                 ({} < {} < {})",
+                first.at,
+                second.at,
+                first.resumed_at
+            );
+            assert!(
+                matches!(
+                    r.jobs[0].result.outcome,
+                    RunOutcome::DegradedCompleted { .. }
+                ),
+                "{fabric:?}: {:?}",
+                r.jobs[0].result.outcome
+            );
+            assert_eq!(
+                full_fingerprint(&r),
+                full_fingerprint(&run_cluster(&cluster, &specs)),
+                "{fabric:?}: reruns must be byte-identical"
+            );
+        }
     }
 
     #[test]

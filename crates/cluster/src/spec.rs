@@ -20,8 +20,11 @@ pub enum FaultReaction {
     CheckpointMigrate,
     /// No reaction: affected jobs ride out the outage through the
     /// loss-recovery path (retransmits queue against the dead NIC until
-    /// it is restored, or the retry cap fails the job). The baseline the
-    /// migration study compares against.
+    /// it is restored, or the retry cap fails the job). A job with a
+    /// node on a machine the timeline never restores cannot ride it out
+    /// and fails closed with [`bs_runtime::RunOutcome::Failed`] at the
+    /// failure instant. The baseline the migration study compares
+    /// against.
     None,
 }
 

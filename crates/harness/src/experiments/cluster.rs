@@ -382,11 +382,12 @@ pub fn migration_study(fid: Fidelity, plan: &FaultPlan) -> MigrationStudy {
     MigrationStudy { rows, savings }
 }
 
-/// Renders the migration-study grid and the per-fabric verdict lines.
-pub fn render_migration(m: &MigrationStudy) -> String {
+/// Renders the migration-study grid, headed by the `plan` it ran, and
+/// the per-fabric verdict lines.
+pub fn render_migration(m: &MigrationStudy, plan: &str) -> String {
     let mut out = String::new();
     let mut t = Table::new(
-        "§7 extension — machine failure: ride out the outage vs checkpoint+migrate (2 jobs packed + 1 spare machine, committed cluster fault fixture)".to_string(),
+        format!("§7 extension — machine failure: ride out the outage vs checkpoint+migrate (2 jobs packed + 1 spare machine, {plan})"),
         &[
             "fabric",
             "reaction",

@@ -275,3 +275,48 @@ fn bad_arguments_are_rejected_before_any_study() {
         assert_rejected(bin, &["--bogus"], &format!("{name}: unknown flag --bogus"));
     }
 }
+
+/// `cluster --faults PLAN` runs any plan, but only the committed
+/// fixture's study is the committed render: a custom plan leaves
+/// `results/cluster_faults.json` byte for byte as it was, whether the
+/// study's claims hold under it (a second failure inside a migration
+/// window) or not (a machine that is never restored fails the passive
+/// arm's job, reported with exit code 2).
+#[test]
+fn custom_fault_plans_leave_the_committed_render_alone() {
+    let render =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results/cluster_faults.json");
+    let before = std::fs::read(&render).expect("committed render");
+    let twice = plan_file(
+        "second_failure.json",
+        r#"{"schema_version": 2, "machine_failures": [
+            {"machine": 1, "at_us": 150000, "restore_us": 60000000},
+            {"machine": 2, "at_us": 1000000, "restore_us": 3000000}]}"#,
+    );
+    let lost = plan_file(
+        "never_restored.json",
+        r#"{"schema_version": 2, "machine_failures": [
+            {"machine": 1, "at_us": 150000}]}"#,
+    );
+    for (plan, code, needle) in [
+        (&twice, 0, "nothing written"),
+        (&lost, 2, "machine 1 failed and is never restored"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_cluster"))
+            .args(["--faults", plan])
+            .env("BS_QUICK", "1")
+            .output()
+            .expect("binary runs");
+        let text = String::from_utf8_lossy(&out.stdout) + String::from_utf8_lossy(&out.stderr);
+        assert!(
+            std::fs::read(&render).expect("committed render") == before,
+            "{plan}: results/cluster_faults.json was rewritten"
+        );
+        assert_eq!(out.status.code(), Some(code), "{plan}: {text}");
+        assert!(
+            text.contains(needle),
+            "{plan}: expected {needle:?} in {text}"
+        );
+        assert!(text.contains(&format!("plan {plan}")), "{plan}: heading");
+    }
+}
