@@ -297,7 +297,8 @@ pub struct MigrationSaving {
 pub struct MigrationStudy {
     /// Fabric × reaction grid.
     pub rows: Vec<MigrationRow>,
-    /// Per-fabric makespan comparison.
+    /// Per-fabric makespan comparison, for each fabric where no job of
+    /// either arm failed.
     pub savings: Vec<MigrationSaving>,
 }
 
@@ -337,6 +338,7 @@ pub fn migration_study(fid: Fidelity, plan: &FaultPlan) -> MigrationStudy {
         (FabricModel::FairShare, "fluid"),
     ] {
         let mut makespans = [0.0f64; 2];
+        let mut failed = false;
         for (k, (reaction, rlabel)) in [
             (FaultReaction::None, "no-reaction"),
             (FaultReaction::CheckpointMigrate, "checkpoint+migrate"),
@@ -358,6 +360,10 @@ pub fn migration_study(fid: Fidelity, plan: &FaultPlan) -> MigrationStudy {
                 ],
             );
             makespans[k] = r.makespan.as_secs_f64();
+            failed |= r
+                .jobs
+                .iter()
+                .any(|j| matches!(j.result.outcome, RunOutcome::Failed { .. }));
             rows.push(MigrationRow {
                 fabric: flabel,
                 reaction: rlabel,
@@ -372,12 +378,16 @@ pub fn migration_study(fid: Fidelity, plan: &FaultPlan) -> MigrationStudy {
                     .collect(),
             });
         }
-        savings.push(MigrationSaving {
-            fabric: flabel,
-            no_reaction_secs: makespans[0],
-            migrate_secs: makespans[1],
-            saved_secs: makespans[0] - makespans[1],
-        });
+        // A failed arm's "makespan" is only its failure instant: there is
+        // nothing to compare it with.
+        if !failed {
+            savings.push(MigrationSaving {
+                fabric: flabel,
+                no_reaction_secs: makespans[0],
+                migrate_secs: makespans[1],
+                saved_secs: makespans[0] - makespans[1],
+            });
+        }
     }
     MigrationStudy { rows, savings }
 }
@@ -410,11 +420,18 @@ pub fn render_migration(m: &MigrationStudy, plan: &str) -> String {
         ]);
     }
     out.push_str(&t.render());
-    for s in &m.savings {
-        out.push_str(&format!(
-            "{}: checkpoint+migrate finishes {:.2} s earlier than riding out the outage ({:.2} s vs {:.2} s)\n",
-            s.fabric, s.saved_secs, s.migrate_secs, s.no_reaction_secs
-        ));
+    let mut fabrics: Vec<&str> = m.rows.iter().map(|r| r.fabric).collect();
+    fabrics.dedup();
+    for fabric in fabrics {
+        match m.savings.iter().find(|s| s.fabric == fabric) {
+            Some(s) => out.push_str(&format!(
+                "{fabric}: checkpoint+migrate finishes {:.2} s earlier than riding out the outage ({:.2} s vs {:.2} s)\n",
+                s.saved_secs, s.migrate_secs, s.no_reaction_secs
+            )),
+            None => out.push_str(&format!(
+                "{fabric}: a job failed, so the two reactions cannot be compared\n"
+            )),
+        }
     }
     out
 }
@@ -501,6 +518,42 @@ mod tests {
         for r in &s.placement {
             assert!(r.jain > 0.0 && r.jain <= 1.0 + 1e-12, "Jain in (0,1]");
             assert!(r.peak_link_util > 0.0, "traffic must register on links");
+        }
+    }
+
+    /// A machine that never returns fails the no-reaction arm's job at
+    /// the failure instant; that instant is no makespan, so neither
+    /// fabric gets a saving or a verdict.
+    #[test]
+    fn a_failed_arm_gets_no_verdict() {
+        let plan = FaultPlan {
+            machine_failures: vec![bs_faults::MachineFailure {
+                machine: 1,
+                at_us: 150_000,
+                restore_us: None,
+            }],
+            ..FaultPlan::empty()
+        };
+        let m = migration_study(Fidelity::quick(), &plan);
+        for fabric in ["fifo", "fluid"] {
+            assert!(
+                m.rows
+                    .iter()
+                    .any(|r| r.fabric == fabric
+                        && r.outcomes.iter().any(|o| o.starts_with("FAILED"))),
+                "{fabric}: the no-reaction arm must fail"
+            );
+        }
+        assert!(m.savings.is_empty(), "{:?}", m.savings);
+        let text = render_migration(&m, "plan never_restored.json");
+        assert!(!text.contains("earlier than"), "{text}");
+        for fabric in ["fifo", "fluid"] {
+            assert!(
+                text.contains(&format!(
+                    "{fabric}: a job failed, so the two reactions cannot be compared"
+                )),
+                "{text}"
+            );
         }
     }
 

@@ -12,47 +12,17 @@
 //! BS_UPDATE_GOLDEN=1 cargo test --test background_pin
 //! ```
 
+#[allow(dead_code)]
+mod common;
+
 use bs_engine::EngineConfig;
-use bs_models::{DnnModel, GpuSpec, ModelBuilder, SampleUnit};
 use bs_net::{FabricModel, NetConfig, Transport};
 use bs_runtime::{run, Arch, BackgroundLoad, RunResult, SchedulerKind, WorldConfig};
-use bs_sim::SimTime;
 use serde_json::Value;
-
-/// The comm-heavy toy shared with the golden-trace test.
-fn comm_heavy() -> DnnModel {
-    let gpu = GpuSpec::custom(1e12, 2.0);
-    ModelBuilder::new("toy", gpu, 8, SampleUnit::Images)
-        .explicit(
-            "l0",
-            40_000_000,
-            SimTime::from_millis(4),
-            SimTime::from_millis(8),
-        )
-        .explicit(
-            "l1",
-            5_000_000,
-            SimTime::from_millis(4),
-            SimTime::from_millis(8),
-        )
-        .explicit(
-            "l2",
-            5_000_000,
-            SimTime::from_millis(4),
-            SimTime::from_millis(8),
-        )
-        .explicit(
-            "l3",
-            1_000_000,
-            SimTime::from_millis(4),
-            SimTime::from_millis(8),
-        )
-        .build()
-}
 
 fn scenario(fabric: FabricModel, sched: SchedulerKind, gap_us: u64) -> WorldConfig {
     let mut c = WorldConfig::new(
-        comm_heavy(),
+        common::comm_heavy(),
         2,
         Arch::ps(2),
         NetConfig::gbps(10.0, Transport::tcp()),

@@ -13,49 +13,20 @@
 //!
 //! and review the fixture diff like any other behavioural change.
 
+#[allow(dead_code)]
+mod common;
+
 use bs_cluster::{run_cluster, ClusterConfig, ClusterResult, JobSpec, PlacementPolicy};
 use bs_engine::EngineConfig;
 use bs_faults::FaultPlan;
-use bs_models::{DnnModel, GpuSpec, ModelBuilder, SampleUnit};
 use bs_net::{FabricModel, NetConfig, Transport};
 use bs_runtime::{Arch, SchedulerKind, WorldConfig};
 use bs_sim::SimTime;
 use serde_json::Value;
 
-/// The same comm-heavy toy the single-job golden test pins.
-fn comm_heavy() -> DnnModel {
-    let gpu = GpuSpec::custom(1e12, 2.0);
-    ModelBuilder::new("toy", gpu, 8, SampleUnit::Images)
-        .explicit(
-            "l0",
-            40_000_000,
-            SimTime::from_millis(4),
-            SimTime::from_millis(8),
-        )
-        .explicit(
-            "l1",
-            5_000_000,
-            SimTime::from_millis(4),
-            SimTime::from_millis(8),
-        )
-        .explicit(
-            "l2",
-            5_000_000,
-            SimTime::from_millis(4),
-            SimTime::from_millis(8),
-        )
-        .explicit(
-            "l3",
-            1_000_000,
-            SimTime::from_millis(4),
-            SimTime::from_millis(8),
-        )
-        .build()
-}
-
 fn job(sched: SchedulerKind, seed: u64) -> WorldConfig {
     let mut c = WorldConfig::new(
-        comm_heavy(),
+        common::comm_heavy(),
         2,
         Arch::ps(2),
         NetConfig::gbps(10.0, Transport::tcp()),

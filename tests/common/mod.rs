@@ -13,8 +13,8 @@ use bs_runtime::{run, Arch, RunResult, SchedulerKind, WorldConfig};
 use bs_sim::SimTime;
 use serde_json::Value;
 
-/// The comm-heavy toy shared with the runtime tests and the perf runner:
-/// a big first tensor so scheduling order matters.
+/// The comm-heavy toy shared with the runtime tests and every root
+/// golden: a big first tensor so scheduling order matters.
 pub fn comm_heavy() -> DnnModel {
     let gpu = GpuSpec::custom(1e12, 2.0);
     ModelBuilder::new("toy", gpu, 8, SampleUnit::Images)

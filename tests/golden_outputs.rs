@@ -15,6 +15,10 @@
 //! MXNet's big-array split (key-level pull gating), and a lossy ring under
 //! the baseline and ByteScheduler (the collective retry path).
 //!
+//! The six `sim_pin` scenarios are pinned apart, by the exact simulated
+//! values (speed and finish time, or Jain fairness and makespan) they
+//! have always produced.
+//!
 //! Each artefact is pinned by its byte length, its row counts (Chrome
 //! events by phase, JSON-lines rows) and a 64-bit FNV-1a digest, so a
 //! refactor of how compute spans, ring spans, flow arrows, counter
@@ -359,4 +363,149 @@ fn recorder_outputs_match_committed_digests() {
          change is intentional, regenerate with BS_UPDATE_GOLDEN=1 and \
          review the diff"
     );
+}
+
+// The simulated outputs of the six macro scenarios the retired perf
+// runner timed (`BENCH_1.json`–`BENCH_4.json` in git history recorded
+// them as `sim_*` fields): the training speed and finish time of the
+// single-job runs, the Jain fairness and makespan of the cluster runs.
+// They are part of the repository's output contract, so a performance
+// change must leave them where they were, to the last bit.
+
+/// A comm-heavy job at 10 Gbps TCP with jitter off and 2 warm-up
+/// iterations.
+fn sim_pin_job(
+    arch: Arch,
+    sched: SchedulerKind,
+    workers: usize,
+    iters: u64,
+    seed: u64,
+) -> WorldConfig {
+    let engine = match arch {
+        Arch::AllReduce { .. } => EngineConfig::mxnet_allreduce(),
+        _ => EngineConfig::mxnet_ps(),
+    };
+    let mut c = WorldConfig::new(
+        common::comm_heavy(),
+        workers,
+        arch,
+        NetConfig::gbps(10.0, Transport::tcp()),
+        engine,
+        sched,
+    );
+    c.iters = iters;
+    c.warmup = 2;
+    c.jitter = 0.0;
+    c.seed = seed;
+    c
+}
+
+const PS_BS: SchedulerKind = SchedulerKind::ByteScheduler {
+    partition: 500_000,
+    credit: 2_000_000,
+};
+const RING_BS: SchedulerKind = SchedulerKind::ByteScheduler {
+    partition: 2_000_000,
+    credit: 8_000_000,
+};
+
+/// `n_ps` 2-worker PS tenants (ByteScheduler and the baseline
+/// alternating, `ps_iters` iterations) and `n_ar` 2-rank ring tenants
+/// (twice the iterations), packed onto a shared fluid fabric.
+fn sim_pin_cluster(n_ps: usize, n_ar: usize, ps_iters: u64) -> bs_cluster::ClusterResult {
+    let mut specs = Vec::new();
+    for j in 0..n_ps {
+        let sched = if j % 2 == 0 {
+            PS_BS
+        } else {
+            SchedulerKind::Baseline
+        };
+        let c = sim_pin_job(Arch::ps(2), sched, 2, ps_iters, 1 + j as u64);
+        specs.push(JobSpec::train(format!("ps{j}"), c));
+    }
+    for j in 0..n_ar {
+        let c = sim_pin_job(Arch::allreduce(), RING_BS, 2, ps_iters * 2, 100 + j as u64);
+        specs.push(JobSpec::train(format!("ar{j}"), c));
+    }
+    let mut cluster =
+        ClusterConfig::new((2 * n_ps).max(2), NetConfig::gbps(10.0, Transport::tcp()));
+    cluster.fabric = FabricModel::FairShare;
+    cluster.placement = PlacementPolicy::Packed;
+    run_cluster(&cluster, &specs)
+}
+
+#[test]
+fn single_job_scenarios_reproduce_their_committed_outputs() {
+    for (name, arch, sched, fabric, speed, finished_at_ns) in [
+        (
+            "ps_fifo_bytescheduler",
+            Arch::ps(4),
+            PS_BS,
+            FabricModel::SerialFifo,
+            2674.6720716217,
+            1_865_745_692,
+        ),
+        (
+            "ps_fluid_bytescheduler",
+            Arch::ps(4),
+            PS_BS,
+            FabricModel::FairShare,
+            2775.0771363042445,
+            1_800_744_072,
+        ),
+        (
+            "allreduce_bytescheduler",
+            Arch::allreduce(),
+            RING_BS,
+            FabricModel::SerialFifo,
+            317.0236865238085,
+            1_965_837_770,
+        ),
+    ] {
+        let mut cfg = sim_pin_job(arch, sched, 4, 20, 1);
+        cfg.fabric = fabric;
+        let r = run(&cfg);
+        assert_eq!(
+            (r.speed, r.finished_at.as_nanos()),
+            (speed, finished_at_ns),
+            "{name}: (speed, finished_at ns)"
+        );
+    }
+}
+
+#[test]
+fn cluster_scenarios_reproduce_their_committed_outputs() {
+    for (name, n_ps, n_ar, ps_iters, fairness, makespan_ns) in [
+        (
+            "cluster_4job_fluid_packed",
+            4,
+            0,
+            20,
+            0.8262889452783384,
+            8_194_828_243,
+        ),
+        (
+            "cluster_8job_mixed_seq",
+            3,
+            5,
+            10,
+            0.9714792187153066,
+            2_688_969_671,
+        ),
+        (
+            "cluster_16job_mixed_seq",
+            6,
+            10,
+            10,
+            0.8991679971170987,
+            6_033_059_205,
+        ),
+    ] {
+        let r = sim_pin_cluster(n_ps, n_ar, ps_iters);
+        assert_eq!(
+            (r.jain_fairness, r.makespan.as_nanos()),
+            (fairness, makespan_ns),
+            "{name}: (Jain fairness, makespan ns)"
+        );
+    }
 }
