@@ -318,7 +318,5 @@ fn custom_fault_plans_leave_the_committed_render_alone() {
             "{plan}: expected {needle:?} in {text}"
         );
         assert!(text.contains(&format!("plan {plan}")), "{plan}: heading");
-        // A failed arm has no makespan, so it gets no verdict either.
-        assert_eq!(text.contains("earlier than"), code == 0, "{plan}: {text}");
     }
 }
